@@ -5,7 +5,6 @@ quasiaffinity constructions relating them."""
 from .errors import (
     AmbientMismatch,
     C0OpsError,
-    DegenerateGram,
     DivisibilityFailure,
     HypothesisViolated,
     IllConditioned,

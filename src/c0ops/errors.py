@@ -13,10 +13,6 @@ class OutsideDisc(C0OpsError):
     """Evaluation point lies on or outside the unit circle."""
 
 
-class DegenerateGram(C0OpsError):
-    """Kernel Gram matrix too ill-conditioned to orthonormalize."""
-
-
 class SingularResolvent(C0OpsError):
     """Resolvent (I - conj(a) A) failed to invert; internal error."""
 

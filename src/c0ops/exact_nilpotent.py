@@ -11,7 +11,7 @@ from __future__ import annotations
 import sympy as sp
 
 from .inner import monomial
-from .jordan import JordanModel
+from .jordan import JordanModel, chain_lengths
 
 
 def nilpotent_block(d: int) -> sp.Matrix:
@@ -22,8 +22,13 @@ def nilpotent_block(d: int) -> sp.Matrix:
     return mat
 
 
+def direct_sum_nilpotent(block_degrees: list[int]) -> sp.Matrix:
+    """Exact matrix of S(z^{d_0}) (+) S(z^{d_1}) (+) ..."""
+    return sp.diag(*[nilpotent_block(d) for d in block_degrees])
+
+
 def ambient_operator(d: int, copies: int) -> sp.Matrix:
-    return sp.diag(*[nilpotent_block(d) for _ in range(copies)])
+    return direct_sum_nilpotent([d] * copies)
 
 
 def column_space_basis(cols: sp.Matrix) -> sp.Matrix:
@@ -82,12 +87,7 @@ def nilpotent_jordan_model(a_mat: sp.Matrix, max_power: int) -> JordanModel:
     for _ in range(max_power):
         power = power @ a_mat
         ranks.append(power.rank())
-    counts = [ranks[k - 1] - ranks[k] for k in range(1, max_power + 1)]
-    parts = []
-    for n_th in range(counts[0] if counts else 0):
-        size = sum(1 for c in counts if c > n_th)
-        parts.append(monomial(size))
-    return JordanModel(tuple(parts))
+    return JordanModel(tuple(monomial(s) for s in chain_lengths(ranks)))
 
 
 def exact_subspace_models(

@@ -92,6 +92,16 @@ def _rank_sequence(a_mat, zero, mult, strict_gap):
     return ranks
 
 
+def chain_lengths(ranks: list[int]) -> list[int]:
+    """Jordan chain lengths, largest first, from the ranks of N^0, ..., N^m.
+
+    The number of chains of length >= k is ranks[k-1] - ranks[k].
+    """
+    counts = [r0 - r1 for r0, r1 in zip(ranks, ranks[1:])]
+    longest = counts[0] if counts else 0
+    return [sum(1 for c in counts if c > n) for n in range(longest)]
+
+
 def _check_annihilated(a_mat: np.ndarray, theta_ref: InnerFunction):
     if a_mat.shape[0] == 0:
         return
@@ -108,10 +118,9 @@ def minimal_function(a_mat: np.ndarray, theta_ref: InnerFunction) -> InnerFuncti
     _check_annihilated(a_mat, theta_ref)
     out = ONE
     for a, m in theta_ref.zeros:
-        ranks = _rank_sequence(a_mat, a, m, strict_gap=False)
-        largest = max((k for k in range(1, m + 1) if ranks[k - 1] > ranks[k]), default=0)
-        if largest:
-            out = out * blaschke(a, largest)
+        sizes = chain_lengths(_rank_sequence(a_mat, a, m, strict_gap=False))
+        if sizes:
+            out = out * blaschke(a, sizes[0])
     return out
 
 
@@ -121,15 +130,10 @@ def jordan_model_of(a_mat: np.ndarray, theta_ref: InnerFunction) -> JordanModel:
     _check_annihilated(a_mat, theta_ref)
     if a_mat.shape[0] == 0:
         return JordanModel()
-    # block_sizes[a] = sorted chain lengths at zero a (largest first)
-    per_zero: list[list[int]] = []
+    # per_zero[i] = (zero, chain length) pairs at the i-th zero, largest first
+    per_zero: list[list[tuple[complex, int]]] = []
     for a, m in theta_ref.zeros:
-        ranks = _rank_sequence(a_mat, a, m, strict_gap=True)
-        # number of chains of length >= k at this zero is ranks[k-1] - ranks[k]
-        counts = [ranks[k - 1] - ranks[k] for k in range(1, m + 1)]
-        sizes = []
-        for n_th in range(counts[0] if counts else 0):
-            sizes.append(sum(1 for c in counts if c > n_th))
+        sizes = chain_lengths(_rank_sequence(a_mat, a, m, strict_gap=True))
         per_zero.append([(a, s) for s in sizes])
     length = max((len(s) for s in per_zero), default=0)
     parts = []

@@ -1,43 +1,31 @@
 """Model spaces H(theta) and the compressed shift as a concrete matrix.
 
-For theta = z^d the monomial basis is used and the shift matrix is the
-exact nilpotent lower Jordan block.  Otherwise the space is spanned by
-Cauchy kernels 1/(1 - conj(a) z) and their conj(a)-derivatives (one chain
-per zero, chain length = multiplicity), which are orthonormalized in the
-closed-form Gram metric.  The resulting orthonormal family is the
-rational orthonormal basis classically attached to the zero set.
+H(theta) carries the Takenaka-Malmquist-Walsh (TMW) basis.  With the
+zeros of theta listed with multiplicity as a_0, ..., a_{d-1}, its k-th
+vector is
+
+    v_k(z) = sqrt(1 - |a_k|^2) / (1 - conj(a_k) z) * prod_{l<k} b_{a_l}(z),
+
+where b_a(z) = (z - a) / (1 - conj(a) z).  In this orthonormal basis
+S(theta) is lower triangular in closed form (Garcia, Mashreghi, Ross,
+"Introduction to Model Spaces and their Operators", CUP 2016):
+
+    S_kk = a_k,
+    S_ij = sqrt(1 - |a_i|^2) sqrt(1 - |a_j|^2) prod_{j<l<i} (-conj(a_l))  (i > j).
+
+For theta = z^d the TMW basis is the monomial basis {1, z, ..., z^{d-1}}
+and the matrix is exactly the nilpotent lower Jordan block.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import inner
-from .errors import DegenerateGram, NotADivisor, SingularResolvent
+from .errors import NotADivisor, SingularResolvent
 from .inner import InnerFunction
-
-GRAM_COND_LIMIT = 1e12
-
-
-def _kernel_pair_ip(j: int, l: int, x: complex, y: complex) -> complex:
-    """<k_a^(j), k_b^(l)> in H^2, with x = conj(a), y = b.
-
-    Equals d^j/dx^j d^l/dy^l of 1/(1 - x y), expanded by the Leibniz rule.
-    """
-    total = 0j
-    one_m_xy = 1.0 - x * y
-    for i in range(max(0, j - l), j + 1):
-        coef = (
-            math.comb(j, i)
-            * math.factorial(l)
-            // math.factorial(l - j + i)
-            * math.factorial(l + i)
-        )
-        total += coef * x ** (l - j + i) * y**i / one_m_xy ** (l + 1 + i)
-    return total
 
 
 @dataclass(frozen=True)
@@ -72,58 +60,21 @@ class ModelVector:
         return float(np.linalg.norm(self.coords))
 
 
-def _gram_schmidt_in_metric(gram: np.ndarray) -> np.ndarray:
-    """Coefficients C of an orthonormal basis, QR-style with a second pass.
-
-    Columns of C express the orthonormal vectors in the original (kernel)
-    basis whose Gram matrix is `gram`.
-    """
-    d = gram.shape[0]
-    ip = lambda c1, c2: complex(c2.conj() @ gram @ c1)
-    cols = []
-    for k in range(d):
-        c = np.zeros(d, dtype=complex)
-        c[k] = 1.0
-        for _ in range(2):  # reorthogonalize once for stability
-            for q in cols:
-                c = c - ip(c, q) * q
-        nrm = math.sqrt(max(ip(c, c).real, 0.0))
-        if nrm <= 0.0:
-            raise DegenerateGram("kernel basis numerically dependent")
-        cols.append(c / nrm)
-    return np.column_stack(cols)
-
-
 def build_model_space(theta: InnerFunction) -> ModelSpace:
     """Construct H(theta) and the matrix of the compressed shift."""
     d = theta.degree
     if d < 1:
         raise ValueError("degree of theta must be >= 1")
-    if all(abs(a) <= inner.MATCH_TOL for a, _ in theta.zeros):
-        # theta = z^d: monomial basis {1, z, ..., z^{d-1}}, exact nilpotent.
-        shift = np.zeros((d, d), dtype=complex)
-        for k in range(d - 1):
-            shift[k + 1, k] = 1.0
-        return ModelSpace(theta, d, "monomial", shift)
-
-    basis = [(a, j) for a, m in theta.zeros for j in range(m)]
-    gram = np.empty((d, d), dtype=complex)
-    for p, (ap, jp) in enumerate(basis):
-        for q, (aq, jq) in enumerate(basis):
-            gram[p, q] = _kernel_pair_ip(jq, jp, aq.conjugate(), ap)
-    if np.linalg.cond(gram) > GRAM_COND_LIMIT:
-        raise DegenerateGram("zeros of theta too clustered")
-
-    # Action of the backward shift on the kernel chains is upper triangular:
-    # S* k_{a,j} = conj(a) k_{a,j} + j k_{a,j-1}.
-    act = np.zeros((d, d), dtype=complex)
-    for q, (a, j) in enumerate(basis):
-        act[q, q] = a.conjugate()
-        if j > 0:
-            act[q - 1, q] = j
-    coeffs = _gram_schmidt_in_metric(gram)
-    adjoint = coeffs.conj().T @ gram @ (act @ coeffs)
-    return ModelSpace(theta, d, "orthonormal-rational", adjoint.conj().T)
+    a = np.array([z for z, m in theta.zeros for _ in range(m)], dtype=complex)
+    c = np.sqrt(1.0 - np.abs(a) ** 2)
+    shift = np.diag(a)
+    for j in range(d - 1):
+        # prod_{j<l<i} (-conj(a_l)) for i = j+1, ..., d-1
+        chain = np.cumprod(np.concatenate(([1.0], -a[j + 1 : -1].conj())))
+        shift[j + 1 :, j] = c[j + 1 :] * c[j] * chain
+    nilpotent = all(abs(z) <= inner.MATCH_TOL for z, _ in theta.zeros)
+    kind = "monomial" if nilpotent else "orthonormal-rational"
+    return ModelSpace(theta, d, kind, shift)
 
 
 def blaschke_of_matrix(u: InnerFunction, a_mat: np.ndarray) -> np.ndarray:

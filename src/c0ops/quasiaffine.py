@@ -398,7 +398,7 @@ def build_Y_main(
         at += k
     y_mat = perm.conj().T @ block_diag @ perm
 
-    t_mat = np.kron(np.eye(n_copies), ambient.model.shift_matrix)
+    t_mat = ambient.operator_matrix
     residual = float(np.linalg.norm(y_mat @ t_mat - t_mat @ y_mat, 2))
     sigma_min = float(np.linalg.svd(y_mat, compute_uv=False)[-1])
     return QuasiaffinityRecord(

@@ -17,6 +17,7 @@ from .errors import (
     ModelTooLong,
 )
 from .exact_nilpotent import (
+    direct_sum_nilpotent,
     nilpotent_jordan_model,
     orbit_closure,
     restriction_on_basis,
@@ -123,7 +124,7 @@ def verify_orbit(
     for n_copies in sweep:
         if n_copies < max(needed, 2):
             continue
-        model_ambient = AmbientSpace.build(theta, n_copies)
+        model_ambient = AmbientSpace(ambient.model, n_copies)
         try:
             y_rec = build_Y_main(model_ambient, rest1, comp1, comp2, schedule)
         except DivisibilityFailure:
@@ -156,18 +157,6 @@ def verify_orbit(
 # ---------------------------------------------------------------------------
 # Counterexample search over exact nilpotent direct sums
 # ---------------------------------------------------------------------------
-
-
-def direct_sum_nilpotent(block_degrees: list[int]) -> sp.Matrix:
-    """Exact matrix of S(z^{d_0}) (+) S(z^{d_1}) (+) ..."""
-    n = sum(block_degrees)
-    t_mat = sp.zeros(n, n)
-    at = 0
-    for d in block_degrees:
-        for k in range(d - 1):
-            t_mat[at + k + 1, at + k] = 1
-        at += d
-    return t_mat
 
 
 def commutant_basis(t_mat: sp.Matrix) -> list[sp.Matrix]:

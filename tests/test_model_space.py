@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from c0ops.errors import NotADivisor
-from c0ops.inner import ONE, blaschke, monomial, quotient
+from c0ops.inner import ONE, InnerFunction, blaschke, monomial, quotient
+from c0ops.jordan import random_invariant_subspace, subspace_models
 from c0ops.model_space import (
     ModelVector,
     build_model_space,
     functional_calculus,
     project_onto_submodel,
 )
+from c0ops.subspaces import AmbientSpace
 
 RNG = np.random.default_rng(20240817)
 
@@ -73,6 +75,9 @@ THETAS = [
     blaschke(0.25) * blaschke(-0.4),
     blaschke(0.1 + 0.4j) * blaschke(-0.35) * blaschke(0.2, 2),
     blaschke(-0.2 - 0.3j, 3),
+    # degree 16: four zeros of multiplicity 4, and sixteen simple zeros
+    InnerFunction(tuple((0.4 * 1j**k, 4) for k in range(4))),
+    InnerFunction(tuple((0.45 * np.exp(2j * np.pi * k / 16), 1) for k in range(16))),
 ]
 
 
@@ -90,6 +95,35 @@ def test_monomial_fast_path_is_exact_jordan_block():
     expected = np.diag(np.ones(3), -1)
     assert np.array_equal(space.shift_matrix, expected)
     assert space.basis_kind == "monomial"
+
+
+def _degree_cap_thetas():
+    for d in (32, 64):
+        clustered = tuple((0.5 * 1j**k, d // 4) for k in range(4))
+        rng = np.random.default_rng(d)
+        radii = 0.6 * np.sqrt(rng.random(d))
+        angles = 2 * np.pi * rng.random(d)
+        simple = tuple((r * np.exp(1j * t), 1) for r, t in zip(radii, angles))
+        yield pytest.param(InnerFunction(clustered), id=f"clustered{d}")
+        yield pytest.param(InnerFunction(simple), id=f"random{d}")
+    yield pytest.param(monomial(64), id="monomial64")
+
+
+@pytest.mark.parametrize("theta", list(_degree_cap_thetas()))
+def test_degree_cap(theta):
+    d = theta.degree
+    space = build_model_space(theta)
+    s_mat = space.shift_matrix
+    assert np.linalg.norm(functional_calculus(space, theta), 2) <= 1e-10
+    assert np.linalg.norm(s_mat, 2) <= 1 + 1e-12
+    defect = np.linalg.svd(np.eye(d) - s_mat.conj().T @ s_mat, compute_uv=False)
+    assert defect[1] <= 1e-10
+    ambient = AmbientSpace(space, 2)
+    m = random_invariant_subspace(ambient, np.random.default_rng(d))
+    rest, comp = subspace_models(ambient, m)
+    assert rest.parts == (theta,) and comp.parts == (theta,)
+    if theta == monomial(64):
+        assert np.array_equal(s_mat, np.diag(np.ones(63), -1))
 
 
 def test_minimal_function_annihilates():
