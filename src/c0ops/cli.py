@@ -66,15 +66,25 @@ def _ambient_from_dict(data: dict) -> AmbientSpace:
     return AmbientSpace.build(theta, copies)
 
 
+def _subspace_from_file(path: str):
+    try:
+        return load_subspace(_load_json(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseFailure(f"bad subspace file {path}: {exc}") from exc
+
+
 def _schedule_from_config(config: dict, length: int = 64) -> WeightSchedule:
     sched = config.get("schedule", {"kind": "factorial"})
     if isinstance(sched, str):
         sched = {"kind": sched}
-    kind = sched.get("kind", "factorial")
-    if kind == "factorial":
-        return WeightSchedule.factorial(sched.get("length", length))
-    if kind == "custom":
-        return WeightSchedule.custom(sched["values"])
+    try:
+        kind = sched.get("kind", "factorial")
+        if kind == "factorial":
+            return WeightSchedule.factorial(sched.get("length", length))
+        if kind == "custom":
+            return WeightSchedule.custom(sched["values"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseFailure(f"bad schedule: {exc}") from exc
     raise ParseFailure(f"unknown schedule kind {kind!r}")
 
 
@@ -90,8 +100,7 @@ def _write_out(path: str | None, payload) -> None:
 
 
 def cmd_jordan_model(args) -> int:
-    data = _load_json(args.input)
-    frame, adjust = load_subspace(data)
+    frame, adjust = _subspace_from_file(args.input)
     if args.ambient:
         ambient = _ambient_from_dict(_load_json(args.ambient))
     else:
@@ -115,9 +124,8 @@ def cmd_verify_orbit(args) -> int:
     paths = args.input if isinstance(args.input, list) else [args.input]
     if len(paths) != 2:
         raise ParseFailure("verify-orbit needs two subspace files (--input M1 M2)")
-    d1, d2 = _load_json(paths[0]), _load_json(paths[1])
-    m1, _ = load_subspace(d1)
-    m2, _ = load_subspace(d2)
+    m1, _ = _subspace_from_file(paths[0])
+    m2, _ = _subspace_from_file(paths[1])
     if args.ambient:
         ambient = _ambient_from_dict(_load_json(args.ambient))
     else:
@@ -126,8 +134,9 @@ def cmd_verify_orbit(args) -> int:
     m2 = type(m2)(ambient, m2.frame)
     sweep = tuple(config.get("sweep", DEFAULT_SWEEP))
     gate = float(config.get("gate", DEFAULT_GATE))
+    schedule = _schedule_from_config(config)
     try:
-        report = verify_orbit(ambient, m1, m2, sweep, gate)
+        report = verify_orbit(ambient, m1, m2, sweep, gate, schedule)
     except NotInvariant as exc:
         print(f"subspace is not invariant: {exc}")
         return EXIT_INVARIANCE
@@ -160,18 +169,18 @@ def cmd_density_sweep(args) -> int:
     try:
         theta = InnerFunction.from_dict(config["theta"])
         copies = int(config["copies"])
+        if "phi" in config:
+            phi_list = [InnerFunction.from_dict(d) for d in config["phi"]]
+        else:
+            phi_list = [InnerFunction.from_dict(config["phi_all"])] * copies
+        psi1 = InnerFunction.from_dict(config["psi1"])
+        psi2 = InnerFunction.from_dict(config["psi2"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"bad density config: {exc}") from exc
     schedule = _schedule_from_config(config, length=max(copies + 1, 8))
     from .model_space import build_model_space
 
     space = build_model_space(theta)
-    if "phi" in config:
-        phi_list = [InnerFunction.from_dict(d) for d in config["phi"]]
-    else:
-        phi_list = [InnerFunction.from_dict(config["phi_all"])] * copies
-    psi1 = InnerFunction.from_dict(config["psi1"])
-    psi2 = InnerFunction.from_dict(config["psi2"])
     seed = int(config.get("seed", 0))
     support = int(config.get("target_support", 6))
     g_vec, f_vecs = random_density_targets(space, copies, phi_list, psi2, seed, support)

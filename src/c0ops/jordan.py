@@ -95,9 +95,13 @@ def _rank_sequence(a_mat, zero, mult, strict_gap):
 def chain_lengths(ranks: list[int]) -> list[int]:
     """Jordan chain lengths, largest first, from the ranks of N^0, ..., N^m.
 
-    The number of chains of length >= k is ranks[k-1] - ranks[k].
+    The number of chains of length >= k is ranks[k-1] - ranks[k], so the
+    drops never increase; ranks whose drops do increase belong to no
+    nilpotent and are refused.
     """
     counts = [r0 - r1 for r0, r1 in zip(ranks, ranks[1:])]
+    if any(b > a for a, b in zip(counts, counts[1:])):
+        raise IllConditioned(f"ranks {list(ranks)} fit no nilpotent: their drops increase")
     longest = counts[0] if counts else 0
     return [sum(1 for c in counts if c > n) for n in range(longest)]
 

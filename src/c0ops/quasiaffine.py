@@ -130,28 +130,16 @@ def solve_norm_preserving(
     return project_onto_submodel(space, f0, omega)
 
 
-def _assemble_triangular(
-    space: ModelSpace, slots: list[tuple[int, InnerFunction]], schedule: WeightSchedule
-) -> np.ndarray:
-    """Matrix [[I, omega_m(S)/(m+1), ...], [0, diag(c_m I)]] on head + slots."""
-    d = space.dim
-    n_slots = len(slots)
-    x_mat = np.zeros(((n_slots + 1) * d, (n_slots + 1) * d), dtype=complex)
-    x_mat[:d, :d] = np.eye(d)
-    for pos, (m, omega) in enumerate(slots):
-        blk = slice((pos + 1) * d, (pos + 2) * d)
-        x_mat[:d, blk] = functional_calculus(space, omega) / (m + 1)
-        x_mat[blk, blk] = schedule.value(m) * np.eye(d)
-    return x_mat
-
-
 def build_X(
     space: ModelSpace,
     copies: int,
     omega_list: list[InnerFunction],
     schedule: WeightSchedule,
 ) -> QuasiaffinityRecord:
-    """The quasiaffinity X on H(theta) (+) (+)_{n<copies} H(theta)."""
+    """The quasiaffinity X = [[I, omega_m(S)/(m+1), ...], [0, diag(c_m I)]].
+
+    It acts on H(theta) (+) (+)_{m<copies} H(theta), the head then slot m.
+    """
     if copies < 1:
         raise TruncationTooSmall("need at least one summand")
     if len(omega_list) != copies:
@@ -161,12 +149,15 @@ def build_X(
             raise HypothesisViolated(f"{omega!r} does not divide theta")
     if len(schedule.values) < copies:
         raise HypothesisViolated("schedule shorter than the truncation")
-    slots = list(enumerate(omega_list))
-    x_mat = _assemble_triangular(space, slots, schedule)
-    big_op = np.kron(np.eye(copies + 1), space.shift_matrix)
-    residual = float(
-        np.linalg.norm(x_mat @ big_op - big_op @ x_mat, 2)
-    )
+    d = space.dim
+    x_mat = np.zeros(((copies + 1) * d, (copies + 1) * d), dtype=complex)
+    x_mat[:d, :d] = np.eye(d)
+    for m, omega in enumerate(omega_list):
+        blk = slice((m + 1) * d, (m + 2) * d)
+        x_mat[:d, blk] = functional_calculus(space, omega) / (m + 1)
+        x_mat[blk, blk] = schedule.value(m) * np.eye(d)
+    big_op = AmbientSpace(space, copies + 1).operator_matrix
+    residual = float(np.linalg.norm(x_mat @ big_op - big_op @ x_mat, 2))
     sigma_min = float(np.linalg.svd(x_mat, compute_uv=False)[-1])
     return QuasiaffinityRecord(
         x_mat, tuple(omega_list), schedule, residual, sigma_min
@@ -321,9 +312,11 @@ def build_Y_main(
 ) -> QuasiaffinityRecord:
     """Global quasiaffinity on (+)_{n<N} H(theta) from the per-row operators.
 
-    Odd copies become heads (one per row of the pairing), even copies are
-    distributed to (row, slot) positions by the Cantor pairing; each row
-    gets a norm-normalized triangular block, leftovers stay identity.
+    Odd copy 2r+1 heads row r; the Cantor pairing hands the row the even
+    copies of its slots 0..k-1. Row r is build_X over these copies divided
+    by its 2-norm, and copies no row uses keep the identity. Defined for
+    the Jordan ambient, whose T_N repeats S(theta) on every copy, so
+    sigma_min(Y) and the residual of Y T_N - T_N Y are extremes over rows.
     """
     theta = ambient.theta
     n_copies = ambient.copies
@@ -341,25 +334,23 @@ def build_Y_main(
         raise TruncationTooSmall("need at least two copies")
 
     n_heads = n_copies // 2  # odd copies 1, 3, ..., one head per row
-    rows: dict[int, list[tuple[int, int]]] = {k: [] for k in range(n_heads)}
-    leftovers = []
+    # j = w(w+1)/2 + slot grows with the slot: rows[r][slot] is its copy
+    rows: list[list[int]] = [[] for _ in range(n_heads)]
     for j in range(0, (n_copies + 1) // 2):
-        copy = 2 * j
-        row, slot = _cantor_unpair(j)
+        row, _ = _cantor_unpair(j)
         if row < n_heads:
-            rows[row].append((slot, copy))
-        else:
-            leftovers.append(copy)
+            rows[row].append(2 * j)
 
-    order: list[int] = []
-    blocks: list[np.ndarray] = []
+    y_mat = np.eye(n_copies * d, dtype=complex)
     omega_used: list[InnerFunction] = []
     pairing_log: list[tuple[int, int, int]] = []
-    for row in range(n_heads):
-        slots = sorted(rows[row])
+    sigma_min, residual = 1.0, 0.0  # the numbers of an identity copy
+    for row, paired in enumerate(rows):
+        if not paired:
+            continue
         tau_n = tau_model.part(row)
-        slot_specs = []
-        for slot, copy in slots:
+        omegas = []
+        for slot, copy in enumerate(paired):
             phi_part = restriction_model.part(slot)
             if phi_part.is_one() or row >= len(tau_model):
                 # padded slot or padded row: the corresponding canonical
@@ -372,35 +363,15 @@ def build_Y_main(
                         f"theta/phi_{slot} does not divide tau_{row}"
                     )
                 omega = quotient(tau_n, theta_over_phi)
-            slot_specs.append((slot, omega))
-            omega_used.append(omega)
+            omegas.append(omega)
             pairing_log.append((copy, row, slot))
-        if max((s for s, _ in slot_specs), default=-1) >= len(schedule.values):
-            raise HypothesisViolated("schedule shorter than the pairing range")
-        x_mat = _assemble_triangular(ambient.model, slot_specs, schedule)
-        x_mat = x_mat / np.linalg.norm(x_mat, 2)
-        blocks.append(x_mat)
-        order.append(2 * row + 1)  # head copy
-        order.extend(copy for _, copy in slots)
-    for copy in leftovers:
-        blocks.append(np.eye(d, dtype=complex))
-        order.append(copy)
-
-    total = n_copies * d
-    perm = np.zeros((total, total), dtype=complex)
-    for pos, copy in enumerate(order):
-        perm[pos * d : (pos + 1) * d, copy * d : (copy + 1) * d] = np.eye(d)
-    block_diag = np.zeros((total, total), dtype=complex)
-    at = 0
-    for blk in blocks:
-        k = blk.shape[0]
-        block_diag[at : at + k, at : at + k] = blk
-        at += k
-    y_mat = perm.conj().T @ block_diag @ perm
-
-    t_mat = ambient.operator_matrix
-    residual = float(np.linalg.norm(y_mat @ t_mat - t_mat @ y_mat, 2))
-    sigma_min = float(np.linalg.svd(y_mat, compute_uv=False)[-1])
+        omega_used.extend(omegas)
+        x_rec = build_X(ambient.model, len(paired), omegas, schedule)
+        scale = float(np.linalg.norm(x_rec.matrix, 2))
+        idx = np.concatenate([np.arange(c * d, (c + 1) * d) for c in [2 * row + 1, *paired]])
+        y_mat[np.ix_(idx, idx)] = x_rec.matrix / scale
+        sigma_min = min(sigma_min, x_rec.sigma_min / scale)
+        residual = max(residual, x_rec.intertwining_residual / scale)
     return QuasiaffinityRecord(
         y_mat,
         tuple(omega_used),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,25 +18,33 @@ RANK_REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class AmbientSpace:
-    """N copies of H(theta) carrying T_N = S(theta) (+) ... (+) S(theta).
+    """N copies of H(theta) carrying T_N = B (+) ... (+) B.
 
-    The operator matrix can be overridden (it then has to be similar to
-    the block-diagonal default, block by block) to host conjugated
-    operators on the same coordinate space.
+    The per-copy block B defaults to S(theta). A block similar to it, such
+    as S S(theta) S^{-1}, hosts a conjugated operator on the same
+    coordinate space. T_N = I_N (x) B is derived here and nowhere else.
     """
 
     model: ModelSpace
     copies: int
-    operator_matrix: np.ndarray = field(repr=False, default=None)
+    block: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.copies < 1:
             raise ValueError("copies must be >= 1")
-        if self.operator_matrix is None:
-            block = self.model.shift_matrix
-            op = np.kron(np.eye(self.copies), block)
-            object.__setattr__(self, "operator_matrix", op)
-        self.operator_matrix.setflags(write=False)
+        block = self.model.shift_matrix if self.block is None else self.block
+        block = np.array(block, dtype=complex)
+        d = self.model.dim
+        if block.shape != (d, d):
+            raise ValueError(f"block shape {block.shape} is not ({d}, {d})")
+        block.setflags(write=False)
+        object.__setattr__(self, "block", block)
+
+    @cached_property
+    def operator_matrix(self) -> np.ndarray:
+        op = np.kron(np.eye(self.copies), self.block)
+        op.setflags(write=False)
+        return op
 
     @property
     def theta(self) -> InnerFunction:
@@ -121,6 +130,8 @@ def load_subspace(data: dict) -> tuple[SubspaceFrame, float]:
         for i in range(n):
             re, im = flat[j * n + i]
             cols[i, j] = complex(re, im)
+    if not np.all(np.isfinite(cols)):
+        raise ValueError("frame has non-finite entries")
     frame = SubspaceFrame.from_columns(ambient, cols)
     if frame.dim == k:
         # Gram defect of the stored columns: zero iff they were already

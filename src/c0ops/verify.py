@@ -371,9 +371,8 @@ def conjugated_ambient(
     if np.linalg.cond(similarity) > 1e6:
         raise IllConditioned("similarity condition number exceeds 1e6")
     model = build_model_space(theta)
-    t0 = similarity @ model.shift_matrix @ np.linalg.inv(similarity)
-    op = np.kron(np.eye(copies), t0)
-    return AmbientSpace(model, copies, op)
+    block = similarity @ model.shift_matrix @ np.linalg.inv(similarity)
+    return AmbientSpace(model, copies, block)
 
 
 def cordiag_demo(

@@ -177,3 +177,44 @@ def test_console_entry_point_runs():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+def verify_config(tmp_path, cfg):
+    p = tmp_path / "verify.json"
+    p.write_text(json.dumps(cfg))
+    return str(p)
+
+
+def test_verify_orbit_uses_schedule(subspace_files, capsys, tmp_path):
+    # one weight cannot cover the slots of N = 8, so Y is not built
+    cfg = verify_config(tmp_path, {"schedule": {"kind": "custom", "values": [1.0]}, "sweep": [8]})
+    rc = main(["verify-orbit", "--input", subspace_files[0], subspace_files[0], "--config", cfg])
+    assert rc == 0
+    assert capsys.readouterr().out.strip().endswith("verdict: inconclusive")
+
+
+def test_verify_orbit_unknown_schedule_is_parse_error(subspace_files, tmp_path):
+    cfg = verify_config(tmp_path, {"schedule": "bogus"})
+    assert main(["verify-orbit", "--input", subspace_files[0], subspace_files[0], "--config", cfg]) == 2
+
+
+def _subspace_with(theta=Z2, frame=((0.0, 0.0), (1.0, 0.0))):
+    return {"ambient": {"theta": theta, "copies": 1}, "frame": [list(v) for v in frame]}
+
+
+@pytest.mark.parametrize(
+    "verb, payload",
+    [
+        ("jordan-model", _subspace_with(theta={"zeros": [[0.0, 0.0], [0.0, 0.0]]})),
+        ("jordan-model", _subspace_with(theta={"zeros": [{"re": 1.5, "im": 0.0, "mult": 2}]})),
+        ("jordan-model", _subspace_with(frame=((float("nan"), 0.0), (1.0, 0.0)))),
+        ("density-sweep", {"theta": Z2, "copies": 12, "phi_all": Z1, "psi2": Z1}),
+    ],
+    ids=["readme-pair-zeros", "zero-outside-disc", "nan-frame", "density-without-psi1"],
+)
+def test_malformed_input_is_parse_error(tmp_path, capsys, verb, payload):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(payload))
+    flag = "--input" if verb == "jordan-model" else "--config"
+    assert main([verb, flag, str(p)]) == 2
+    assert "parse error" in capsys.readouterr().err

@@ -4,11 +4,12 @@ block-diagonal subspace attached to a model pair."""
 import numpy as np
 import pytest
 
-from c0ops.errors import ModelTooLong, NotInvariant
+from c0ops.errors import IllConditioned, ModelTooLong, NotInvariant
 from c0ops.inner import ONE, blaschke, divides, monomial
 from c0ops.jordan import (
     JordanModel,
     canonical_subspace,
+    chain_lengths,
     interleaved_divisors,
     jordan_model_of,
     minimal_function,
@@ -82,6 +83,20 @@ class TestModelComputation:
         s = np.array([[1, 0.3, 0], [0, 1, -0.2], [0.1, 0, 1]], dtype=complex)
         conj = s @ a @ np.linalg.inv(s)
         assert jordan_model_of(conj, monomial(3)) == jordan_model_of(a, monomial(3))
+
+    def test_tiny_eigenvalue_refused(self):
+        # 0.04^k falls below the rank threshold at k = 6 while theta = z^32
+        # still annihilates: the drops of the rank sequence would increase
+        a = np.array([[0.04]], dtype=complex)
+        with pytest.raises(IllConditioned):
+            jordan_model_of(a, monomial(32))
+        with pytest.raises(IllConditioned):
+            minimal_function(a, monomial(32))
+
+    def test_chain_lengths_refuse_increasing_drops(self):
+        assert chain_lengths([4, 2, 1, 0]) == [3, 1]
+        with pytest.raises(IllConditioned):
+            chain_lengths([1, 1, 1, 1, 1, 1, 0])
 
     def test_restriction_requires_invariance(self):
         amb = AmbientSpace.build(monomial(2), 1)

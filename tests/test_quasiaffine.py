@@ -170,18 +170,40 @@ class TestDensitySweep:
 
 class TestBuildY:
     def test_intertwines_and_maps_canonical_subspaces(self):
-        theta = monomial(2)
-        rest = JordanModel((monomial(1), monomial(1)))
-        psi = JordanModel((monomial(1), monomial(1)))
+        a, b = 0.3, -0.4j
+        two_zeros = blaschke(a) * blaschke(b)
+        cases = [
+            (monomial(2), JordanModel((monomial(1), monomial(1))), JordanModel((monomial(1), monomial(1)))),
+            # distinct zeros, with slot symbols b_b and theta besides 1
+            (two_zeros, JordanModel((two_zeros, blaschke(a))), JordanModel((blaschke(b),))),
+        ]
         sched = WeightSchedule.factorial(64)
-        for n in (8, 12, 16):
-            amb = AmbientSpace.build(theta, n)
-            rec = build_Y_main(amb, rest, psi, psi, sched)
-            assert rec.intertwining_residual <= 1e-10
-            m1 = canonical_subspace(theta, rest, psi, n, amb)
-            m2 = canonical_subspace(theta, rest, psi, n, amb)
-            d = principal_distance(image_closure(rec.matrix, m1), m2)
-            assert d <= 1e-10
+        for theta, rest, psi in cases:
+            for n in (8, 12, 16, 64):
+                amb = AmbientSpace.build(theta, n)
+                rec = build_Y_main(amb, rest, psi, psi, sched)
+                assert rec.intertwining_residual <= 1e-10
+                # the per-row quality numbers match their dense definitions
+                y, t = rec.matrix, amb.operator_matrix
+                assert abs(rec.sigma_min - np.linalg.svd(y, compute_uv=False)[-1]) <= 1e-12
+                assert abs(rec.intertwining_residual - np.linalg.norm(y @ t - t @ y, 2)) <= 1e-14
+                # Y couples only the copies of one pairing row: head 2r+1
+                # and its paired copies; every other copy carries I_d
+                label = {c: ("free", c) for c in range(n)}
+                for copy, row, _ in rec.pairing:
+                    label[copy] = label[2 * row + 1] = ("row", row)
+                d = amb.model.dim
+                for i in range(n):
+                    for j in range(n):
+                        blk = y[i * d : (i + 1) * d, j * d : (j + 1) * d]
+                        if label[i] != label[j]:
+                            assert not blk.any()
+                        elif i == j and label[i][0] == "free":
+                            assert np.array_equal(blk, np.eye(d))
+                m1 = canonical_subspace(theta, rest, psi, n, amb)
+                m2 = canonical_subspace(theta, rest, psi, n, amb)
+                dist = principal_distance(image_closure(rec.matrix, m1), m2)
+                assert dist <= 1e-10
 
     def test_divisibility_failure_raised(self):
         theta = monomial(2)

@@ -133,6 +133,13 @@ class TestImageClosure:
         assert img.dim == 1
 
 
+class TestAmbient:
+    def test_block_of_wrong_shape_rejected(self):
+        space = build_model_space(monomial(2))
+        with pytest.raises(ValueError):
+            AmbientSpace(space, 2, np.eye(3))
+
+
 class TestSerialization:
     def test_round_trip(self):
         amb = AmbientSpace.build(blaschke(0.3) * blaschke(-0.1), 2)

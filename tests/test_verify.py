@@ -118,6 +118,13 @@ class TestCordiagDemo:
         runs = cordiag_demo(theta, 4, s, num_pairs=4, seed=17)
         assert all(r.agrees for r in runs)
 
+    def test_conjugated_operator_repeats_conjugated_block(self):
+        s = np.array([[1.0, 0.4], [0.1, 1.3]])
+        amb = conjugated_ambient(monomial(2), 3, s)
+        block = s @ amb.model.shift_matrix @ np.linalg.inv(s)
+        expected = np.kron(np.eye(3), block)
+        assert np.abs(amb.operator_matrix - expected).max() <= 1e-14
+
     def test_ill_conditioned_similarity_rejected(self):
         with pytest.raises(IllConditioned):
             conjugated_ambient(monomial(2), 3, np.diag([1.0, 1e-9]))
