@@ -73,7 +73,7 @@ def _subspace_from_file(path: str):
         raise ParseFailure(f"bad subspace file {path}: {exc}") from exc
 
 
-def _schedule_from_config(config: dict, length: int = 64) -> WeightSchedule:
+def _schedule_from_config(config: dict, length: int) -> WeightSchedule:
     sched = config.get("schedule", {"kind": "factorial"})
     if isinstance(sched, str):
         sched = {"kind": sched}
@@ -134,9 +134,10 @@ def cmd_verify_orbit(args) -> int:
     m2 = type(m2)(ambient, m2.frame)
     sweep = tuple(config.get("sweep", DEFAULT_SWEEP))
     gate = float(config.get("gate", DEFAULT_GATE))
-    schedule = _schedule_from_config(config)
+    if "schedule" in config:
+        raise ParseFailure("verify-orbit does not take a schedule")
     try:
-        report = verify_orbit(ambient, m1, m2, sweep, gate, schedule)
+        report = verify_orbit(ambient, m1, m2, sweep, gate)
     except NotInvariant as exc:
         print(f"subspace is not invariant: {exc}")
         return EXIT_INVARIANCE

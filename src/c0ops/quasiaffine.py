@@ -321,6 +321,8 @@ def build_Y_main(
     theta = ambient.theta
     n_copies = ambient.copies
     d = ambient.model.dim
+    if not np.array_equal(ambient.block, ambient.model.shift_matrix):
+        raise HypothesisViolated("build_Y_main needs the Jordan ambient block S(theta)")
     chain_len = max(len(psi_model), len(tau_model))
     for n in range(chain_len):
         if not inner.divides(tau_model.part(n), psi_model.part(n)):

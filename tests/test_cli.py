@@ -185,17 +185,13 @@ def verify_config(tmp_path, cfg):
     return str(p)
 
 
-def test_verify_orbit_uses_schedule(subspace_files, capsys, tmp_path):
-    # one weight cannot cover the slots of N = 8, so Y is not built
-    cfg = verify_config(tmp_path, {"schedule": {"kind": "custom", "values": [1.0]}, "sweep": [8]})
+@pytest.mark.parametrize("schedule", [{"kind": "custom", "values": [1.0]}, "bogus"])
+def test_verify_orbit_refuses_schedule(subspace_files, capsys, tmp_path, schedule):
+    # verify-orbit always uses factorial(64); a schedule key is refused, not ignored
+    cfg = verify_config(tmp_path, {"schedule": schedule, "sweep": [8]})
     rc = main(["verify-orbit", "--input", subspace_files[0], subspace_files[0], "--config", cfg])
-    assert rc == 0
-    assert capsys.readouterr().out.strip().endswith("verdict: inconclusive")
-
-
-def test_verify_orbit_unknown_schedule_is_parse_error(subspace_files, tmp_path):
-    cfg = verify_config(tmp_path, {"schedule": "bogus"})
-    assert main(["verify-orbit", "--input", subspace_files[0], subspace_files[0], "--config", cfg]) == 2
+    assert rc == 2
+    assert "does not take a schedule" in capsys.readouterr().err
 
 
 def _subspace_with(theta=Z2, frame=((0.0, 0.0), (1.0, 0.0))):

@@ -215,6 +215,17 @@ class TestBuildY:
             build_Y_main(amb, rest, psi, tau, WeightSchedule.factorial(64))
 
 
+    def test_rejects_a_conjugated_block(self):
+        # the per-row residuals only bound Y T_N - T_N Y when T_N repeats S(theta)
+        space = build_model_space(monomial(2))
+        sim = np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex)
+        block = sim @ space.shift_matrix @ np.linalg.inv(sim)
+        amb = AmbientSpace(space, 8, block)
+        rest = JordanModel((monomial(1), monomial(1)))
+        with pytest.raises(HypothesisViolated):
+            build_Y_main(amb, rest, rest, rest, WeightSchedule.factorial(64))
+
+
 class TestCompressionIntertwiner:
     def test_identity_map(self):
         amb = AmbientSpace.build(monomial(2), 2)
