@@ -1,47 +1,60 @@
 """Command-line front end.
 
 Verbs: jordan-model, verify-orbit, density-sweep, counterexample,
-cordiag-demo.  Exit codes: 0 ok, 2 parse error, 3 invariance failure,
-4 hypothesis violation, 5 budget exhausted.
+cordiag-demo. Each takes only the flags it reads, and ``read_config``
+refuses any config key its verb does not read (``CONFIG_KEYS``). Exit
+codes (``EXIT_CODES``): 0 ok, 2 parse error, 3 invariance failure,
+4 hypothesis violation, 5 budget exhausted, 6 numerical refusal. Every
+failure message goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    C0OpsError,
-    HypothesisViolated,
-    IllConditioned,
-    NotInSubspace,
-    NotInvariant,
-)
+from . import errors
 from .inner import InnerFunction
 from .jordan import subspace_models
+from .model_space import build_model_space
 from .quasiaffine import WeightSchedule, density_sweep, random_density_targets
-from .subspaces import AmbientSpace, load_subspace
-from .verify import (
-    DEFAULT_GATE,
-    DEFAULT_SWEEP,
-    cordiag_demo,
-    counterexample_search,
-    verify_orbit,
-)
-
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_INVARIANCE = 3
-EXIT_HYPOTHESIS = 4
-EXIT_BUDGET = 5
+from .subspaces import load_subspace
+from .verify import DEFAULT_GATE, DEFAULT_SWEEP, cordiag_demo, counterexample_search, verify_orbit
 
 
-class ParseFailure(Exception):
-    pass
+class Exit(IntEnum):
+    OK = 0
+    PARSE = 2
+    INVARIANCE = 3
+    HYPOTHESIS = 4
+    BUDGET = 5
+    NUMERICAL = 6
+
+
+class ParseFailure(errors.C0OpsError):
+    """Malformed command line, input file or config."""
+
+
+# exit code -> the error types it reports; every C0OpsError type is listed
+EXIT_CODES = {
+    Exit.PARSE: (ParseFailure,),
+    Exit.INVARIANCE: (errors.NotInvariant,),
+    Exit.HYPOTHESIS: (
+        errors.AmbientMismatch, errors.DivisibilityFailure, errors.HypothesisViolated,
+        errors.ModelTooLong, errors.NotADivisor, errors.NotInSubspace, errors.OutsideDisc,
+        errors.PreconditionViolated, errors.TruncationTooSmall,
+    ),
+    Exit.NUMERICAL: (errors.IllConditioned, errors.NotAnnihilated, errors.SingularResolvent),
+}
+
+# a converter of outside input returns its value or raises one of these
+BAD_INPUT = (ArithmeticError, KeyError, TypeError, ValueError)
 
 
 def fmt(x: float) -> str:
@@ -49,161 +62,187 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _load_json(path: str) -> dict:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def _read(path: str, convert=None):
+    """The JSON document in path, passed through convert if one is given."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        return data if convert is None else convert(data)
+    except (OSError, *BAD_INPUT) as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
 
 
-def _ambient_from_dict(data: dict) -> AmbientSpace:
-    try:
-        theta = InnerFunction.from_dict(data["theta"])
-        copies = int(data["copies"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseFailure(f"bad ambient spec: {exc}") from exc
-    return AmbientSpace.build(theta, copies)
+def _integer(value, least: int = 1) -> int:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{value!r} is not an integer >= {least}")
+    return value
 
 
-def _subspace_from_file(path: str):
-    try:
-        return load_subspace(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseFailure(f"bad subspace file {path}: {exc}") from exc
+def _number(value) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
-def _schedule_from_config(config: dict, length: int) -> WeightSchedule:
-    sched = config.get("schedule", {"kind": "factorial"})
-    if isinstance(sched, str):
-        sched = {"kind": sched}
-    try:
-        kind = sched.get("kind", "factorial")
-        if kind == "factorial":
-            return WeightSchedule.factorial(sched.get("length", length))
-        if kind == "custom":
-            return WeightSchedule.custom(sched["values"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseFailure(f"bad schedule: {exc}") from exc
-    raise ParseFailure(f"unknown schedule kind {kind!r}")
+def _list_of(convert):
+    def read(value) -> list:
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{value!r} is not a non-empty list")
+        return [convert(v) for v in value]
+
+    return read
+
+
+def _theta(value) -> InnerFunction:
+    theta = InnerFunction.from_dict(value)
+    if theta.is_one():
+        raise ValueError("theta has no zeros")
+    return theta
+
+
+def _schedule(value) -> WeightSchedule | None:
+    """None for the factorial schedule, whose length follows copies."""
+    if value == "factorial" or value == {"kind": "factorial"}:
+        return None
+    if isinstance(value, dict) and value.keys() == {"kind", "values"} and value["kind"] == "custom":
+        schedule = WeightSchedule.custom(_list_of(_number)(value["values"]))
+        schedule.condition_sequence()  # weights like 1e-200 overflow K(m)
+        return schedule
+    raise ValueError(f"unknown schedule {value!r}")
+
+
+REQUIRED = object()
+
+# verb -> {key: (converter, default)}; REQUIRED marks a key without default
+CONFIG_KEYS = {
+    "verify-orbit": {
+        "sweep": (_list_of(_integer), DEFAULT_SWEEP),
+        "gate": (_number, DEFAULT_GATE),
+    },
+    "density-sweep": {
+        "theta": (_theta, REQUIRED),
+        "copies": (_integer, REQUIRED),
+        "phi": (_list_of(InnerFunction.from_dict), None),
+        "phi_all": (InnerFunction.from_dict, None),
+        "psi1": (InnerFunction.from_dict, REQUIRED),
+        "psi2": (InnerFunction.from_dict, REQUIRED),
+        "schedule": (_schedule, None),
+        "seed": (lambda v: _integer(v, least=0), 0),
+        "target_support": (_integer, 6),
+    },
+    "counterexample": {
+        "blocks": (_list_of(_integer), [2, 1]),
+        "grid_denominator": (_integer, 64),
+        "budget": (_integer, 100000),
+    },
+    "cordiag-demo": {
+        "theta": (_theta, REQUIRED),
+        "copies": (_integer, REQUIRED),
+        "similarity": (lambda v: np.array(_list_of(_list_of(_number))(v), dtype=complex), REQUIRED),
+        "pairs": (_integer, 20),
+        "seed": (lambda v: _integer(v, least=0), 0),
+        "sweep": (_list_of(_integer), DEFAULT_SWEEP),
+        "gate": (_number, DEFAULT_GATE),
+    },
+}
+
+
+def read_config(path: str | None, verb: str) -> dict:
+    """The verb's config with every key converted or defaulted; no file reads as {}."""
+    keys = CONFIG_KEYS[verb]
+    data = {} if path is None else _read(path)
+    if not isinstance(data, dict):
+        raise ParseFailure(f"{path} is not a JSON object")
+    for key in data:
+        if key not in keys:
+            raise ParseFailure(f"{verb} does not take a {key}")
+    config = {}
+    for key, (convert, default) in keys.items():
+        if key not in data and default is REQUIRED:
+            raise ParseFailure(f"{verb} needs a {key}")
+        try:
+            config[key] = convert(data[key]) if key in data else default
+        except BAD_INPUT as exc:
+            raise ParseFailure(f"bad {key}: {exc}") from exc
+    return config
 
 
 def _write_out(path: str | None, payload) -> None:
     if path is None:
         return
-    with open(path, "w") as fh:
-        if isinstance(payload, str):
-            fh.write(payload)
-        else:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseFailure(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_jordan_model(args) -> int:
-    frame, adjust = _subspace_from_file(args.input)
-    if args.ambient:
-        ambient = _ambient_from_dict(_load_json(args.ambient))
-    else:
-        ambient = frame.ambient
-        frame = type(frame)(ambient, frame.frame)
+    frame, adjust = _read(args.input, load_subspace)
     if adjust > 1e-6:
         print(f"frame re-orthonormalization adjustment {fmt(adjust)}", file=sys.stderr)
-    try:
-        rest, comp = subspace_models(ambient, frame)
-    except NotInvariant as exc:
-        print(f"subspace is not invariant: {exc}")
-        return EXIT_INVARIANCE
+    rest, comp = subspace_models(frame.ambient, frame)
     print(f"restriction model: {rest}")
     print(f"compression model: {comp}")
     _write_out(args.out, {"restriction": rest.to_dict(), "compression": comp.to_dict()})
-    return EXIT_OK
+    return Exit.OK
 
 
 def cmd_verify_orbit(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    paths = args.input if isinstance(args.input, list) else [args.input]
-    if len(paths) != 2:
-        raise ParseFailure("verify-orbit needs two subspace files (--input M1 M2)")
-    m1, _ = _subspace_from_file(paths[0])
-    m2, _ = _subspace_from_file(paths[1])
-    if args.ambient:
-        ambient = _ambient_from_dict(_load_json(args.ambient))
-    else:
-        ambient = m1.ambient
-    m1 = type(m1)(ambient, m1.frame)
-    m2 = type(m2)(ambient, m2.frame)
-    sweep = tuple(config.get("sweep", DEFAULT_SWEEP))
-    gate = float(config.get("gate", DEFAULT_GATE))
-    if "schedule" in config:
-        raise ParseFailure("verify-orbit does not take a schedule")
-    try:
-        report = verify_orbit(ambient, m1, m2, sweep, gate)
-    except NotInvariant as exc:
-        print(f"subspace is not invariant: {exc}")
-        return EXIT_INVARIANCE
+    config = read_config(args.config, args.command)
+    (m1, _), (m2, _) = (_read(path, load_subspace) for path in args.input)
+    ambient = m1.ambient
+    if (m2.ambient.theta, m2.ambient.copies) != (ambient.theta, ambient.copies):
+        raise ParseFailure(f"{args.input[1]} lives in another ambient than {args.input[0]}")
+    report = verify_orbit(ambient, m1, m2, config["sweep"], config["gate"])
     print(f"restriction models equal: {report.restriction_models_equal}")
     print(f"compression divisibility: {report.compression_divisibility}")
     for n, dist in report.distance_curve:
         print(f"N={n} distance {fmt(dist)}")
     print(f"verdict: {report.verdict}")
     _write_out(args.out, report.to_dict())
-    return EXIT_OK
-
-
-def density_csv(rows, schedule: WeightSchedule) -> str:
-    lines = ["m,residual,bound,sigma_min,intertwine,K"]
-    for row in rows:
-        k_m = schedule.condition_value(row.m)
-        lines.append(
-            ",".join(
-                [str(row.m)]
-                + [fmt(v) for v in (row.residual, row.bound, row.sigma_min, row.intertwine, k_m)]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return Exit.OK
 
 
 def cmd_density_sweep(args) -> int:
-    if not args.config:
-        raise ParseFailure("density-sweep requires --config")
-    config = _load_json(args.config)
-    try:
-        theta = InnerFunction.from_dict(config["theta"])
-        copies = int(config["copies"])
-        if "phi" in config:
-            phi_list = [InnerFunction.from_dict(d) for d in config["phi"]]
-        else:
-            phi_list = [InnerFunction.from_dict(config["phi_all"])] * copies
-        psi1 = InnerFunction.from_dict(config["psi1"])
-        psi2 = InnerFunction.from_dict(config["psi2"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseFailure(f"bad density config: {exc}") from exc
-    schedule = _schedule_from_config(config, length=max(copies + 1, 8))
-    from .model_space import build_model_space
-
-    space = build_model_space(theta)
-    seed = int(config.get("seed", 0))
-    support = int(config.get("target_support", 6))
-    g_vec, f_vecs = random_density_targets(space, copies, phi_list, psi2, seed, support)
+    config = read_config(args.config, args.command)
+    copies, psi1, psi2 = config["copies"], config["psi1"], config["psi2"]
+    if (config["phi"] is None) == (config["phi_all"] is None):
+        raise ParseFailure("density-sweep takes exactly one of phi and phi_all")
+    phi_list = config["phi"] or [config["phi_all"]] * copies
+    if len(phi_list) != copies:
+        raise ParseFailure(f"phi lists {len(phi_list)} inner functions for {copies} copies")
+    schedule = config["schedule"] or WeightSchedule.factorial(max(copies + 1, 8))
+    space = build_model_space(config["theta"])
+    g_vec, f_vecs = random_density_targets(
+        space, copies, phi_list, psi2, config["seed"], config["target_support"]
+    )
     if schedule.looks_divergent():
         print("schedule warning: condition sequence K(m) is not decreasing", file=sys.stderr)
-    try:
-        rows = density_sweep(space, copies, phi_list, psi1, psi2, g_vec, f_vecs, schedule)
-    except (HypothesisViolated, NotInSubspace) as exc:
-        print(f"hypothesis violated: {exc}")
-        return EXIT_HYPOTHESIS
-    csv_text = density_csv(rows, schedule)
+    lines = ["m,residual,bound,sigma_min,intertwine,K"]
+    for row in density_sweep(space, copies, phi_list, psi1, psi2, g_vec, f_vecs, schedule):
+        k_m = schedule.condition_value(row.m)
+        values = (row.residual, row.bound, row.sigma_min, row.intertwine, k_m)
+        lines.append(",".join([str(row.m), *map(fmt, values)]))
+    csv_text = "\n".join(lines) + "\n"
     sys.stdout.write(csv_text)
     _write_out(args.out, csv_text)
-    return EXIT_OK
+    return Exit.OK
 
 
 def cmd_counterexample(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    blocks = list(config.get("blocks", [2, 1]))
-    step = Fraction(1, int(config.get("grid_denominator", 64)))
-    budget = int(config.get("budget", 100000))
-    report = counterexample_search(blocks, step, budget)
+    config = read_config(args.config, args.command)
+    report = counterexample_search(
+        config["blocks"], Fraction(1, config["grid_denominator"]), config["budget"]
+    )
     print(f"subspaces enumerated: {report.subspace_count}")
     print(f"pairs decided: {report.pairs_checked}")
     if report.witness is not None:
@@ -213,115 +252,82 @@ def cmd_counterexample(args) -> int:
         print("no witness: search exhausted")
     _write_out(args.out, report.to_dict())
     if report.budget_exhausted:
-        print("budget exhausted before a decisive answer")
-        return EXIT_BUDGET
-    return EXIT_OK
+        print("budget exhausted before a decisive answer", file=sys.stderr)
+        return Exit.BUDGET
+    return Exit.OK
 
 
 def cmd_cordiag_demo(args) -> int:
-    if not args.config:
-        raise ParseFailure("cordiag-demo requires --config")
-    config = _load_json(args.config)
-    try:
-        theta = InnerFunction.from_dict(config["theta"])
-        copies = int(config["copies"])
-        sim = config["similarity"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseFailure(f"bad demo config: {exc}") from exc
-    if isinstance(sim, dict) and "diag" in sim:
-        similarity = np.diag([float(v) for v in sim["diag"]])
-    else:
-        similarity = np.array(sim, dtype=complex)
-    pairs = int(config.get("pairs", 20))
-    seed = int(config.get("seed", 0))
-    sweep = tuple(config.get("sweep", DEFAULT_SWEEP))
-    gate = float(config.get("gate", DEFAULT_GATE))
-    try:
-        runs = cordiag_demo(theta, copies, similarity, pairs, seed, sweep, gate)
-    except IllConditioned as exc:
-        print(f"hypothesis violated: {exc}")
-        return EXIT_HYPOTHESIS
-    disagreements = 0
+    config = read_config(args.config, args.command)
+    theta, similarity = config["theta"], config["similarity"]
+    if similarity.shape != (theta.degree, theta.degree):
+        raise ParseFailure(f"similarity is not {theta.degree} x {theta.degree}")
+    runs = cordiag_demo(
+        theta, config["copies"], similarity, config["pairs"],
+        config["seed"], config["sweep"], config["gate"],
+    )
     for run in runs:
         mark = "agree" if run.agrees else "DISAGREE"
         print(
             f"pair {run.pair_index}: jordan={run.jordan_verdict} "
             f"conjugated={run.conjugated_verdict} [{mark}]"
         )
-        disagreements += 0 if run.agrees else 1
+    disagreements = sum(not run.agrees for run in runs)
     print(f"disagreements: {disagreements} / {len(runs)}")
-    _write_out(
-        args.out,
-        {
-            "pairs": [
-                {
-                    "index": r.pair_index,
-                    "jordan": r.jordan_verdict,
-                    "conjugated": r.conjugated_verdict,
-                }
-                for r in runs
-            ],
-            "disagreements": disagreements,
-        },
-    )
-    return EXIT_OK
+    pairs = [
+        {"index": r.pair_index, "jordan": r.jordan_verdict, "conjugated": r.conjugated_verdict}
+        for r in runs
+    ]
+    _write_out(args.out, {"pairs": pairs, "disagreements": disagreements})
+    return Exit.OK
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ParseFailure, so they exit through EXIT_CODES."""
+
+    def error(self, message):
+        raise ParseFailure(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="c0ops")
+    parser = _Parser(prog="c0ops")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, inputs=0):
-        if inputs == 1:
-            p.add_argument("--input", required=True)
-        elif inputs == 2:
-            p.add_argument("--input", nargs=2, required=True, metavar=("M1", "M2"))
-        p.add_argument("--ambient")
-        p.add_argument("--out")
-        p.add_argument("--config")
+    def verb(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("jordan-model", help="Jordan models of a restriction/compression pair")
-    common(p, inputs=1)
-    p.set_defaults(func=cmd_jordan_model)
+    p = verb("jordan-model", cmd_jordan_model, "Jordan models of a restriction/compression pair")
+    p.add_argument("--input", required=True, metavar="M")
 
-    p = sub.add_parser("verify-orbit", help="two-condition orbit test with distance sweep")
-    common(p, inputs=2)
-    p.set_defaults(func=cmd_verify_orbit)
+    p = verb("verify-orbit", cmd_verify_orbit, "two-condition orbit test with distance sweep")
+    p.add_argument("--input", nargs=2, required=True, metavar=("M1", "M2"))
+    p.add_argument("--config", metavar="FILE")
 
-    p = sub.add_parser("density-sweep", help="approximant residual sweep as CSV")
-    common(p)
-    p.set_defaults(func=cmd_density_sweep)
+    p = verb("density-sweep", cmd_density_sweep, "approximant residual sweep as CSV")
+    p.add_argument("--config", required=True, metavar="FILE")
 
-    p = sub.add_parser("counterexample", help="search a non-uniform direct sum for a witness pair")
-    common(p)
-    p.set_defaults(func=cmd_counterexample)
+    p = verb(
+        "counterexample", cmd_counterexample, "search a non-uniform direct sum for a witness pair"
+    )
+    p.add_argument("--config", metavar="FILE")
 
-    p = sub.add_parser("cordiag-demo", help="paired verdicts under a conjugated ambient")
-    common(p)
-    p.set_defaults(func=cmd_cordiag_demo)
+    p = verb("cordiag-demo", cmd_cordiag_demo, "paired verdicts under a conjugated ambient")
+    p.add_argument("--config", required=True, metavar="FILE")
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="FILE")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ParseFailure as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotInvariant as exc:
-        print(f"invariance failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANCE
-    except HypothesisViolated as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except C0OpsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except errors.C0OpsError as exc:
+        code = next(code for code, types in EXIT_CODES.items() if isinstance(exc, types))
+        print(f"{code.name.lower()} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -65,13 +65,13 @@ class JordanModel:
         return cls(tuple(InnerFunction.from_dict(p) for p in data["parts"]))
 
 
-def _rank(mat: np.ndarray, strict_gap: bool) -> int:
+def _rank(mat: np.ndarray) -> int:
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     thr = 1e-8 * max(1.0, float(s[0]))
     r = int(np.sum(s > thr))
-    if strict_gap and 0 < r < s.size and s[r] > 0.0:
+    if 0 < r < s.size and s[r] > 0.0:
         if s[r - 1] / s[r] < RANK_GAP_MIN:
             raise IllConditioned(
                 f"singular values {s[r-1]:.3e} / {s[r]:.3e} bracket the rank "
@@ -80,7 +80,7 @@ def _rank(mat: np.ndarray, strict_gap: bool) -> int:
     return r
 
 
-def _rank_sequence(a_mat, zero, mult, strict_gap):
+def _rank_sequence(a_mat, zero, mult):
     """Ranks of (A - zero I)^k for k = 0..mult."""
     n = a_mat.shape[0]
     base = a_mat - zero * np.eye(n, dtype=complex)
@@ -88,7 +88,7 @@ def _rank_sequence(a_mat, zero, mult, strict_gap):
     power = np.eye(n, dtype=complex)
     for _ in range(mult):
         power = power @ base
-        ranks.append(_rank(power, strict_gap))
+        ranks.append(_rank(power))
     return ranks
 
 
@@ -117,15 +117,8 @@ def _check_annihilated(a_mat: np.ndarray, theta_ref: InnerFunction):
 
 
 def minimal_function(a_mat: np.ndarray, theta_ref: InnerFunction) -> InnerFunction:
-    """Smallest divisor of theta_ref annihilating A."""
-    a_mat = np.asarray(a_mat, dtype=complex)
-    _check_annihilated(a_mat, theta_ref)
-    out = ONE
-    for a, m in theta_ref.zeros:
-        sizes = chain_lengths(_rank_sequence(a_mat, a, m, strict_gap=False))
-        if sizes:
-            out = out * blaschke(a, sizes[0])
-    return out
+    """Smallest divisor of theta_ref annihilating A: the first part of its Jordan model."""
+    return jordan_model_of(a_mat, theta_ref).part(0)
 
 
 def jordan_model_of(a_mat: np.ndarray, theta_ref: InnerFunction) -> JordanModel:
@@ -137,7 +130,7 @@ def jordan_model_of(a_mat: np.ndarray, theta_ref: InnerFunction) -> JordanModel:
     # per_zero[i] = (zero, chain length) pairs at the i-th zero, largest first
     per_zero: list[list[tuple[complex, int]]] = []
     for a, m in theta_ref.zeros:
-        sizes = chain_lengths(_rank_sequence(a_mat, a, m, strict_gap=True))
+        sizes = chain_lengths(_rank_sequence(a_mat, a, m))
         per_zero.append([(a, s) for s in sizes])
     length = max((len(s) for s in per_zero), default=0)
     parts = []

@@ -34,14 +34,10 @@ class ModelSpace:
 
     theta: InnerFunction
     dim: int
-    basis_kind: str  # "monomial" | "orthonormal-rational"
     shift_matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.shift_matrix.setflags(write=False)
-
-    def vector(self, coords) -> "ModelVector":
-        return ModelVector(self, np.asarray(coords, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -72,9 +68,7 @@ def build_model_space(theta: InnerFunction) -> ModelSpace:
         # prod_{j<l<i} (-conj(a_l)) for i = j+1, ..., d-1
         chain = np.cumprod(np.concatenate(([1.0], -a[j + 1 : -1].conj())))
         shift[j + 1 :, j] = c[j + 1 :] * c[j] * chain
-    nilpotent = all(abs(z) <= inner.MATCH_TOL for z, _ in theta.zeros)
-    kind = "monomial" if nilpotent else "orthonormal-rational"
-    return ModelSpace(theta, d, kind, shift)
+    return ModelSpace(theta, d, shift)
 
 
 def blaschke_of_matrix(u: InnerFunction, a_mat: np.ndarray) -> np.ndarray:

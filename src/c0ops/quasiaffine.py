@@ -46,7 +46,6 @@ SOLVER_TOL = 1e-9
 class WeightSchedule:
     """Positive diagonal weights c_n with their convergence diagnostic."""
 
-    kind: str  # "factorial" | "custom"
     values: tuple[float, ...]
 
     def __post_init__(self):
@@ -55,11 +54,11 @@ class WeightSchedule:
 
     @classmethod
     def factorial(cls, length: int) -> "WeightSchedule":
-        return cls("factorial", tuple(1.0 / math.factorial(n + 1) for n in range(length)))
+        return cls(tuple(1.0 / math.factorial(n + 1) for n in range(length)))
 
     @classmethod
     def custom(cls, values) -> "WeightSchedule":
-        return cls("custom", tuple(float(v) for v in values))
+        return cls(tuple(float(v) for v in values))
 
     def value(self, n: int) -> float:
         return self.values[n]

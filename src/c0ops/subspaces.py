@@ -90,9 +90,6 @@ class SubspaceFrame:
     def dim(self) -> int:
         return self.frame.shape[1]
 
-    def projection(self) -> np.ndarray:
-        return self.frame @ self.frame.conj().T
-
     @classmethod
     def from_columns(cls, ambient: AmbientSpace, columns, rank=None):
         return cls(ambient, orthonormalize(np.asarray(columns, dtype=complex), rank))
@@ -172,9 +169,19 @@ def _check_same_ambient(a: SubspaceFrame, b: SubspaceFrame):
 
 
 def principal_distance(a: SubspaceFrame, b: SubspaceFrame) -> float:
-    """2-norm gap between the orthogonal projections onto the subspaces."""
+    """2-norm gap between the orthogonal projections onto the subspaces.
+
+    Read off the frames: for equal dimensions the gap is the sine of the
+    largest principal angle, ||B - A (A^H B)||; for unequal dimensions it
+    is 1, since the larger subspace holds a unit vector orthogonal to the
+    smaller one.
+    """
     _check_same_ambient(a, b)
-    return float(np.linalg.norm(a.projection() - b.projection(), 2))
+    if a.dim != b.dim:
+        return 1.0
+    if a.dim == 0:
+        return 0.0
+    return float(np.linalg.norm(b.frame - a.frame @ (a.frame.conj().T @ b.frame), 2))
 
 
 def image_closure(x_mat: np.ndarray, m_frame: SubspaceFrame) -> SubspaceFrame:

@@ -1,13 +1,18 @@
 """Command-line behavior: verbs, exit codes, CSV schema stability."""
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from c0ops.cli import main
+from c0ops import errors
+from c0ops.cli import EXIT_CODES, main
 from c0ops.inner import monomial
 from c0ops.jordan import random_invariant_subspace
 from c0ops.subspaces import AmbientSpace
@@ -113,6 +118,7 @@ def test_density_sweep_golden_k_column(tmp_path, capsys):
 def test_density_sweep_hypothesis_exit(tmp_path, capsys):
     bad = density_config(tmp_path, psi1=Z1, psi2=Z2)  # psi2 does not divide psi1
     assert main(["density-sweep", "--config", bad]) == 4
+    assert capsys.readouterr().out == ""
 
 
 def test_density_sweep_divergent_schedule_warns(tmp_path, capsys):
@@ -198,19 +204,120 @@ def _subspace_with(theta=Z2, frame=((0.0, 0.0), (1.0, 0.0))):
     return {"ambient": {"theta": theta, "copies": 1}, "frame": [list(v) for v in frame]}
 
 
+# m.json is a valid subspace; in.json holds the payload of each case
+JORDAN = ["jordan-model", "--input", "in.json"]
+VERIFY = ["verify-orbit", "--input", "m.json", "m.json", "--config", "in.json"]
+SWEEP = ["density-sweep", "--config", "in.json"]
+SEARCH = ["counterexample", "--config", "in.json"]
+DEMO_ARGV = ["cordiag-demo", "--config", "in.json"]
+DENSITY = {"theta": Z2, "copies": 12, "phi_all": Z1, "psi1": Z2, "psi2": Z1}
+DEMO = {"theta": Z2, "copies": 2, "similarity": [[1.0, 0.3], [0.2, 1.5]], "pairs": 1, "sweep": [4]}
+
+
 @pytest.mark.parametrize(
-    "verb, payload",
+    "argv, payload",
     [
-        ("jordan-model", _subspace_with(theta={"zeros": [[0.0, 0.0], [0.0, 0.0]]})),
-        ("jordan-model", _subspace_with(theta={"zeros": [{"re": 1.5, "im": 0.0, "mult": 2}]})),
-        ("jordan-model", _subspace_with(frame=((float("nan"), 0.0), (1.0, 0.0)))),
-        ("density-sweep", {"theta": Z2, "copies": 12, "phi_all": Z1, "psi2": Z1}),
+        (JORDAN, _subspace_with(theta={"zeros": [[0.0, 0.0], [0.0, 0.0]]})),
+        (JORDAN, _subspace_with(theta={"zeros": [{"re": 1.5, "im": 0.0, "mult": 2}]})),
+        (JORDAN, _subspace_with(frame=((float("nan"), 0.0), (1.0, 0.0)))),
+        (SWEEP, {k: v for k, v in DENSITY.items() if k != "psi1"}),
+        (VERIFY, {"sweep": 5}),
+        (VERIFY, {"gate": "x"}),
+        (SEARCH, {"grid_denominator": 0}),
+        (SEARCH, {"blocks": "ab"}),
+        (SEARCH, [1]),
+        (SEARCH, {"budgt": 1}),
+        (DEMO_ARGV, {**DEMO, "similarity": [[1.0, 0.3], [0.2]]}),
+        (SWEEP, {**DENSITY, "seed": "x"}),
+        (["jordan-model", "--input", "m.json", "--ambient", "in.json"], {"theta": Z2, "copies": 1}),
+        # same total dimension, so the frame would fit either ambient
+        (
+            ["verify-orbit", "--input", "m.json", "in.json"],
+            {**_subspace_with(Z1), "ambient": {"theta": Z1, "copies": 2}},
+        ),
     ],
-    ids=["readme-pair-zeros", "zero-outside-disc", "nan-frame", "density-without-psi1"],
+    ids=[
+        "readme-pair-zeros",
+        "zero-outside-disc",
+        "nan-frame",
+        "density-without-psi1",
+        "verify-sweep-not-a-list",
+        "verify-gate-not-a-number",
+        "search-zero-denominator",
+        "search-blocks-string",
+        "search-config-not-an-object",
+        "search-unknown-key",
+        "demo-ragged-similarity",
+        "density-seed-string",
+        "ambient-flag",
+        "verify-different-ambients",
+    ],
 )
-def test_malformed_input_is_parse_error(tmp_path, capsys, verb, payload):
-    p = tmp_path / "input.json"
-    p.write_text(json.dumps(payload))
-    flag = "--input" if verb == "jordan-model" else "--config"
-    assert main([verb, flag, str(p)]) == 2
+def test_malformed_input_is_parse_error(tmp_path, monkeypatch, capsys, argv, payload):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(_subspace_with()))
+    (tmp_path / "in.json").write_text(json.dumps(payload))
+    assert main(argv) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_numerical_refusal_exit(tmp_path, capsys):
+    cfg = tmp_path / "demo.json"
+    cfg.write_text(json.dumps({**DEMO, "similarity": [[1.0, 0.0], [0.0, 1e-7]]}))
+    assert main(["cordiag-demo", "--config", str(cfg)]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "condition number" in captured.err
+
+
+def test_exit_table_covers_every_error():
+    types = {t for t in vars(errors).values() if isinstance(t, type) and issubclass(t, Exception)}
+    assert types - {errors.C0OpsError} <= set().union(*EXIT_CODES.values())
+
+
+FUZZ_POOL = [None, "x", [], {}, -1, 0, 2.5, True, [[0, 0]]]
+Z1_LINE = {"ambient": {"theta": Z1, "copies": 2}, "frame": [[1.0, 0.0], [0.0, 0.0]]}
+# small valid inputs: the --input file of jordan-model, the --config of the rest
+FUZZ_BASES = {
+    "jordan-model": Z1_LINE,
+    "verify-orbit": {"sweep": [2], "gate": 0.05},
+    "density-sweep": {
+        **DENSITY, "copies": 3, "schedule": "factorial", "seed": 1, "target_support": 2,
+    },
+    "counterexample": {"blocks": [1, 1], "grid_denominator": 1, "budget": 3},
+    "cordiag-demo": {
+        "theta": Z1, "copies": 2, "similarity": [[2.0]],
+        "pairs": 1, "seed": 0, "sweep": [2], "gate": 0.05,
+    },
+}
+
+
+def _mutants(base):
+    """base with one key replaced from the pool, one key dropped, or one unknown key added."""
+    keys = st.sampled_from(sorted(base))
+    values = st.sampled_from(FUZZ_POOL)
+    return st.one_of(
+        st.builds(lambda k, v: {**base, k: v}, keys, values),
+        keys.map(lambda k: {key: v for key, v in base.items() if key != k}),
+        values.map(lambda v: {**base, "unknown": v}),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    case=st.sampled_from(sorted(FUZZ_BASES)).flatmap(
+        lambda verb: st.tuples(st.just(verb), _mutants(FUZZ_BASES[verb]))
+    )
+)
+def test_fuzz_main_returns_documented_code(case):
+    verb, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, line = os.path.join(tmp, "in.json"), os.path.join(tmp, "m.json")
+        for name, data in ((path, payload), (line, Z1_LINE)):
+            with open(name, "w") as fh:
+                json.dump(data, fh)
+        flags = {
+            "jordan-model": ["--input", path],
+            "verify-orbit": ["--input", line, line, "--config", path],
+        }.get(verb, ["--config", path])
+        assert main([verb, *flags]) in {0, 2, 3, 4, 5, 6}

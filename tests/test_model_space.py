@@ -94,7 +94,6 @@ def test_monomial_fast_path_is_exact_jordan_block():
     space = build_model_space(monomial(4))
     expected = np.diag(np.ones(3), -1)
     assert np.array_equal(space.shift_matrix, expected)
-    assert space.basis_kind == "monomial"
 
 
 def _degree_cap_thetas():

@@ -23,6 +23,13 @@ from c0ops.subspaces import (
 RNG = np.random.default_rng(7031)
 
 
+def dense_distance(a, b):
+    """Reference gap: 2-norm of the difference of the Nd x Nd projections."""
+    pa = a.frame @ a.frame.conj().T
+    pb = b.frame @ b.frame.conj().T
+    return np.linalg.norm(pa - pb, 2)
+
+
 def kernel_frame(mat, dim):
     """Orthonormal frame for ker(mat) of known dimension."""
     _, _, vh = np.linalg.svd(mat)
@@ -80,8 +87,10 @@ class TestMetrics:
         e0 = np.array([[1.0], [0.0]], dtype=complex)
         for t in (0.1, 0.4, 1.1):
             rot = np.array([[np.cos(t)], [np.sin(t)]], dtype=complex)
-            d = principal_distance(SubspaceFrame(amb, e0), SubspaceFrame(amb, rot))
+            a, b = SubspaceFrame(amb, e0), SubspaceFrame(amb, rot)
+            d = principal_distance(a, b)
             assert abs(d - abs(np.sin(t))) < 1e-12
+            assert abs(d - dense_distance(a, b)) < 1e-12
 
     def test_distance_is_a_metric_on_samples(self):
         amb = AmbientSpace.build(monomial(3), 2)
@@ -89,11 +98,16 @@ class TestMetrics:
         for _ in range(4):
             cols = RNG.standard_normal((6, 2)) + 1j * RNG.standard_normal((6, 2))
             frames.append(SubspaceFrame(amb, orthonormalize(cols)))
+        # unequal and empty dimensions next to the equal-dimension samples
+        for k in (0, 1, 3):
+            cols = RNG.standard_normal((6, k)) + 1j * RNG.standard_normal((6, k))
+            frames.append(SubspaceFrame(amb, orthonormalize(cols)))
         for a in frames:
             assert principal_distance(a, a) < 1e-12
         for a in frames:
             for b in frames:
                 dab = principal_distance(a, b)
+                assert abs(dab - dense_distance(a, b)) < 1e-12
                 assert abs(dab - principal_distance(b, a)) < 1e-12
                 for c in frames:
                     assert dab <= principal_distance(a, c) + principal_distance(c, b) + 1e-12
