@@ -1,9 +1,9 @@
 """Exact rational backend for the nilpotent case theta = z^d.
 
-Everything here runs over Q (sympy Rational matrices): orbit-closure
-subspaces of integer vectors, restriction and compression matrices in
-rational bases, and Jordan models from exact rank sequences.  Used to
-cross-check the floating pipeline.
+Everything here runs over Q (sympy Rational matrices, whose adjoint is
+the transpose): orbit-closure subspaces of integer vectors, restriction
+and compression matrices in rational bases, and Jordan models from exact
+rank sequences.  Used to cross-check the floating pipeline.
 """
 
 from __future__ import annotations
@@ -51,18 +51,18 @@ def orbit_closure(t_mat: sp.Matrix, vectors: list[sp.Matrix]) -> sp.Matrix:
 
 
 def restriction_on_basis(t_mat: sp.Matrix, basis: sp.Matrix) -> sp.Matrix:
-    """Matrix of T restricted to span(basis), in that (rational) basis."""
+    """Matrix of P_span T | span(basis) in that (rational) basis: T|M on an invariant span."""
     if basis.cols == 0:
         return sp.zeros(0, 0)
-    gram = basis.H @ basis
-    return gram.solve(basis.H @ t_mat @ basis)
+    gram = basis.T @ basis
+    return gram.solve(basis.T @ t_mat @ basis)
 
 
 def complement_basis(basis: sp.Matrix) -> sp.Matrix:
     """Exact basis of the orthogonal complement of span(basis)."""
     if basis.cols == 0:
         return sp.eye(basis.rows)
-    null = basis.H.nullspace()
+    null = basis.T.nullspace()
     if not null:
         return sp.zeros(basis.rows, 0)
     return sp.Matrix.hstack(*null)
@@ -70,11 +70,7 @@ def complement_basis(basis: sp.Matrix) -> sp.Matrix:
 
 def compression_on_complement(t_mat: sp.Matrix, basis: sp.Matrix) -> sp.Matrix:
     """Matrix of P_{M^perp} T | M^perp in a rational complement basis."""
-    comp = complement_basis(basis)
-    if comp.cols == 0:
-        return sp.zeros(0, 0)
-    gram = comp.H @ comp
-    return gram.solve(comp.H @ t_mat @ comp)
+    return restriction_on_basis(t_mat, complement_basis(basis))
 
 
 def nilpotent_jordan_model(a_mat: sp.Matrix, max_power: int) -> JordanModel:

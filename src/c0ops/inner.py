@@ -84,12 +84,17 @@ class InnerFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InnerFunction":
-        return cls(
-            tuple(
-                (complex(z["re"], z["im"]), int(z["mult"]))
-                for z in data["zeros"]
-            )
-        )
+        """Read {"zeros": [{"re", "im", "mult"}, ...]}; each mult is an integer >= 1."""
+        if set(data) != {"zeros"}:
+            raise ValueError(f"an inner function has the one key zeros, not {data!r}")
+        zeros = []
+        for z in data["zeros"]:
+            if set(z) != {"re", "im", "mult"}:
+                raise ValueError(f"a zero has the keys re, im, mult, not {z!r}")
+            if type(z["mult"]) is not int or z["mult"] < 1:
+                raise ValueError(f"multiplicity {z['mult']!r} is not an integer >= 1")
+            zeros.append((complex(z["re"], z["im"]), z["mult"]))
+        return cls(tuple(zeros))
 
 
 ONE = InnerFunction()

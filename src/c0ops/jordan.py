@@ -25,6 +25,7 @@ from .subspaces import (
     SubspaceFrame,
     invariant_subspace_of_block,
     is_invariant,
+    orthocomplement,
 )
 
 ANNIHILATION_TOL = 1e-8
@@ -144,33 +145,39 @@ def jordan_model_of(a_mat: np.ndarray, theta_ref: InnerFunction) -> JordanModel:
     return JordanModel(tuple(parts))
 
 
-def restriction_matrix(ambient: AmbientSpace, m_frame: SubspaceFrame) -> np.ndarray:
-    """Matrix of T|M in the frame coordinates of M."""
+def _require_invariant(m_frame: SubspaceFrame) -> None:
     ok, residual = is_invariant(m_frame)
     if not ok:
         raise NotInvariant(f"invariance residual {residual:.3e}")
-    p = m_frame.frame
-    return p.conj().T @ ambient.operator_matrix @ p
+
+
+def _compress(ambient: AmbientSpace, q: np.ndarray) -> np.ndarray:
+    """Matrix of P_Q T | span(Q) in the orthonormal frame Q."""
+    return q.conj().T @ ambient.operator_matrix @ q
+
+
+def restriction_matrix(ambient: AmbientSpace, m_frame: SubspaceFrame) -> np.ndarray:
+    """Matrix of T|M in the frame coordinates of M."""
+    _require_invariant(m_frame)
+    return _compress(ambient, m_frame.frame)
 
 
 def compression_matrix(ambient: AmbientSpace, m_frame: SubspaceFrame) -> np.ndarray:
     """Matrix of the compression of T to the orthocomplement of M."""
-    from .subspaces import orthocomplement
-
-    ok, residual = is_invariant(m_frame)
-    if not ok:
-        raise NotInvariant(f"invariance residual {residual:.3e}")
-    q = orthocomplement(m_frame).frame
-    return q.conj().T @ ambient.operator_matrix @ q
+    _require_invariant(m_frame)
+    return _compress(ambient, orthocomplement(m_frame).frame)
 
 
 def subspace_models(
     ambient: AmbientSpace, m_frame: SubspaceFrame
 ) -> tuple[JordanModel, JordanModel]:
-    """Jordan models of the restriction T|M and the compression T_{M^perp}."""
+    """Jordan models of the restriction T|M and the compression T_{M^perp}.
+
+    The invariance of M is checked once, by restriction_matrix.
+    """
     theta = ambient.theta
     rest = jordan_model_of(restriction_matrix(ambient, m_frame), theta)
-    comp = jordan_model_of(compression_matrix(ambient, m_frame), theta)
+    comp = jordan_model_of(_compress(ambient, orthocomplement(m_frame).frame), theta)
     return rest, comp
 
 

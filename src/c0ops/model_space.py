@@ -98,7 +98,7 @@ def project_onto_submodel(
     """Orthogonal projection of f onto H(theta/divisor) inside H(theta).
 
     H(theta/d) is the orthocomplement in H(theta) of the invariant
-    subspace d H^2 (-) theta H^2 = ran d(S(theta)).
+    subspace (theta/d) H^2 (-) theta H^2 = ran (theta/d)(S(theta)).
     """
     if not inner.divides(divisor, space.theta):
         raise NotADivisor(f"{divisor!r} does not divide theta")

@@ -38,7 +38,6 @@ from .subspaces import (
     principal_distance,
 )
 
-INTERTWINE_TOL = 1e-10
 SOLVER_TOL = 1e-9
 
 
@@ -88,8 +87,6 @@ class QuasiaffinityRecord:
     """A constructed intertwiner with its measured quality numbers."""
 
     matrix: np.ndarray = field(repr=False)
-    omega_list: tuple[InnerFunction, ...]
-    schedule: WeightSchedule
     intertwining_residual: float
     sigma_min: float
     pairing: tuple[tuple[int, int, int], ...] = ()  # (copy, row, slot)
@@ -158,9 +155,7 @@ def build_X(
     big_op = AmbientSpace(space, copies + 1).operator_matrix
     residual = float(np.linalg.norm(x_mat @ big_op - big_op @ x_mat, 2))
     sigma_min = float(np.linalg.svd(x_mat, compute_uv=False)[-1])
-    return QuasiaffinityRecord(
-        x_mat, tuple(omega_list), schedule, residual, sigma_min
-    )
+    return QuasiaffinityRecord(x_mat, residual, sigma_min)
 
 
 @dataclass(frozen=True)
@@ -343,7 +338,6 @@ def build_Y_main(
             rows[row].append(2 * j)
 
     y_mat = np.eye(n_copies * d, dtype=complex)
-    omega_used: list[InnerFunction] = []
     pairing_log: list[tuple[int, int, int]] = []
     sigma_min, residual = 1.0, 0.0  # the numbers of an identity copy
     for row, paired in enumerate(rows):
@@ -366,21 +360,13 @@ def build_Y_main(
                 omega = quotient(tau_n, theta_over_phi)
             omegas.append(omega)
             pairing_log.append((copy, row, slot))
-        omega_used.extend(omegas)
         x_rec = build_X(ambient.model, len(paired), omegas, schedule)
         scale = float(np.linalg.norm(x_rec.matrix, 2))
         idx = np.concatenate([np.arange(c * d, (c + 1) * d) for c in [2 * row + 1, *paired]])
         y_mat[np.ix_(idx, idx)] = x_rec.matrix / scale
         sigma_min = min(sigma_min, x_rec.sigma_min / scale)
         residual = max(residual, x_rec.intertwining_residual / scale)
-    return QuasiaffinityRecord(
-        y_mat,
-        tuple(omega_used),
-        schedule,
-        residual,
-        sigma_min,
-        tuple(pairing_log),
-    )
+    return QuasiaffinityRecord(y_mat, residual, sigma_min, tuple(pairing_log))
 
 
 def compression_intertwiner(

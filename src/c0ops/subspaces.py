@@ -115,8 +115,13 @@ def load_subspace(data: dict) -> tuple[SubspaceFrame, float]:
     Returns the frame together with the norm of the re-orthonormalization
     adjustment that was applied to the stored columns.
     """
+    if set(data) != {"ambient", "frame"} or set(data["ambient"]) != {"theta", "copies"}:
+        raise ValueError('a subspace has the keys "ambient" ("theta", "copies") and "frame"')
+    copies = data["ambient"]["copies"]
+    if type(copies) is not int or copies < 1:
+        raise ValueError(f"copies {copies!r} is not an integer >= 1")
     theta = InnerFunction.from_dict(data["ambient"]["theta"])
-    ambient = AmbientSpace.build(theta, int(data["ambient"]["copies"]))
+    ambient = AmbientSpace.build(theta, copies)
     n = ambient.total_dim
     flat = data["frame"]
     if len(flat) % n:

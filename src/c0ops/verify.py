@@ -17,6 +17,7 @@ from .errors import (
     ModelTooLong,
 )
 from .exact_nilpotent import (
+    complement_basis,
     direct_sum_nilpotent,
     nilpotent_jordan_model,
     orbit_closure,
@@ -42,6 +43,7 @@ DEFAULT_SWEEP = (4, 8, 12, 16)
 DEFAULT_GATE = 0.05
 CONVERGED_TOL = 1e-8
 CURVE_SLACK = 1e-10
+Y_SCHEDULE = WeightSchedule.factorial(64)  # the diagonal weights of every Y
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,6 @@ def verify_orbit(
     m2: SubspaceFrame,
     sweep=DEFAULT_SWEEP,
     gate: float = DEFAULT_GATE,
-    schedule: WeightSchedule | None = None,
 ) -> VerifyReport:
     """Test whether M2 lies in the quasiaffine orbit of M1 for T_N."""
     theta = ambient.theta
@@ -117,8 +118,6 @@ def verify_orbit(
             verdict="no-orbit",
             **base,
         )
-    if schedule is None:
-        schedule = WeightSchedule.factorial(64)
     needed = 2 * max(len(rest1), len(comp1), len(comp2))
     curve = []
     for n_copies in sweep:
@@ -126,7 +125,7 @@ def verify_orbit(
             continue
         model_ambient = AmbientSpace(ambient.model, n_copies)
         try:
-            y_rec = build_Y_main(model_ambient, rest1, comp1, comp2, schedule)
+            y_rec = build_Y_main(model_ambient, rest1, comp1, comp2, Y_SCHEDULE)
         except DivisibilityFailure:
             return VerifyReport(
                 orbit_constructed=False,
@@ -160,13 +159,11 @@ def verify_orbit(
 
 
 def commutant_basis(t_mat: sp.Matrix) -> list[sp.Matrix]:
-    """Exact basis of {X : XT = TX}."""
+    """Exact basis of {X : XT = TX}: the nullspace of I (x) T^T - T (x) I on row-major vec X."""
     n = t_mat.rows
-    syms = sp.symbols(f"x0:{n * n}")
-    x_mat = sp.Matrix(n, n, syms)
-    eqs = (x_mat @ t_mat - t_mat @ x_mat).vec()
-    sol_basis = sp.linear_eq_to_matrix(list(eqs), list(syms))[0].nullspace()
-    return [sp.Matrix(n, n, list(v)) for v in sol_basis]
+    eye = sp.eye(n)
+    sylvester = sp.kronecker_product(eye, t_mat.T) - sp.kronecker_product(t_mat, eye)
+    return [sp.Matrix(n, n, list(v)) for v in sylvester.nullspace()]
 
 
 def _subspace_signature(basis: sp.Matrix):
@@ -200,21 +197,13 @@ def _lattice_elements(block_degrees: list[int]) -> list[sp.Matrix]:
 def _grid_vectors(n: int, step: Fraction, reach: int):
     """e_i and e_i + t e_j for grid values t, as exact rational vectors."""
     vals = [
-        Fraction(k) * step
+        sp.Rational(k * step.numerator, step.denominator)
         for k in range(-reach, reach + 1)
         if k != 0
     ]
-    vecs = [sp.Matrix([1 if r == i else 0 for r in range(n)]) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for t in vals:
-                v = sp.zeros(n, 1)
-                v[i] = 1
-                v[j] = sp.Rational(t.numerator, t.denominator)
-                vecs.append(v)
-    return vecs
+    e = [sp.eye(n).col(i) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return e + [e[i] + t * e[j] for i, j in pairs for t in vals]
 
 
 def decide_commutant_orbit(
@@ -225,25 +214,16 @@ def decide_commutant_orbit(
     At these dimensions a quasiaffinity is invertible, so membership in
     the orbit reduces to solving linear mapping constraints inside the
     commutant and testing whether the solution family contains an
-    invertible element (determinant not identically zero).
+    invertible element (determinant not identically zero). X = sum x_i C_i
+    maps M1 into M2 iff L^T X B1 = 0, where the columns of L span the
+    left null space of B2, so the constraints have the columns vec(L^T C_i B1).
     """
     if b1.cols != b2.cols:
         return False
     n = b1.rows
-    left_null = b2.H.nullspace()  # rows annihilating M2
-    rows = []
-    for c_i in comm_basis:
-        col = []
-        for b_col in range(b1.cols):
-            image = c_i @ b1.col(b_col)
-            for ell in left_null:
-                col.append((ell.H @ image)[0, 0])
-        rows.append(col)
-    if left_null and b1.cols:
-        coeff = sp.Matrix(rows).T  # constraints x params
-        params = coeff.nullspace()
-    else:
-        params = [sp.eye(len(comm_basis)).col(i) for i in range(len(comm_basis))]
+    left_null = complement_basis(b2)
+    coeff = sp.Matrix.hstack(*[(left_null.T @ c_i @ b1).vec() for c_i in comm_basis])
+    params = coeff.nullspace()
     if not params:
         return False
     family = [
@@ -291,9 +271,12 @@ def counterexample_search(
     """Search for equal restriction models outside a common commutant orbit.
 
     Enumerates orbit closures of grid vectors plus the exact lattice
-    elements, groups subspaces by the Jordan model of the restriction and
-    decides commutant-orbit membership pair by pair, stopping at the
-    first witness.
+    elements and groups subspaces by the Jordan model of the restriction.
+    Same orbit is an equivalence relation (the invertible commutant
+    elements form a group), so each group decides its first member against
+    every later one and stops at the first witness. The first failing pair
+    of the group in combination order always holds the first member, so
+    this is the witness a pair-by-pair search finds.
     """
     t_mat = direct_sum_nilpotent(block_degrees)
     n = t_mat.rows
@@ -322,8 +305,8 @@ def counterexample_search(
     budget_exhausted = False
     witness = None
     for key in sorted(groups, key=lambda k: sum(k)):
-        members = groups[key]
-        for b1, b2 in itertools.combinations(members, 2):
+        b1, *others = groups[key]
+        for b2 in others:
             if pairs_checked >= budget:
                 budget_exhausted = True
                 break

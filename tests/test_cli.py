@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import c0ops
 from c0ops import errors
 from c0ops.cli import EXIT_CODES, main
 from c0ops.inner import monomial
@@ -178,9 +179,13 @@ def test_unknown_verb_is_parse_error(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports c0ops from where this process found it
+    package_root = os.path.dirname(os.path.dirname(c0ops.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "c0ops.cli", "jordan-model", "--input", "/nonexistent"],
         capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
 
@@ -212,6 +217,7 @@ SEARCH = ["counterexample", "--config", "in.json"]
 DEMO_ARGV = ["cordiag-demo", "--config", "in.json"]
 DENSITY = {"theta": Z2, "copies": 12, "phi_all": Z1, "psi1": Z2, "psi2": Z1}
 DEMO = {"theta": Z2, "copies": 2, "similarity": [[1.0, 0.3], [0.2, 1.5]], "pairs": 1, "sweep": [4]}
+Z2_7 = {"zeros": [{"re": 0.0, "im": 0.0, "mult": 2.7}]}
 
 
 @pytest.mark.parametrize(
@@ -235,6 +241,15 @@ DEMO = {"theta": Z2, "copies": 2, "similarity": [[1.0, 0.3], [0.2, 1.5]], "pairs
             ["verify-orbit", "--input", "m.json", "in.json"],
             {**_subspace_with(Z1), "ambient": {"theta": Z1, "copies": 2}},
         ),
+        # a fractional count or an unknown key is refused, not truncated or ignored
+        (JORDAN, {**_subspace_with(), "ambient": {"theta": Z2_7, "copies": 1.9}, "junk": 1}),
+        (JORDAN, {**_subspace_with(), "ambient": {"theta": Z2, "copies": 1.9}}),
+        (JORDAN, _subspace_with(theta=Z2_7)),
+        (JORDAN, {**_subspace_with(), "junk": 1}),
+        (JORDAN, {**_subspace_with(), "ambient": {"theta": Z2, "copies": 1, "junk": 1}}),
+        (JORDAN, _subspace_with(theta={"zeros": [{"re": 0.0, "im": 0.0, "mult": 2, "junk": 1}]})),
+        (JORDAN, _subspace_with(theta={**Z2, "junk": 1})),
+        (SWEEP, {**DENSITY, "theta": Z2_7}),
     ],
     ids=[
         "readme-pair-zeros",
@@ -251,6 +266,14 @@ DEMO = {"theta": Z2, "copies": 2, "similarity": [[1.0, 0.3], [0.2, 1.5]], "pairs
         "density-seed-string",
         "ambient-flag",
         "verify-different-ambients",
+        "subspace-truncated-copies-mult-and-junk",
+        "subspace-fractional-copies",
+        "subspace-fractional-mult",
+        "subspace-unknown-key",
+        "subspace-unknown-ambient-key",
+        "zero-unknown-key",
+        "theta-unknown-key",
+        "density-fractional-mult",
     ],
 )
 def test_malformed_input_is_parse_error(tmp_path, monkeypatch, capsys, argv, payload):

@@ -62,13 +62,18 @@ class TestVerifyOrbit:
 
 
 class TestCounterexample:
-    def test_commutant_of_mixed_sum(self):
-        t = direct_sum_nilpotent([2, 1])
+    @pytest.mark.parametrize(
+        "blocks", [[2, 1], [1, 1], [2, 2], [3, 2, 1], [2, 2, 2]], ids=lambda b: "-".join(map(str, b))
+    )
+    def test_commutant_of_mixed_sum(self, blocks):
+        t = direct_sum_nilpotent(blocks)
         basis = commutant_basis(t)
-        # {X : XT = TX} for S(z^2) (+) S(z) has dimension 5
-        assert len(basis) == 5
+        # {X : XT = TX} for (+)_i S(z^{d_i}) has dimension sum_{i,j} min(d_i, d_j)
+        assert len(basis) == sum(min(a, b) for a in blocks for b in blocks)
         for c in basis:
             assert (c @ t - t @ c).norm() == 0
+        # the basis is linearly independent
+        assert sp.Matrix.hstack(*[c.vec() for c in basis]).rank() == len(basis)
 
     def test_witness_pair_decided_false(self):
         t = direct_sum_nilpotent([2, 1])
@@ -88,8 +93,19 @@ class TestCounterexample:
 
     def test_search_finds_witness(self):
         rep = counterexample_search([2, 1], grid_step=Fraction(1, 8))
-        assert rep.witness is not None
-        assert rep.witness["restriction_model_degrees"] == [1]
+        # pinned: deciding each group's first member finds the pair-by-pair witness
+        assert rep.witness == {
+            "restriction_model_degrees": [1],
+            "m1_basis": [["0", "1", "0"]],
+            "m2_basis": [["0", "0", "1"]],
+        }
+        assert (rep.subspace_count, rep.pairs_checked) == (65, 1)
+
+    def test_search_decides_first_member_against_the_rest(self):
+        # 15 proper subspaces of 16 fall in 4 model groups: 11 decisions, not all 35 pairs
+        rep = counterexample_search([2, 2], grid_step=Fraction(1))
+        assert rep.exhausted and not rep.budget_exhausted
+        assert (rep.subspace_count, rep.pairs_checked) == (16, 11)
 
     def test_uniform_negative_control(self):
         rep = counterexample_search([1, 1], grid_step=Fraction(1, 4))
