@@ -22,7 +22,6 @@ from .inner import ONE, InnerFunction, all_divisors, blaschke, divides, gcd, lcm
 from .jordan import (
     JordanModel,
     canonical_subspace,
-    compression_matrix,
     interleaved_divisors,
     jordan_model_of,
     minimal_function,

@@ -248,6 +248,8 @@ def cmd_counterexample(args) -> int:
     if report.witness is not None:
         print("witness found:")
         print(json.dumps(report.witness, indent=2))
+        for name, model in zip(("M1", "M2"), report.witness_compression_models):
+            print(f"{name} compression model: {model}")
     elif report.exhausted:
         print("no witness: search exhausted")
     _write_out(args.out, report.to_dict())

@@ -162,12 +162,6 @@ def restriction_matrix(ambient: AmbientSpace, m_frame: SubspaceFrame) -> np.ndar
     return _compress(ambient, m_frame.frame)
 
 
-def compression_matrix(ambient: AmbientSpace, m_frame: SubspaceFrame) -> np.ndarray:
-    """Matrix of the compression of T to the orthocomplement of M."""
-    _require_invariant(m_frame)
-    return _compress(ambient, orthocomplement(m_frame).frame)
-
-
 def subspace_models(
     ambient: AmbientSpace, m_frame: SubspaceFrame
 ) -> tuple[JordanModel, JordanModel]:

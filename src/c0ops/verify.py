@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from . import inner
 from .errors import (
@@ -18,10 +19,14 @@ from .errors import (
 )
 from .exact_nilpotent import (
     complement_basis,
+    compression_on_complement,
     direct_sum_nilpotent,
+    kron,
     nilpotent_jordan_model,
+    nullspace,
     orbit_closure,
     restriction_on_basis,
+    rref,
 )
 from .inner import InnerFunction
 from .jordan import (
@@ -158,21 +163,26 @@ def verify_orbit(
 # ---------------------------------------------------------------------------
 
 
-def commutant_basis(t_mat: sp.Matrix) -> list[sp.Matrix]:
-    """Exact basis of {X : XT = TX}: the nullspace of I (x) T^T - T (x) I on row-major vec X."""
-    n = t_mat.rows
-    eye = sp.eye(n)
-    sylvester = sp.kronecker_product(eye, t_mat.T) - sp.kronecker_product(t_mat, eye)
-    return [sp.Matrix(n, n, list(v)) for v in sylvester.nullspace()]
+def commutant_basis(t_mat: DomainMatrix) -> DomainMatrix:
+    """Exact basis of {X : XT = TX}, one row-major vec X per row: the nullspace of I (x) T^T - T (x) I."""
+    eye = DomainMatrix.eye(t_mat.shape[0], QQ)
+    return nullspace(kron(eye, t_mat.transpose()) - kron(t_mat, eye))
 
 
-def _subspace_signature(basis: sp.Matrix):
-    rref, _ = basis.T.rref()
-    rows = [tuple(rref.row(i)) for i in range(rref.rows) if any(rref.row(i))]
-    return tuple(rows)
+def _unvec(rows: DomainMatrix, n: int) -> list[DomainMatrix]:
+    """The n x n matrices whose row-major vecs are the rows."""
+    doks = [{} for _ in range(rows.shape[0])]
+    for (i, c), v in rows.to_dok().items():
+        doks[i][divmod(c, n)] = v
+    return [DomainMatrix.from_dok(dok, (n, n), rows.domain) for dok in doks]
 
 
-def _lattice_elements(block_degrees: list[int]) -> list[sp.Matrix]:
+def _subspace_signature(basis: DomainMatrix):
+    reduced, _ = rref(basis.transpose())
+    return tuple(tuple(row) for row in reduced.to_list() if any(row))
+
+
+def _lattice_elements(block_degrees: list[int]) -> list[DomainMatrix]:
     """Products of per-block divisor subspaces z^k H^2 (-) z^d H^2."""
     n = sum(block_degrees)
     per_block = []
@@ -187,27 +197,22 @@ def _lattice_elements(block_degrees: list[int]) -> list[sp.Matrix]:
     elements = []
     for combo in itertools.product(*per_block):
         cols = [c for block in combo for c in block]
-        mat = sp.zeros(n, len(cols))
-        for j, c in enumerate(cols):
-            mat[c, j] = 1
-        elements.append(mat)
+        dok = {(c, j): QQ.one for j, c in enumerate(cols)}
+        elements.append(DomainMatrix.from_dok(dok, (n, len(cols)), QQ))
     return elements
 
 
-def _grid_vectors(n: int, step: Fraction, reach: int):
+def _grid_vectors(n: int, step: Fraction, reach: int) -> list[DomainMatrix]:
     """e_i and e_i + t e_j for grid values t, as exact rational vectors."""
-    vals = [
-        sp.Rational(k * step.numerator, step.denominator)
-        for k in range(-reach, reach + 1)
-        if k != 0
-    ]
-    e = [sp.eye(n).col(i) for i in range(n)]
+    vals = [QQ(k * step.numerator, step.denominator) for k in range(-reach, reach + 1) if k != 0]
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    return e + [e[i] + t * e[j] for i, j in pairs for t in vals]
+    doks = [{(i, 0): QQ.one} for i in range(n)]
+    doks += [{(i, 0): QQ.one, (j, 0): t} for i, j in pairs for t in vals]
+    return [DomainMatrix.from_dok(dok, (n, 1), QQ) for dok in doks]
 
 
 def decide_commutant_orbit(
-    comm_basis: list[sp.Matrix], b1: sp.Matrix, b2: sp.Matrix
+    comm_basis: DomainMatrix, b1: DomainMatrix, b2: DomainMatrix
 ) -> bool:
     """Exact decision: does an invertible commutant element map M1 onto M2?
 
@@ -216,31 +221,30 @@ def decide_commutant_orbit(
     commutant and testing whether the solution family contains an
     invertible element (determinant not identically zero). X = sum x_i C_i
     maps M1 into M2 iff L^T X B1 = 0, where the columns of L span the
-    left null space of B2, so the constraints have the columns vec(L^T C_i B1).
+    left null space of B2. On row-major vecs, vec(L^T C B1) = (L^T (x) B1^T)
+    vec(C), so with the vec(C_i) as the rows of comm_basis the constraints
+    on x are the columns of comm_basis (L (x) B1), and the family of
+    solutions is the product of their nullspace with comm_basis.
     """
-    if b1.cols != b2.cols:
+    n = b1.shape[0]
+    if b1.shape[1] != b2.shape[1]:
         return False
-    n = b1.rows
-    left_null = complement_basis(b2)
-    coeff = sp.Matrix.hstack(*[(left_null.T @ c_i @ b1).vec() for c_i in comm_basis])
-    params = coeff.nullspace()
-    if not params:
+    constraints = comm_basis * kron(complement_basis(b2), b1)
+    params = nullspace(constraints.transpose())
+    p = params.shape[0]
+    if p == 0:
         return False
-    family = [
-        sum((v[i] * comm_basis[i] for i in range(len(comm_basis))), sp.zeros(n, n))
-        for v in params
-    ]
-    # fast path: random exact samples usually certify invertibility
+    family = params * comm_basis  # one row-major vec X per row
+    # fast path: random exact samples usually certify invertibility (full rank)
     rng = np.random.default_rng(12345)
-    for _ in range(4):
-        weights = [int(w) for w in rng.integers(-5, 6, size=len(family))]
-        x_mat = sum((w * f for w, f in zip(weights, family)), sp.zeros(n, n))
-        if x_mat.det() != 0:
-            return True
-    # symbolic certificate that no invertible element exists
-    syms = sp.symbols(f"t0:{len(family)}")
-    x_sym = sum((s * f for s, f in zip(syms, family)), sp.zeros(n, n))
-    return sp.expand(x_sym.det()) != 0
+    draws = [[QQ(int(w)) for w in rng.integers(-5, 6, size=p)] for _ in range(4)]
+    samples = DomainMatrix(draws, (len(draws), p), QQ).to_sparse() * family
+    if any(len(rref(x_mat)[1]) == n for x_mat in _unvec(samples, n)):
+        return True
+    # exact certificate that no invertible element exists: det(sum t_j X_j) over QQ[t_0, ...]
+    ring = QQ.poly_ring(*(f"t{j}" for j in range(p)))
+    t_row = DomainMatrix([list(ring.gens)], (1, p), ring).to_sparse()
+    return _unvec(t_row * family.convert_to(ring), n)[0].det() != 0
 
 
 @dataclass
@@ -251,16 +255,25 @@ class CounterexampleReport:
     witness: dict | None
     exhausted: bool
     budget_exhausted: bool
+    # compression models of the witness's M1 and M2: why the pair is a witness
+    witness_compression_models: tuple[JordanModel, JordanModel] | None = None
 
     def to_dict(self) -> dict:
+        comp = self.witness_compression_models
         return {
             "block_degrees": list(self.block_degrees),
             "subspace_count": self.subspace_count,
             "pairs_checked": self.pairs_checked,
             "witness": self.witness,
+            "witness_compression_models": None if comp is None else [m.to_dict() for m in comp],
             "exhausted": self.exhausted,
             "budget_exhausted": self.budget_exhausted,
         }
+
+
+def _basis_strings(basis: DomainMatrix) -> list[list[str]]:
+    """Columns of a rational basis as sympy number strings."""
+    return [[str(QQ.to_sympy(v)) for v in col] for col in basis.transpose().to_list()]
 
 
 def counterexample_search(
@@ -276,10 +289,11 @@ def counterexample_search(
     elements form a group), so each group decides its first member against
     every later one and stops at the first witness. The first failing pair
     of the group in combination order always holds the first member, so
-    this is the witness a pair-by-pair search finds.
+    this is the witness a pair-by-pair search finds. A witness comes with
+    the compression models of both subspaces.
     """
     t_mat = direct_sum_nilpotent(block_degrees)
-    n = t_mat.rows
+    n = t_mat.shape[0]
     max_deg = max(block_degrees)
     reach = int(1 / grid_step) if grid_step <= 1 else 1
     seen = {}
@@ -287,12 +301,12 @@ def counterexample_search(
         basis = orbit_closure(t_mat, [vec])
         seen.setdefault(_subspace_signature(basis), basis)
     for basis in _lattice_elements(block_degrees):
-        if basis.cols == 0:
+        if basis.shape[1] == 0:
             continue
         seen.setdefault(_subspace_signature(basis), basis)
-    groups: dict[tuple, list[sp.Matrix]] = {}
+    groups: dict[tuple, list[DomainMatrix]] = {}
     for basis in seen.values():
-        if basis.cols in (0, n):
+        if basis.shape[1] in (0, n):
             continue
         model = nilpotent_jordan_model(
             restriction_on_basis(t_mat, basis), max_deg
@@ -304,6 +318,7 @@ def counterexample_search(
     pairs_checked = 0
     budget_exhausted = False
     witness = None
+    compression_models = None
     for key in sorted(groups, key=lambda k: sum(k)):
         b1, *others = groups[key]
         for b2 in others:
@@ -314,9 +329,13 @@ def counterexample_search(
             if not decide_commutant_orbit(comm, b1, b2):
                 witness = {
                     "restriction_model_degrees": list(key),
-                    "m1_basis": [[str(v) for v in b1.col(j)] for j in range(b1.cols)],
-                    "m2_basis": [[str(v) for v in b2.col(j)] for j in range(b2.cols)],
+                    "m1_basis": _basis_strings(b1),
+                    "m2_basis": _basis_strings(b2),
                 }
+                compression_models = tuple(
+                    nilpotent_jordan_model(compression_on_complement(t_mat, b), max_deg)
+                    for b in (b1, b2)
+                )
                 break
         if witness or budget_exhausted:
             break
@@ -327,6 +346,7 @@ def counterexample_search(
         witness,
         exhausted=not budget_exhausted and witness is None,
         budget_exhausted=budget_exhausted,
+        witness_compression_models=compression_models,
     )
 
 

@@ -139,6 +139,8 @@ def test_counterexample_witness_and_control(tmp_path, capsys):
     assert main(["counterexample", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "witness found" in out
+    assert "M1 compression model: JordanModel(parts=(InnerFunction(z), InnerFunction(z)))" in out
+    assert "M2 compression model: JordanModel(parts=(InnerFunction(z^2),))" in out
 
     ctrl = tmp_path / "ctrl.json"
     ctrl.write_text(json.dumps({"blocks": [1, 1], "grid_denominator": 4}))

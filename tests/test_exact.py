@@ -12,6 +12,7 @@ from c0ops.exact_nilpotent import (
     nilpotent_block,
     nilpotent_jordan_model,
     orbit_closure,
+    rational,
 )
 from c0ops.inner import monomial
 from c0ops.jordan import subspace_models
@@ -21,14 +22,14 @@ RNG = np.random.default_rng(90210)
 
 
 def test_nilpotent_block_shape():
-    b = nilpotent_block(3)
+    b = nilpotent_block(3).to_Matrix()
     assert b == sp.Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
 
 def test_orbit_closure_of_cyclic_vector():
     t = ambient_operator(3, 1)
-    v = sp.Matrix([1, 0, 0])
-    basis = orbit_closure(t, [v])
+    v = rational(sp.Matrix([1, 0, 0]))
+    basis = orbit_closure(t, [v]).to_Matrix()
     assert basis.cols == 3
 
 
@@ -47,8 +48,8 @@ def test_exact_jordan_of_shift_restriction():
 
 def test_exact_complement_compression():
     t = ambient_operator(2, 1)
-    basis = sp.Matrix([[0], [1]])  # span{z} inside H(z^2)
-    assert complement_basis(basis).cols == 1
+    basis = rational(sp.Matrix([[0], [1]]))  # span{z} inside H(z^2)
+    assert complement_basis(basis).to_Matrix().cols == 1
     a = compression_on_complement(t, basis)
     assert degrees(nilpotent_jordan_model(a, 2)) == [1]
 

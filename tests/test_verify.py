@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 
 from c0ops.errors import IllConditioned
+from c0ops.exact_nilpotent import rational
 from c0ops.inner import blaschke, monomial
 from c0ops.jordan import random_invariant_subspace
 from c0ops.subspaces import AmbientSpace, SubspaceFrame
@@ -66,8 +67,9 @@ class TestCounterexample:
         "blocks", [[2, 1], [1, 1], [2, 2], [3, 2, 1], [2, 2, 2]], ids=lambda b: "-".join(map(str, b))
     )
     def test_commutant_of_mixed_sum(self, blocks):
-        t = direct_sum_nilpotent(blocks)
-        basis = commutant_basis(t)
+        t_exact = direct_sum_nilpotent(blocks)
+        t, n = t_exact.to_Matrix(), t_exact.shape[0]
+        basis = [sp.Matrix(n, n, row) for row in commutant_basis(t_exact).to_Matrix().tolist()]
         # {X : XT = TX} for (+)_i S(z^{d_i}) has dimension sum_{i,j} min(d_i, d_j)
         assert len(basis) == sum(min(a, b) for a in blocks for b in blocks)
         for c in basis:
@@ -78,8 +80,8 @@ class TestCounterexample:
     def test_witness_pair_decided_false(self):
         t = direct_sum_nilpotent([2, 1])
         comm = commutant_basis(t)
-        b1 = sp.Matrix([0, 1, 0])  # span{z} in the big block
-        b2 = sp.Matrix([0, 0, 1])  # the small block
+        b1 = rational(sp.Matrix([0, 1, 0]))  # span{z} in the big block
+        b2 = rational(sp.Matrix([0, 0, 1]))  # the small block
         assert decide_commutant_orbit(comm, b1, b2) is False
         assert decide_commutant_orbit(comm, b1, b1) is True
 
@@ -87,7 +89,7 @@ class TestCounterexample:
         # span{1 + c z'} for c != 0 all map onto each other
         t = direct_sum_nilpotent([2, 1])
         comm = commutant_basis(t)
-        m_c = lambda c: sp.Matrix([[1, 0], [0, 1], [c, 0]])
+        m_c = lambda c: rational(sp.Matrix([[1, 0], [0, 1], [c, 0]]))
         assert decide_commutant_orbit(comm, m_c(1), m_c(sp.Rational(1, 3))) is True
         assert decide_commutant_orbit(comm, m_c(0), m_c(2)) is True
 
@@ -106,6 +108,25 @@ class TestCounterexample:
         rep = counterexample_search([2, 2], grid_step=Fraction(1))
         assert rep.exhausted and not rep.budget_exhausted
         assert (rep.subspace_count, rep.pairs_checked) == (16, 11)
+
+    def test_witness_reports_compression_models(self):
+        # the commutant preserves compressions, so unequal ones say why the pair is a witness
+        rep = counterexample_search([2, 1], grid_step=Fraction(1, 8))
+        m1, m2 = rep.witness_compression_models
+        assert [p.degree for p in m1.parts] == [1, 1]
+        assert [p.degree for p in m2.parts] == [2]
+        assert rep.to_dict()["witness_compression_models"] == [m1.to_dict(), m2.to_dict()]
+
+    @pytest.mark.parametrize(
+        "blocks, denominator, subspaces, decisions",
+        [([2, 2, 2], 2, 98, 89), ([2, 2, 2, 2], 1, 128, 114)],
+        ids=["2-2-2@1/2", "2-2-2-2@1"],
+    )
+    def test_larger_uniform_negative_controls(self, blocks, denominator, subspaces, decisions):
+        rep = counterexample_search(blocks, grid_step=Fraction(1, denominator))
+        assert rep.witness is None and rep.witness_compression_models is None
+        assert rep.exhausted and not rep.budget_exhausted
+        assert (rep.subspace_count, rep.pairs_checked) == (subspaces, decisions)
 
     def test_uniform_negative_control(self):
         rep = counterexample_search([1, 1], grid_step=Fraction(1, 4))
