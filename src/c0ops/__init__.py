@@ -34,7 +34,6 @@ from .model_space import (
     ModelVector,
     build_model_space,
     functional_calculus,
-    project_onto_submodel,
 )
 from .quasiaffine import (
     DensityRow,
@@ -57,6 +56,7 @@ from .subspaces import (
     orthocomplement,
     orthonormalize,
     principal_distance,
+    project_onto_submodel,
 )
 from .verify import (
     CounterexampleReport,

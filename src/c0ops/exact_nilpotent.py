@@ -55,11 +55,6 @@ def kron(a: DomainMatrix, b: DomainMatrix) -> DomainMatrix:
     )
 
 
-def nilpotent_block(d: int) -> DomainMatrix:
-    """Exact matrix of S(z^d) in the monomial basis."""
-    return direct_sum_nilpotent([d])
-
-
 def direct_sum_nilpotent(block_degrees: list[int]) -> DomainMatrix:
     """Exact matrix of S(z^{d_0}) (+) S(z^{d_1}) (+) ..."""
     n = sum(block_degrees)
@@ -67,10 +62,6 @@ def direct_sum_nilpotent(block_degrees: list[int]) -> DomainMatrix:
     return DomainMatrix.from_dod(
         {k + 1: {k: QQ.one} for k in range(n - 1) if k + 1 not in ends}, (n, n), QQ
     )
-
-
-def ambient_operator(d: int, copies: int) -> DomainMatrix:
-    return direct_sum_nilpotent([d] * copies)
 
 
 def orbit_closure(t_mat: DomainMatrix, vectors: list[DomainMatrix]) -> DomainMatrix:
@@ -133,7 +124,7 @@ def exact_subspace_models(
 
     Returns (restriction_model, compression_model, rational_basis).
     """
-    t_mat = ambient_operator(d, copies)
+    t_mat = direct_sum_nilpotent([d] * copies)
     basis = orbit_closure(t_mat, [rational(v) for v in vectors])
     rest = nilpotent_jordan_model(restriction_on_basis(t_mat, basis), d)
     comp = nilpotent_jordan_model(compression_on_complement(t_mat, basis), d)

@@ -26,6 +26,7 @@ from .subspaces import (
     invariant_subspace_of_block,
     is_invariant,
     orthocomplement,
+    orthonormalize,
 )
 
 ANNIHILATION_TOL = 1e-8
@@ -226,13 +227,13 @@ def canonical_subspace(
         ambient = AmbientSpace.build(theta, copies)
     gammas = interleaved_divisors(theta, restriction_model, compression_model, copies)
     d = ambient.model.dim
-    blocks = [invariant_subspace_of_block(ambient.model, g) for g in gammas]
-    total_k = sum(b.dim for b in blocks)
-    frame = np.zeros((copies * d, total_k), dtype=complex)
+    block = {g: invariant_subspace_of_block(ambient.model, g).frame for g in dict.fromkeys(gammas)}
+    blocks = [block[g] for g in gammas]
+    frame = np.zeros((copies * d, sum(b.shape[1] for b in blocks)), dtype=complex)
     col = 0
     for n, b in enumerate(blocks):
-        frame[n * d : (n + 1) * d, col : col + b.dim] = b.frame
-        col += b.dim
+        frame[n * d : (n + 1) * d, col : col + b.shape[1]] = b
+        col += b.shape[1]
     return SubspaceFrame(ambient, frame)
 
 
@@ -240,18 +241,12 @@ def random_invariant_subspace(
     ambient: AmbientSpace,
     rng: np.random.Generator,
     num_vectors: int = 1,
-    integer: bool = False,
 ) -> SubspaceFrame:
     """Orbit closure of random vectors: span of T^k x over all k and x."""
-    from .subspaces import orthonormalize
-
     n = ambient.total_dim
     cols = []
     for _ in range(num_vectors):
-        if integer:
-            x = rng.integers(-3, 4, size=n).astype(complex)
-        else:
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for _ in range(n):
             cols.append(x.copy())
             x = ambient.operator_matrix @ x

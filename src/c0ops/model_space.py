@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import inner
-from .errors import NotADivisor, SingularResolvent
+from .errors import SingularResolvent
 from .inner import InnerFunction
 
 
@@ -91,27 +90,3 @@ def functional_calculus(space: ModelSpace, u: InnerFunction) -> np.ndarray:
     """Matrix of u(S(theta)) in the space's orthonormal basis."""
     return blaschke_of_matrix(u, space.shift_matrix)
 
-
-def project_onto_submodel(
-    space: ModelSpace, f: ModelVector, divisor: InnerFunction
-) -> ModelVector:
-    """Orthogonal projection of f onto H(theta/divisor) inside H(theta).
-
-    H(theta/d) is the orthocomplement in H(theta) of the invariant
-    subspace (theta/d) H^2 (-) theta H^2 = ran (theta/d)(S(theta)).
-    """
-    if not inner.divides(divisor, space.theta):
-        raise NotADivisor(f"{divisor!r} does not divide theta")
-    if f.space is not space and f.space.theta != space.theta:
-        raise ValueError("vector does not live in the given space")
-    if divisor.is_one():
-        return f
-    delta = inner.quotient(space.theta, divisor)  # H(delta) is the target
-    if delta.is_one():
-        return ModelVector(space, np.zeros(space.dim, dtype=complex))
-    op = functional_calculus(space, delta)
-    u_mat, _, _ = np.linalg.svd(op)
-    rank = space.theta.degree - delta.degree
-    frame = u_mat[:, :rank]
-    coords = f.coords - frame @ (frame.conj().T @ f.coords)
-    return ModelVector(space, coords)

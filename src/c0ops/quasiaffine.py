@@ -23,12 +23,7 @@ from .errors import (
 )
 from .inner import InnerFunction, quotient
 from .jordan import JordanModel
-from .model_space import (
-    ModelSpace,
-    ModelVector,
-    functional_calculus,
-    project_onto_submodel,
-)
+from .model_space import ModelSpace, ModelVector, functional_calculus
 from .subspaces import (
     AmbientSpace,
     SubspaceFrame,
@@ -36,6 +31,7 @@ from .subspaces import (
     invariant_subspace_of_block,
     orthocomplement,
     principal_distance,
+    project_onto_submodel,
 )
 
 SOLVER_TOL = 1e-9
@@ -89,7 +85,25 @@ class QuasiaffinityRecord:
     matrix: np.ndarray = field(repr=False)
     intertwining_residual: float
     sigma_min: float
+    norm: float  # the 2-norm of matrix
     pairing: tuple[tuple[int, int, int], ...] = ()  # (copy, row, slot)
+
+
+def _symbol(theta: InnerFunction, phi: InnerFunction, psi: InnerFunction) -> InnerFunction:
+    """omega = psi / (theta/phi), refused unless theta/phi divides psi.
+
+    omega(S) maps (theta/phi)H^2 (-) theta H^2 onto psi H^2 (-) theta H^2.
+    """
+    theta_over_phi = quotient(theta, phi)
+    if not inner.divides(theta_over_phi, psi):
+        raise HypothesisViolated(f"theta/phi = {theta_over_phi!r} does not divide {psi!r}")
+    return quotient(psi, theta_over_phi)
+
+
+def _require_member(frame: np.ndarray, v: ModelVector, message: str) -> None:
+    """Refuse v unless it lies in the span of the orthonormal frame."""
+    if np.linalg.norm(v.coords - frame @ (frame.conj().T @ v.coords)) > SOLVER_TOL * max(1.0, v.norm):
+        raise NotInSubspace(message)
 
 
 def solve_norm_preserving(
@@ -108,17 +122,11 @@ def solve_norm_preserving(
         raise HypothesisViolated("phi must divide theta")
     if not inner.divides(psi, theta):
         raise HypothesisViolated("psi must divide theta")
-    theta_over_phi = quotient(theta, phi)
-    if not inner.divides(theta_over_phi, psi):
-        raise HypothesisViolated("theta/phi must divide psi")
-    omega = quotient(psi, theta_over_phi)
-
-    target_frame = invariant_subspace_of_block(space, psi)
-    g_proj = target_frame.frame @ (target_frame.frame.conj().T @ g.coords)
-    if np.linalg.norm(g.coords - g_proj) > SOLVER_TOL * max(1.0, g.norm):
-        raise NotInSubspace("g lies outside psi H^2 (-) theta H^2")
-
-    domain = invariant_subspace_of_block(space, theta_over_phi)
+    omega = _symbol(theta, phi, psi)
+    _require_member(
+        invariant_subspace_of_block(space, psi).frame, g, "g lies outside psi H^2 (-) theta H^2"
+    )
+    domain = invariant_subspace_of_block(space, quotient(theta, phi))
     w_mat = functional_calculus(space, omega)
     restricted = w_mat @ domain.frame
     sol, *_ = np.linalg.lstsq(restricted, g.coords, rcond=None)
@@ -145,17 +153,21 @@ def build_X(
             raise HypothesisViolated(f"{omega!r} does not divide theta")
     if len(schedule.values) < copies:
         raise HypothesisViolated("schedule shorter than the truncation")
-    d = space.dim
+    d, s_mat = space.dim, space.shift_matrix
+    ops = {w: functional_calculus(space, w) for w in dict.fromkeys(omega_list)}
     x_mat = np.zeros(((copies + 1) * d, (copies + 1) * d), dtype=complex)
     x_mat[:d, :d] = np.eye(d)
     for m, omega in enumerate(omega_list):
         blk = slice((m + 1) * d, (m + 2) * d)
-        x_mat[:d, blk] = functional_calculus(space, omega) / (m + 1)
+        x_mat[:d, blk] = ops[omega] / (m + 1)
         x_mat[blk, blk] = schedule.value(m) * np.eye(d)
-    big_op = AmbientSpace(space, copies + 1).operator_matrix
-    residual = float(np.linalg.norm(x_mat @ big_op - big_op @ x_mat, 2))
-    sigma_min = float(np.linalg.svd(x_mat, compute_uv=False)[-1])
-    return QuasiaffinityRecord(x_mat, residual, sigma_min)
+    # with T = I (x) S, XT - TX vanishes outside the head row, whose slot-m
+    # block is (omega_m(S) S - S omega_m(S)) / (m+1)
+    comm = {w: op @ s_mat - s_mat @ op for w, op in ops.items()}
+    head_row = np.hstack([comm[w] / (m + 1) for m, w in enumerate(omega_list)])
+    residual = float(np.linalg.norm(head_row, 2))
+    s = np.linalg.svd(x_mat, compute_uv=False)
+    return QuasiaffinityRecord(x_mat, residual, float(s[-1]), float(s[0]))
 
 
 @dataclass(frozen=True)
@@ -195,29 +207,20 @@ def density_sweep(
     for a, b in zip(phi_list, phi_list[1:]):
         if not inner.divides(b, a):
             raise HypothesisViolated("phi_{n+1} must divide phi_n")
-    omegas = []
-    for phi in phi_list:
-        if not inner.divides(phi, theta):
-            raise HypothesisViolated("each phi_n must divide theta")
-        tof = quotient(theta, phi)
-        if not inner.divides(tof, psi2):
-            raise HypothesisViolated("theta/phi_n must divide psi2")
-        omegas.append(quotient(psi2, tof))
+    distinct = dict.fromkeys(phi_list)
+    if not all(inner.divides(phi, theta) for phi in distinct):
+        raise HypothesisViolated("each phi_n must divide theta")
+    symbol = {phi: _symbol(theta, phi, psi2) for phi in distinct}
+    slot_frame = {phi: invariant_subspace_of_block(space, quotient(theta, phi)).frame for phi in distinct}
+    _require_member(
+        invariant_subspace_of_block(space, psi2).frame, target_g, "G lies outside psi2 H^2 (-) theta H^2"
+    )
+    for n, (phi, f_n) in enumerate(zip(phi_list, target_f)):
+        _require_member(slot_frame[phi], f_n, f"F_{n} lies outside (theta/phi_{n})H^2 (-) theta H^2")
 
-    head_frame = invariant_subspace_of_block(space, psi2)
-    if np.linalg.norm(
-        target_g.coords - head_frame.frame @ (head_frame.frame.conj().T @ target_g.coords)
-    ) > SOLVER_TOL * max(1.0, target_g.norm):
-        raise NotInSubspace("G lies outside psi2 H^2 (-) theta H^2")
-    for n, f_n in enumerate(target_f):
-        blk = invariant_subspace_of_block(space, quotient(theta, phi_list[n]))
-        if np.linalg.norm(
-            f_n.coords - blk.frame @ (blk.frame.conj().T @ f_n.coords)
-        ) > SOLVER_TOL * max(1.0, f_n.norm):
-            raise NotInSubspace(f"F_{n} lies outside (theta/phi_{n})H^2 (-) theta H^2")
-
+    omegas = [symbol[phi] for phi in phi_list]
     x_rec = build_X(space, copies, omegas, schedule)
-    omega_ops = [functional_calculus(space, w) for w in omegas]
+    omega_op = {w: functional_calculus(space, w) for w in dict.fromkeys(omegas)}
     f_norms = [f.norm for f in target_f]
     f_total = math.sqrt(sum(v * v for v in f_norms))
     # the head slot of a preimage lands in the target head unscaled, so it
@@ -228,7 +231,7 @@ def density_sweep(
     for m in range(1, copies):
         g_res = g_work.copy()
         for n in range(m):
-            g_res -= omega_ops[n] @ target_f[n].coords / ((n + 1) * schedule.value(n))
+            g_res -= omega_op[omegas[n]] @ target_f[n].coords / ((n + 1) * schedule.value(n))
         h_m = solve_norm_preserving(
             space, phi_list[m], psi2, ModelVector(space, (m + 1) * g_res)
         )
@@ -347,26 +350,19 @@ def build_Y_main(
         omegas = []
         for slot, copy in enumerate(paired):
             phi_part = restriction_model.part(slot)
-            if phi_part.is_one() or row >= len(tau_model):
-                # padded slot or padded row: the corresponding canonical
-                # summand is zero, so the safe symbol is theta (zero block)
-                omega = theta
-            else:
-                theta_over_phi = quotient(theta, phi_part)
-                if not inner.divides(theta_over_phi, tau_n):
-                    raise HypothesisViolated(
-                        f"theta/phi_{slot} does not divide tau_{row}"
-                    )
-                omega = quotient(tau_n, theta_over_phi)
-            omegas.append(omega)
+            # a padded slot or padded row has a zero canonical summand, so
+            # the safe symbol is theta (zero block)
+            padded = phi_part.is_one() or row >= len(tau_model)
+            omegas.append(theta if padded else _symbol(theta, phi_part, tau_n))
             pairing_log.append((copy, row, slot))
         x_rec = build_X(ambient.model, len(paired), omegas, schedule)
-        scale = float(np.linalg.norm(x_rec.matrix, 2))
+        scale = x_rec.norm
         idx = np.concatenate([np.arange(c * d, (c + 1) * d) for c in [2 * row + 1, *paired]])
         y_mat[np.ix_(idx, idx)] = x_rec.matrix / scale
         sigma_min = min(sigma_min, x_rec.sigma_min / scale)
         residual = max(residual, x_rec.intertwining_residual / scale)
-    return QuasiaffinityRecord(y_mat, residual, sigma_min, tuple(pairing_log))
+    # each row block is divided by its 2-norm and the other copies carry I_d
+    return QuasiaffinityRecord(y_mat, residual, sigma_min, 1.0, tuple(pairing_log))
 
 
 def compression_intertwiner(

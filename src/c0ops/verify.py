@@ -11,12 +11,7 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from . import inner
-from .errors import (
-    DivisibilityFailure,
-    HypothesisViolated,
-    IllConditioned,
-    ModelTooLong,
-)
+from .errors import HypothesisViolated, IllConditioned
 from .exact_nilpotent import (
     complement_basis,
     compression_on_complement,
@@ -131,14 +126,7 @@ def verify_orbit(
         model_ambient = AmbientSpace(ambient.model, n_copies)
         try:
             y_rec = build_Y_main(model_ambient, rest1, comp1, comp2, Y_SCHEDULE)
-        except DivisibilityFailure:
-            return VerifyReport(
-                orbit_constructed=False,
-                distance_curve=tuple(curve),
-                verdict="no-orbit",
-                **base,
-            )
-        except (HypothesisViolated, ModelTooLong):
+        except HypothesisViolated:
             return VerifyReport(
                 orbit_constructed=False,
                 distance_curve=tuple(curve),

@@ -1,17 +1,22 @@
-"""Every boundary the benchmark tracer wraps still exists under its name.
+"""The benchmark still runs against the package.
 
 The tracer (``perfbench/tracer.py``) patches c0ops functions by module and
 attribute name and only lists the ones it cannot find. Resolving the same
-table here makes a rename of a traced boundary fail the test suite.
+table here makes a rename of a traced boundary fail the test suite. One
+checked pass of the in-process workloads (``perfbench/workloads.py``) makes
+a change that would add failed benchmark operations fail it too.
 """
 
 import importlib
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 
 
 def _boundaries():
@@ -28,3 +33,18 @@ def test_traced_boundary_resolves(layer, module, attr):
         assert hasattr(target, name), f"{layer}: {module}.{attr} has no {name}"
         target = getattr(target, name)
     assert callable(target)
+
+
+def test_workloads_pass_their_checks(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while the class body runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in ("orbit-sweep", "exact-search", "model-scan"):
+        workload = workloads.WORKLOADS[name](1, tmp_path)
+        for item in workload.items() + workload.probe():
+            try:
+                item.run(Counter())
+            except workloads.CheckFailed as exc:
+                pytest.fail(f"{name} {item.name}: {exc}")

@@ -5,11 +5,10 @@ import numpy as np
 import sympy as sp
 
 from c0ops.exact_nilpotent import (
-    ambient_operator,
     complement_basis,
     compression_on_complement,
+    direct_sum_nilpotent,
     exact_subspace_models,
-    nilpotent_block,
     nilpotent_jordan_model,
     orbit_closure,
     rational,
@@ -22,12 +21,12 @@ RNG = np.random.default_rng(90210)
 
 
 def test_nilpotent_block_shape():
-    b = nilpotent_block(3).to_Matrix()
+    b = direct_sum_nilpotent([3]).to_Matrix()
     assert b == sp.Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
 
 def test_orbit_closure_of_cyclic_vector():
-    t = ambient_operator(3, 1)
+    t = direct_sum_nilpotent([3])
     v = rational(sp.Matrix([1, 0, 0]))
     basis = orbit_closure(t, [v]).to_Matrix()
     assert basis.cols == 3
@@ -47,7 +46,7 @@ def test_exact_jordan_of_shift_restriction():
 
 
 def test_exact_complement_compression():
-    t = ambient_operator(2, 1)
+    t = direct_sum_nilpotent([2])
     basis = rational(sp.Matrix([[0], [1]]))  # span{z} inside H(z^2)
     assert complement_basis(basis).to_Matrix().cols == 1
     a = compression_on_complement(t, basis)
@@ -57,7 +56,7 @@ def test_exact_complement_compression():
 def test_exact_matches_float_on_random_integer_subspaces():
     for d, copies in [(2, 2), (3, 2), (2, 3), (4, 3)]:
         amb = AmbientSpace.build(monomial(d), copies)
-        t = ambient_operator(d, copies)
+        t = direct_sum_nilpotent([d] * copies)
         n = d * copies
         for _ in range(8):
             k = int(RNG.integers(1, 3))

@@ -11,9 +11,8 @@ from c0ops.model_space import (
     ModelVector,
     build_model_space,
     functional_calculus,
-    project_onto_submodel,
 )
-from c0ops.subspaces import AmbientSpace
+from c0ops.subspaces import AmbientSpace, project_onto_submodel
 
 RNG = np.random.default_rng(20240817)
 

@@ -94,6 +94,11 @@ class TestBuildX:
                 rec = build_X(space, n, omegas, schedule)
                 assert rec.intertwining_residual <= 1e-10
                 assert rec.sigma_min >= 0.5 * min(schedule.values[:n])
+                # the quality numbers match their dense definitions
+                x, t = rec.matrix, np.kron(np.eye(n + 1), space.shift_matrix)
+                assert abs(rec.norm - np.linalg.norm(x, 2)) <= 1e-12
+                assert abs(rec.sigma_min - np.linalg.svd(x, compute_uv=False)[-1]) <= 1e-12
+                assert abs(rec.intertwining_residual - np.linalg.norm(x @ t - t @ x, 2)) <= 1e-14
 
     def test_frozen_sigma_min_two_copies(self):
         space = build_model_space(monomial(2))
@@ -224,6 +229,30 @@ class TestBuildY:
         rest = JordanModel((monomial(1), monomial(1)))
         with pytest.raises(HypothesisViolated):
             build_Y_main(amb, rest, rest, rest, WeightSchedule.factorial(64))
+
+
+def test_symbol_rule_refusals():
+    # omega = psi / (theta/phi) needs theta/phi | psi in each of its callers
+    space = build_model_space(monomial(3))
+    g = ModelVector(space, np.zeros(3, dtype=complex))
+    with pytest.raises(HypothesisViolated):  # theta/phi = z^2 does not divide z
+        solve_norm_preserving(space, monomial(1), monomial(1), g)
+
+    space = build_model_space(monomial(2))
+    zero = ModelVector(space, np.zeros(2, dtype=complex))
+    with pytest.raises(HypothesisViolated):  # theta/phi = z^2 does not divide psi2 = z
+        density_sweep(
+            space, 2, [ONE, ONE], monomial(2), monomial(1), zero, [zero, zero],
+            WeightSchedule.factorial(3),
+        )
+
+    a, b = 0.3, -0.4j
+    two_zeros = blaschke(a) * blaschke(b)
+    rest = JordanModel((two_zeros, blaschke(a)))
+    tau = JordanModel((blaschke(a),))
+    amb = AmbientSpace.build(two_zeros, 8)
+    with pytest.raises(HypothesisViolated):  # theta/phi_1 = b_b does not divide tau_0 = b_a
+        build_Y_main(amb, rest, tau, tau, WeightSchedule.factorial(64))
 
 
 class TestCompressionIntertwiner:
