@@ -3,14 +3,18 @@
 Every matrix here is a sparse ``sympy.polys.matrices.DomainMatrix`` over
 QQ, whose adjoint is the transpose: orbit-closure subspaces of rational
 vectors, restriction and compression matrices in rational bases, and
-Jordan models from exact rank sequences.  Only ``exact_subspace_models``
-takes and returns ``sympy.Matrix``.  Used to cross-check the floating
-pipeline.
+Jordan models from exact rank sequences, the commutant of a nilpotent
+direct sum, and the grid and lattice subspaces the counterexample search
+enumerates.  Only ``exact_subspace_models`` takes and returns
+``sympy.Matrix``.  Used to cross-check the floating pipeline.  Loading
+this module loads sympy, so ``verify`` imports it inside the functions
+of the exact search and the float verbs never do.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from fractions import Fraction
+from itertools import accumulate, product
 
 import sympy as sp
 from sympy import QQ
@@ -53,6 +57,20 @@ def kron(a: DomainMatrix, b: DomainMatrix) -> DomainMatrix:
         (p * r, q * s),
         a.domain,
     )
+
+
+def commutant_basis(t_mat: DomainMatrix) -> DomainMatrix:
+    """Exact basis of {X : XT = TX}, one row-major vec X per row: the nullspace of I (x) T^T - T (x) I."""
+    eye = DomainMatrix.eye(t_mat.shape[0], QQ)
+    return nullspace(kron(eye, t_mat.transpose()) - kron(t_mat, eye))
+
+
+def _unvec(rows: DomainMatrix, n: int) -> list[DomainMatrix]:
+    """The n x n matrices whose row-major vecs are the rows."""
+    doks = [{} for _ in range(rows.shape[0])]
+    for (i, c), v in rows.to_dok().items():
+        doks[i][divmod(c, n)] = v
+    return [DomainMatrix.from_dok(dok, (n, n), rows.domain) for dok in doks]
 
 
 def direct_sum_nilpotent(block_degrees: list[int]) -> DomainMatrix:
@@ -129,3 +147,42 @@ def exact_subspace_models(
     rest = nilpotent_jordan_model(restriction_on_basis(t_mat, basis), d)
     comp = nilpotent_jordan_model(compression_on_complement(t_mat, basis), d)
     return rest, comp, basis.to_Matrix()
+
+
+# ---------------------------------------------------------------------------
+# Inputs and witness strings of the counterexample search
+# ---------------------------------------------------------------------------
+
+
+def _lattice_elements(block_degrees: list[int]) -> list[DomainMatrix]:
+    """Products of per-block divisor subspaces z^k H^2 (-) z^d H^2."""
+    n = sum(block_degrees)
+    per_block = []
+    offset = 0
+    for d in block_degrees:
+        choices = []
+        for k in range(d + 1):
+            cols = [offset + j for j in range(k, d)]
+            choices.append(cols)
+        per_block.append(choices)
+        offset += d
+    elements = []
+    for combo in product(*per_block):
+        cols = [c for block in combo for c in block]
+        dok = {(c, j): QQ.one for j, c in enumerate(cols)}
+        elements.append(DomainMatrix.from_dok(dok, (n, len(cols)), QQ))
+    return elements
+
+
+def _grid_vectors(n: int, step: Fraction, reach: int) -> list[DomainMatrix]:
+    """e_i and e_i + t e_j for grid values t, as exact rational vectors."""
+    vals = [QQ(k * step.numerator, step.denominator) for k in range(-reach, reach + 1) if k != 0]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    doks = [{(i, 0): QQ.one} for i in range(n)]
+    doks += [{(i, 0): QQ.one, (j, 0): t} for i, j in pairs for t in vals]
+    return [DomainMatrix.from_dok(dok, (n, 1), QQ) for dok in doks]
+
+
+def _basis_strings(basis: DomainMatrix) -> list[list[str]]:
+    """Columns of a rational basis as sympy number strings."""
+    return [[str(QQ.to_sympy(v)) for v in col] for col in basis.transpose().to_list()]

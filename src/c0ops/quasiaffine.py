@@ -31,7 +31,6 @@ from .subspaces import (
     invariant_subspace_of_block,
     orthocomplement,
     principal_distance,
-    project_onto_submodel,
 )
 
 SOLVER_TOL = 1e-9
@@ -101,9 +100,22 @@ def _symbol(theta: InnerFunction, phi: InnerFunction, psi: InnerFunction) -> Inn
 
 
 def _require_member(frame: np.ndarray, v: ModelVector, message: str) -> None:
-    """Refuse v unless it lies in the span of the orthonormal frame."""
-    if np.linalg.norm(v.coords - frame @ (frame.conj().T @ v.coords)) > SOLVER_TOL * max(1.0, v.norm):
+    """Refuse v unless it lies in the span of the orthonormal frame; a non-finite v never does."""
+    if not np.linalg.norm(v.coords - frame @ (frame.conj().T @ v.coords)) <= SOLVER_TOL * max(1.0, v.norm):
         raise NotInSubspace(message)
+
+
+def _solve(
+    space: ModelSpace, domain: np.ndarray, w_mat: np.ndarray, off: np.ndarray, g: ModelVector
+) -> ModelVector:
+    """A least-squares preimage of g under w_mat inside span(domain), minus its part in span(off).
+
+    The frames are orthonormal; ``off`` spans (theta/omega)H^2 (-) theta H^2,
+    so the result is the projection onto H(theta/omega).
+    """
+    sol, *_ = np.linalg.lstsq(w_mat @ domain, g.coords, rcond=None)
+    f0 = domain @ sol
+    return ModelVector(space, f0 - off @ (off.conj().T @ f0))
 
 
 def solve_norm_preserving(
@@ -126,12 +138,13 @@ def solve_norm_preserving(
     _require_member(
         invariant_subspace_of_block(space, psi).frame, g, "g lies outside psi H^2 (-) theta H^2"
     )
-    domain = invariant_subspace_of_block(space, quotient(theta, phi))
-    w_mat = functional_calculus(space, omega)
-    restricted = w_mat @ domain.frame
-    sol, *_ = np.linalg.lstsq(restricted, g.coords, rcond=None)
-    f0 = ModelVector(space, domain.frame @ sol)
-    return project_onto_submodel(space, f0, omega)
+    return _solve(
+        space,
+        invariant_subspace_of_block(space, quotient(theta, phi)).frame,
+        functional_calculus(space, omega),
+        invariant_subspace_of_block(space, quotient(theta, omega)).frame,
+        g,
+    )
 
 
 def build_X(
@@ -212,15 +225,15 @@ def density_sweep(
         raise HypothesisViolated("each phi_n must divide theta")
     symbol = {phi: _symbol(theta, phi, psi2) for phi in distinct}
     slot_frame = {phi: invariant_subspace_of_block(space, quotient(theta, phi)).frame for phi in distinct}
-    _require_member(
-        invariant_subspace_of_block(space, psi2).frame, target_g, "G lies outside psi2 H^2 (-) theta H^2"
-    )
+    psi2_frame = invariant_subspace_of_block(space, psi2).frame
+    _require_member(psi2_frame, target_g, "G lies outside psi2 H^2 (-) theta H^2")
     for n, (phi, f_n) in enumerate(zip(phi_list, target_f)):
         _require_member(slot_frame[phi], f_n, f"F_{n} lies outside (theta/phi_{n})H^2 (-) theta H^2")
 
     omegas = [symbol[phi] for phi in phi_list]
     x_rec = build_X(space, copies, omegas, schedule)
     omega_op = {w: functional_calculus(space, w) for w in dict.fromkeys(omegas)}
+    off_frame = {w: invariant_subspace_of_block(space, quotient(theta, w)).frame for w in omega_op}
     f_norms = [f.norm for f in target_f]
     f_total = math.sqrt(sum(v * v for v in f_norms))
     # the head slot of a preimage lands in the target head unscaled, so it
@@ -232,9 +245,11 @@ def density_sweep(
         g_res = g_work.copy()
         for n in range(m):
             g_res -= omega_op[omegas[n]] @ target_f[n].coords / ((n + 1) * schedule.value(n))
-        h_m = solve_norm_preserving(
-            space, phi_list[m], psi2, ModelVector(space, (m + 1) * g_res)
-        )
+        # h_m solves omega_m(S) h = (m+1) g_res as solve_norm_preserving does,
+        # on the frames and omega_m(S) built once above
+        g_m = ModelVector(space, (m + 1) * g_res)
+        _require_member(psi2_frame, g_m, "g lies outside psi H^2 (-) theta H^2")
+        h_m = _solve(space, slot_frame[phi_list[m]], omega_op[omegas[m]], off_frame[omegas[m]], g_m)
         # approximant = G (+) (F_0,...,F_{m-1}, c_m h_m, 0, ...)
         defect = np.linalg.norm(
             target_f[m].coords - schedule.value(m) * h_m.coords
@@ -281,14 +296,15 @@ def random_density_targets(
     else:
         g = _draw(head)
         g = g / np.linalg.norm(g)
-    f_list = []
-    for n in range(copies):
-        if n < support:
-            blk = invariant_subspace_of_block(space, quotient(theta, phi_list[n])).frame
-            f_list.append(_draw(blk))
-        else:
-            f_list.append(np.zeros(space.dim, dtype=complex))
+    slots = phi_list[: min(copies, support)]
+    slot_frame = {phi: invariant_subspace_of_block(space, quotient(theta, phi)).frame for phi in dict.fromkeys(slots)}
+    f_list = [_draw(slot_frame[phi]) for phi in slots]
+    f_list += [np.zeros(space.dim, dtype=complex)] * (copies - len(slots))
     total = math.sqrt(sum(float(np.linalg.norm(v)) ** 2 for v in f_list))
+    if total == 0:
+        raise HypothesisViolated(
+            f"every target slot is empty: (theta/phi_n)H^2 (-) theta H^2 = 0 for each n < {len(slots)}"
+        )
     f_vecs = [ModelVector(space, v / total) for v in f_list]
     return ModelVector(space, g), f_vecs
 

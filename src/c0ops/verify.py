@@ -1,32 +1,26 @@
-"""Harness logic: orbit verification, counterexample search, diagonal demo."""
+"""Harness logic: orbit verification, counterexample search, diagonal demo.
+
+The float verdict and the diagonal demo need numpy only.  The exact
+search runs on ``exact_nilpotent``, which loads sympy; each of its
+functions here imports what it uses when it first runs, so a process
+that never searches never loads sympy.
+"""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from sympy import QQ
-from sympy.polys.matrices import DomainMatrix
 
 from . import inner
 from .errors import HypothesisViolated, IllConditioned
-from .exact_nilpotent import (
-    complement_basis,
-    compression_on_complement,
-    direct_sum_nilpotent,
-    kron,
-    nilpotent_jordan_model,
-    nullspace,
-    orbit_closure,
-    restriction_on_basis,
-    rref,
-)
 from .inner import InnerFunction
 from .jordan import (
     JordanModel,
     canonical_subspace,
+    random_invariant_subspace,
     subspace_models,
 )
 from .model_space import build_model_space
@@ -38,6 +32,9 @@ from .subspaces import (
     orthonormalize,
     principal_distance,
 )
+
+if TYPE_CHECKING:
+    from sympy.polys.matrices import DomainMatrix
 
 DEFAULT_SWEEP = (4, 8, 12, 16)
 DEFAULT_GATE = 0.05
@@ -151,52 +148,11 @@ def verify_orbit(
 # ---------------------------------------------------------------------------
 
 
-def commutant_basis(t_mat: DomainMatrix) -> DomainMatrix:
-    """Exact basis of {X : XT = TX}, one row-major vec X per row: the nullspace of I (x) T^T - T (x) I."""
-    eye = DomainMatrix.eye(t_mat.shape[0], QQ)
-    return nullspace(kron(eye, t_mat.transpose()) - kron(t_mat, eye))
-
-
-def _unvec(rows: DomainMatrix, n: int) -> list[DomainMatrix]:
-    """The n x n matrices whose row-major vecs are the rows."""
-    doks = [{} for _ in range(rows.shape[0])]
-    for (i, c), v in rows.to_dok().items():
-        doks[i][divmod(c, n)] = v
-    return [DomainMatrix.from_dok(dok, (n, n), rows.domain) for dok in doks]
-
-
 def _subspace_signature(basis: DomainMatrix):
+    from .exact_nilpotent import rref
+
     reduced, _ = rref(basis.transpose())
     return tuple(tuple(row) for row in reduced.to_list() if any(row))
-
-
-def _lattice_elements(block_degrees: list[int]) -> list[DomainMatrix]:
-    """Products of per-block divisor subspaces z^k H^2 (-) z^d H^2."""
-    n = sum(block_degrees)
-    per_block = []
-    offset = 0
-    for d in block_degrees:
-        choices = []
-        for k in range(d + 1):
-            cols = [offset + j for j in range(k, d)]
-            choices.append(cols)
-        per_block.append(choices)
-        offset += d
-    elements = []
-    for combo in itertools.product(*per_block):
-        cols = [c for block in combo for c in block]
-        dok = {(c, j): QQ.one for j, c in enumerate(cols)}
-        elements.append(DomainMatrix.from_dok(dok, (n, len(cols)), QQ))
-    return elements
-
-
-def _grid_vectors(n: int, step: Fraction, reach: int) -> list[DomainMatrix]:
-    """e_i and e_i + t e_j for grid values t, as exact rational vectors."""
-    vals = [QQ(k * step.numerator, step.denominator) for k in range(-reach, reach + 1) if k != 0]
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    doks = [{(i, 0): QQ.one} for i in range(n)]
-    doks += [{(i, 0): QQ.one, (j, 0): t} for i, j in pairs for t in vals]
-    return [DomainMatrix.from_dok(dok, (n, 1), QQ) for dok in doks]
 
 
 def decide_commutant_orbit(
@@ -214,6 +170,8 @@ def decide_commutant_orbit(
     on x are the columns of comm_basis (L (x) B1), and the family of
     solutions is the product of their nullspace with comm_basis.
     """
+    from .exact_nilpotent import QQ, DomainMatrix, _unvec, complement_basis, kron, nullspace, rref
+
     n = b1.shape[0]
     if b1.shape[1] != b2.shape[1]:
         return False
@@ -259,11 +217,6 @@ class CounterexampleReport:
         }
 
 
-def _basis_strings(basis: DomainMatrix) -> list[list[str]]:
-    """Columns of a rational basis as sympy number strings."""
-    return [[str(QQ.to_sympy(v)) for v in col] for col in basis.transpose().to_list()]
-
-
 def counterexample_search(
     block_degrees: list[int],
     grid_step: Fraction = Fraction(1, 64),
@@ -280,6 +233,18 @@ def counterexample_search(
     this is the witness a pair-by-pair search finds. A witness comes with
     the compression models of both subspaces.
     """
+    from .exact_nilpotent import (
+        _basis_strings,
+        _grid_vectors,
+        _lattice_elements,
+        commutant_basis,
+        compression_on_complement,
+        direct_sum_nilpotent,
+        nilpotent_jordan_model,
+        orbit_closure,
+        restriction_on_basis,
+    )
+
     t_mat = direct_sum_nilpotent(block_degrees)
     n = t_mat.shape[0]
     max_deg = max(block_degrees)
@@ -376,8 +341,6 @@ def cordiag_demo(
     gate: float = DEFAULT_GATE,
 ) -> list[DemoRun]:
     """Paired verdicts in the Jordan ambient and its conjugated copy."""
-    from .jordan import random_invariant_subspace
-
     similarity = np.asarray(similarity, dtype=complex)
     jordan_amb = AmbientSpace.build(theta, copies)
     conj_amb = conjugated_ambient(theta, copies, similarity)

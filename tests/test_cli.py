@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,17 @@ def test_density_sweep_hypothesis_exit(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_density_sweep_empty_targets_exit(tmp_path, capsys):
+    # phi = 1 leaves every slot (theta/phi)H^2 (-) theta H^2 = 0, so no unit target F exists
+    cfg = density_config(tmp_path, copies=4, phi_all={"zeros": []}, psi1=Z2, psi2=Z2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["density-sweep", "--config", cfg])
+    assert rc == 4
+    assert capsys.readouterr().out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_density_sweep_divergent_schedule_warns(tmp_path, capsys):
     cfg = density_config(
         tmp_path,
@@ -190,6 +202,28 @@ def test_console_entry_point_runs():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
+
+
+def test_float_verb_never_imports_sympy(subspace_files):
+    # only the exact search needs sympy; importing the package, the CLI and
+    # running a float verb must not load it
+    package_root = os.path.dirname(os.path.dirname(c0ops.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "import c0ops\n"
+        "import c0ops.cli\n"
+        f"assert c0ops.cli.main(['jordan-model', '--input', {subspace_files[0]!r}]) == 0\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def verify_config(tmp_path, cfg):

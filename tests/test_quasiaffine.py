@@ -172,6 +172,38 @@ class TestDensitySweep:
                 WeightSchedule.factorial(copies + 1),
             )
 
+    def test_frames_built_once_per_sweep(self, monkeypatch):
+        # one frame per role and divisor: slot theta/phi = z, psi2 = z, psi1 = z^2
+        # and the projection theta/omega = z^2; the 11 solves add none
+        space, copies, phi_list, g, fs = self.make_fixture()
+        built = []
+
+        def counted(space, divisor):
+            built.append(divisor)
+            return invariant_subspace_of_block(space, divisor)
+
+        monkeypatch.setattr("c0ops.quasiaffine.invariant_subspace_of_block", counted)
+        density_sweep(
+            space, copies, phi_list, monomial(2), monomial(1), g, fs,
+            WeightSchedule.factorial(copies + 1),
+        )
+        assert len(built) <= 4
+
+    def test_empty_target_slots_refused(self):
+        # phi = 1: every slot frame is empty, so F cannot have unit norm
+        space = build_model_space(monomial(2))
+        with pytest.raises(HypothesisViolated):
+            random_density_targets(space, 4, [ONE] * 4, monomial(2), 3)
+
+    def test_non_finite_target_refused(self):
+        space, copies, phi_list, g, fs = self.make_fixture()
+        fs[0] = ModelVector(space, np.full(2, np.nan, dtype=complex))
+        with pytest.raises(NotInSubspace):
+            density_sweep(
+                space, copies, phi_list, monomial(2), monomial(1), g, fs,
+                WeightSchedule.factorial(copies + 1),
+            )
+
 
 class TestBuildY:
     def test_intertwines_and_maps_canonical_subspaces(self):

@@ -7,17 +7,15 @@ import pytest
 import sympy as sp
 
 from c0ops.errors import IllConditioned
-from c0ops.exact_nilpotent import rational
+from c0ops.exact_nilpotent import commutant_basis, direct_sum_nilpotent, rational
 from c0ops.inner import blaschke, monomial
 from c0ops.jordan import random_invariant_subspace
 from c0ops.subspaces import AmbientSpace, SubspaceFrame
 from c0ops.verify import (
-    commutant_basis,
     conjugated_ambient,
     cordiag_demo,
     counterexample_search,
     decide_commutant_orbit,
-    direct_sum_nilpotent,
     verify_orbit,
 )
 
