@@ -1,152 +1,304 @@
 """Exact rational backend for the nilpotent case theta = z^d.
 
-Every matrix here is a sparse ``sympy.polys.matrices.DomainMatrix`` over
-QQ, whose adjoint is the transpose: orbit-closure subspaces of rational
-vectors, restriction and compression matrices in rational bases, and
-Jordan models from exact rank sequences, the commutant of a nilpotent
-direct sum, and the grid and lattice subspaces the counterexample search
-enumerates.  Only ``exact_subspace_models`` takes and returns
-``sympy.Matrix``.  Used to cross-check the floating pipeline.  Loading
-this module loads sympy, so ``verify`` imports it inside the functions
-of the exact search and the float verbs never do.
+Everything here is plain Python rationals, ``fractions.Fraction`` and
+``int``: a vector is a list of its n entries, a basis is a list of column
+vectors and a matrix is a list of rows.  The operator
+S(z^{d_0}) (+) S(z^{d_1}) (+) ... is a ``NilpotentSum``, which shifts a
+vector block by block and is never stored as a matrix.  The module builds
+orbit-closure subspaces, restriction and compression matrices in rational
+bases, Jordan models from exact rank sequences, the commutant of a
+nilpotent direct sum in closed form, and the grid and lattice subspaces
+the counterexample search enumerates.  Ranks of integer matrices and of
+polynomial pencils use fraction-free elimination (Bareiss, Math. Comp. 22,
+1968), so no fraction is formed.  Used to cross-check the floating
+pipeline.  ``exact_subspace_models`` alone takes and returns symbolic
+matrices, and it imports their package when it runs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-
-import sympy as sp
-from sympy import QQ
-from sympy.polys.matrices import DomainMatrix
+from math import lcm
+from operator import add, mul, sub
 
 from .inner import monomial
 from .jordan import JordanModel, chain_lengths
 
 
-def rational(mat: sp.Matrix) -> DomainMatrix:
-    """A rational sympy Matrix as a sparse DomainMatrix over QQ."""
-    return DomainMatrix.from_Matrix(mat).convert_to(QQ)
+@dataclass(frozen=True)
+class NilpotentSum:
+    """S(z^{d_0}) (+) S(z^{d_1}) (+) ... on Q^n in the bases 1, z, ..., z^{d-1}.
 
-
-def rref(mat: DomainMatrix) -> tuple[DomainMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns.
-
-    Plain Gauss-Jordan: on these small sparse rational matrices it is about
-    2.5x faster than sympy's automatic choice of method.
+    Within each block it sends e_k to e_{k+1} and the block's last basis
+    vector to 0.
     """
-    return mat.rref(method="GJ")
+
+    block_degrees: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return sum(self.block_degrees)
+
+    def apply(self, vec: list) -> list:
+        """T vec: each block's entries move down one place and its first entry becomes 0."""
+        out, start = [], 0
+        for d in self.block_degrees:
+            out.append(0)
+            out += vec[start : start + d - 1]
+            start += d
+        return out
 
 
-def nullspace(mat: DomainMatrix) -> DomainMatrix:
-    """The rows of the result span {x : mat x = 0}."""
-    reduced, pivots = rref(mat)
-    return reduced.nullspace_from_rref(pivots)
+def direct_sum_nilpotent(block_degrees: list[int]) -> NilpotentSum:
+    """Exact operator S(z^{d_0}) (+) S(z^{d_1}) (+) ..."""
+    return NilpotentSum(tuple(block_degrees))
 
 
-def kron(a: DomainMatrix, b: DomainMatrix) -> DomainMatrix:
-    """Kronecker product a (x) b."""
-    (p, q), (r, s) = a.shape, b.shape
-    b_items = b.to_dok().items()
-    return DomainMatrix.from_dok(
-        {
-            (i * r + k, j * s + l): x * y
-            for (i, j), x in a.to_dok().items()
-            for (k, l), y in b_items
-        },
-        (p * r, q * s),
-        a.domain,
-    )
+# ---------------------------------------------------------------------------
+# Kernels
+# ---------------------------------------------------------------------------
 
 
-def commutant_basis(t_mat: DomainMatrix) -> DomainMatrix:
-    """Exact basis of {X : XT = TX}, one row-major vec X per row: the nullspace of I (x) T^T - T (x) I."""
-    eye = DomainMatrix.eye(t_mat.shape[0], QQ)
-    return nullspace(kron(eye, t_mat.transpose()) - kron(t_mat, eye))
+def _integral(vec: list) -> list[int]:
+    """vec times the lcm of its denominators: integer entries spanning the same line."""
+    scale = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (scale // x.denominator) for x in vec]
 
 
-def _unvec(rows: DomainMatrix, n: int) -> list[DomainMatrix]:
-    """The n x n matrices whose row-major vecs are the rows."""
-    doks = [{} for _ in range(rows.shape[0])]
-    for (i, c), v in rows.to_dok().items():
-        doks[i][divmod(c, n)] = v
-    return [DomainMatrix.from_dok(dok, (n, n), rows.domain) for dok in doks]
+def _dot(a: list, b: list):
+    return sum(map(mul, a, b))
 
 
-def direct_sum_nilpotent(block_degrees: list[int]) -> DomainMatrix:
-    """Exact matrix of S(z^{d_0}) (+) S(z^{d_1}) (+) ..."""
-    n = sum(block_degrees)
-    ends = set(accumulate(block_degrees))
-    return DomainMatrix.from_dod(
-        {k + 1: {k: QQ.one} for k in range(n - 1) if k + 1 not in ends}, (n, n), QQ
-    )
+def _rref_den(rows: list[list]) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan on the rows scaled to integers.
+
+    Returns (reduced, den, pivots): the nonzero rows of the reduced row
+    echelon form are the rows of ``reduced`` divided by ``den``.  Each
+    pivot step multiplies every other row by the pivot and divides it
+    exactly by the previous pivot, so all pivots end equal to ``den``.
+    """
+    rest = [_integral(r) for r in rows if any(r)]
+    reduced, pivots, den = [], [], 1
+    for c in range(len(rest[0]) if rest else 0):
+        i = next((i for i, r in enumerate(rest) if r[c]), None)
+        if i is None:
+            continue
+        top = rest.pop(i)
+        p = top[c]
+        reduced = [[(p * x - r[c] * y) // den for x, y in zip(r, top)] for r in reduced]
+        rest = [[(p * x - r[c] * y) // den for x, y in zip(r, top)] for r in rest]
+        reduced.append(top)
+        pivots.append(c)
+        den = p
+        if not rest:
+            break
+    return reduced, den, tuple(pivots)
 
 
-def orbit_closure(t_mat: DomainMatrix, vectors: list[DomainMatrix]) -> DomainMatrix:
+def rref(rows: list[list]) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Gauss-Jordan: the nonzero rows of the reduced row echelon form and the pivot columns.
+
+    The pivot rows are Fractions, also on integer input.
+    """
+    reduced, den, pivots = _rref_den(rows)
+    return [[Fraction(x, den) for x in r] for r in reduced], pivots
+
+
+def nullspace(rows: list[list], ncols: int) -> list[list]:
+    """Basis of {x : rows x = 0}, with ncols the length of x.
+
+    One vector per free column: 1 there and minus the reduced entries at
+    the pivot columns.
+    """
+    reduced, den, pivots = _rref_den(rows)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[free] = 1
+        for row, p in zip(reduced, pivots):
+            vec[p] = Fraction(-row[free], den)
+        basis.append(vec)
+    return basis
+
+
+def fraction_free_pivots(rows: list[list]) -> list[int]:
+    """Pivot columns of a matrix over Z or Z[t_0, ...] by Bareiss elimination.
+
+    After each step every entry is a minor of the input, so the division
+    by the previous pivot is exact.  The rank is the number of pivots.
+    """
+    pivots, prev = [], None
+    rows = [list(r) for r in rows]
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i, r in enumerate(rows) if r[0]), None)
+        if i is None:
+            rows = [r[1:] for r in rows]
+            continue
+        top = rows.pop(i)
+        p = top[0]
+        rows = [[p * x - r[0] * y for x, y in zip(r[1:], top[1:])] for r in rows]
+        if prev is not None:
+            rows = [[x // prev for x in r] for r in rows]
+        prev = p
+        pivots.append(c)
+        if not rows:
+            break
+    return pivots
+
+
+class Polynomial(dict):
+    """A polynomial over Z as {exponent tuple: nonzero coefficient}; {} is 0."""
+
+    __slots__ = ()
+
+    def __mul__(self, other: Polynomial) -> Polynomial:
+        out = {}
+        for e, a in self.items():
+            for f, b in other.items():
+                g = tuple(map(add, e, f))
+                out[g] = out.get(g, 0) + a * b
+        return Polynomial({g: c for g, c in out.items() if c})
+
+    def __sub__(self, other: Polynomial) -> Polynomial:
+        out = Polynomial(self)
+        for e, b in other.items():
+            c = out.get(e, 0) - b
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return out
+
+    def __floordiv__(self, other: Polynomial) -> Polynomial:
+        """The quotient by a divisor of self.
+
+        Each step divides the lexicographically leading terms; when other
+        divides self these quotients are integer monomials, and any other
+        remainder raises ``ArithmeticError``.
+        """
+        lead = max(other)
+        lead_coeff = other[lead]
+        rest, out = Polynomial(self), Polynomial()
+        while rest:
+            e = max(rest)
+            q, r = divmod(rest[e], lead_coeff)
+            g = tuple(map(sub, e, lead))
+            if r or min(g) < 0:
+                raise ArithmeticError("polynomial division with a remainder")
+            out[g] = q
+            for f, b in other.items():
+                h = tuple(map(add, g, f))
+                c = rest.get(h, 0) - q * b
+                if c:
+                    rest[h] = c
+                else:
+                    del rest[h]
+        return out
+
+
+def linear_forms(vectors: list[list[int]]) -> list[Polynomial]:
+    """The entries of sum_j t_j x_j over Z[t_0, ..., t_{p-1}] for integer vectors x_0, ..., x_{p-1}."""
+    p = len(vectors)
+    units = [tuple(int(i == j) for i in range(p)) for j in range(p)]
+    return [Polynomial({u: x for u, x in zip(units, col) if x}) for col in zip(*vectors)]
+
+
+def commutant_basis(t_op: NilpotentSum) -> list[list[tuple[int, int]]]:
+    """Basis of {X : XT = TX}, each element the (row, column) positions of its ones.
+
+    Hom(S(z^q) -> S(z^p)) is the min(p, q)-dimensional Toeplitz space
+    spanned by z^k -> z^{k+s} truncated at z^p, for max(p - q, 0) <= s < p.
+    """
+    starts = list(accumulate(t_op.block_degrees, initial=0))
+    return [
+        [(row0 + k + s, col0 + k) for k in range(p - s)]
+        for p, row0 in zip(t_op.block_degrees, starts)
+        for q, col0 in zip(t_op.block_degrees, starts)
+        for s in range(max(p - q, 0), p)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Subspaces, their restrictions and compressions, and their Jordan models
+# ---------------------------------------------------------------------------
+
+
+def orbit_closure(t_op: NilpotentSum, vectors: list[list]) -> list[list]:
     """Basis of the smallest invariant subspace containing the vectors.
 
     The basis is the pivot columns of the Krylov matrix [x, Tx, T^2 x, ...].
     """
-    n = t_mat.shape[0]
     cols = []
     for v in vectors:
-        for _ in range(n):
-            if v.is_zero_matrix:  # so are all later T^k x; zero columns are never pivots
-                break
+        while any(v):  # T is nilpotent; zero columns are never pivots
             cols.append(v)
-            v = t_mat * v
+            v = t_op.apply(v)
     if not cols:
-        return DomainMatrix.zeros((n, 0), QQ)
-    krylov = DomainMatrix.hstack(*cols)
-    return krylov.extract(range(n), rref(krylov)[1])
+        return []
+    krylov = [list(r) for r in zip(*map(_integral, cols))]
+    return [cols[j] for j in fraction_free_pivots(krylov)]
 
 
-def restriction_on_basis(t_mat: DomainMatrix, basis: DomainMatrix) -> DomainMatrix:
-    """Matrix of P_span T | span(basis) in that (rational) basis: T|M on an invariant span."""
-    if basis.shape[1] == 0:
-        return DomainMatrix.zeros((0, 0), QQ)
-    basis_t = basis.transpose()
-    return (basis_t * basis).lu_solve(basis_t * t_mat * basis)
+def restriction_on_basis(t_op: NilpotentSum, basis: list[list]) -> list[list[Fraction]]:
+    """Matrix of P_span T | span(basis) in that basis: X with (B^T B) X = B^T T B.
+
+    On an invariant span this is T|M.
+    """
+    k = len(basis)
+    images = [t_op.apply(b) for b in basis]
+    normal = [[_dot(a, b) for b in basis] + [_dot(a, tb) for tb in images] for a in basis]
+    return [row[k:] for row in rref(normal)[0]]
 
 
-def complement_basis(basis: DomainMatrix) -> DomainMatrix:
-    """Exact basis of the orthogonal complement of span(basis)."""
-    n, k = basis.shape
-    if k == 0:
-        return DomainMatrix.eye(n, QQ)
-    return nullspace(basis.transpose()).transpose()
+def complement_basis(basis: list[list], n: int) -> list[list[int]]:
+    """Integer basis of the orthogonal complement of span(basis) in Q^n."""
+    return [_integral(v) for v in nullspace(basis, n)]
 
 
-def compression_on_complement(t_mat: DomainMatrix, basis: DomainMatrix) -> DomainMatrix:
-    """Matrix of P_{M^perp} T | M^perp in a rational complement basis."""
-    return restriction_on_basis(t_mat, complement_basis(basis))
+def compression_on_complement(t_op: NilpotentSum, basis: list[list]) -> list[list[Fraction]]:
+    """Matrix of P_{M^perp} T | M^perp in an integer complement basis."""
+    return restriction_on_basis(t_op, complement_basis(basis, t_op.n))
 
 
-def nilpotent_jordan_model(a_mat: DomainMatrix, max_power: int) -> JordanModel:
+def nilpotent_jordan_model(a_mat: list[list], max_power: int) -> JordanModel:
     """Jordan model of an exactly nilpotent rational matrix."""
-    n = a_mat.shape[0]
+    n = len(a_mat)
     if n == 0:
         return JordanModel()
+    flat = _integral([x for row in a_mat for x in row])  # one scale keeps every rank
+    a_int = [flat[i * n : (i + 1) * n] for i in range(n)]
+    a_cols = list(zip(*a_int))
     ranks = [n]
-    power = a_mat
+    power = a_int
     for _ in range(max_power):
-        ranks.append(len(rref(power)[1]))
-        power = power * a_mat
+        ranks.append(len(fraction_free_pivots(power)))
+        power = [[_dot(row, col) for col in a_cols] for row in power]
     return JordanModel(tuple(monomial(s) for s in chain_lengths(ranks)))
 
 
-def exact_subspace_models(
-    d: int, copies: int, vectors: list[sp.Matrix]
-) -> tuple[JordanModel, JordanModel, sp.Matrix]:
+def exact_subspace_models(d: int, copies: int, vectors: list):
     """Restriction and compression models of an orbit-closure subspace.
 
-    Returns (restriction_model, compression_model, rational_basis).
+    Each vector is a ``sympy.Matrix`` or a sequence whose entries are
+    ``int``, ``Fraction`` or sympy ``Rational``; any other entry is refused
+    with ``TypeError`` rather than rounded.  Returns (restriction_model,
+    compression_model, rational_basis), the basis as an n x k
+    ``sympy.Matrix``.
     """
-    t_mat = direct_sum_nilpotent([d] * copies)
-    basis = orbit_closure(t_mat, [rational(v) for v in vectors])
-    rest = nilpotent_jordan_model(restriction_on_basis(t_mat, basis), d)
-    comp = nilpotent_jordan_model(compression_on_complement(t_mat, basis), d)
-    return rest, comp, basis.to_Matrix()
+    import sympy as sp
+
+    def exact(x) -> Fraction:
+        if isinstance(x, (int, Fraction, sp.Rational)):
+            return Fraction(x)
+        raise TypeError(f"exact_subspace_models takes rational entries, not {x!r}")
+
+    t_op = direct_sum_nilpotent([d] * copies)
+    basis = orbit_closure(t_op, [[exact(x) for x in v] for v in vectors])
+    rest = nilpotent_jordan_model(restriction_on_basis(t_op, basis), d)
+    comp = nilpotent_jordan_model(compression_on_complement(t_op, basis), d)
+    return rest, comp, sp.Matrix(t_op.n, len(basis), lambda i, j: basis[j][i])
 
 
 # ---------------------------------------------------------------------------
@@ -154,35 +306,33 @@ def exact_subspace_models(
 # ---------------------------------------------------------------------------
 
 
-def _lattice_elements(block_degrees: list[int]) -> list[DomainMatrix]:
+def _lattice_elements(block_degrees: list[int]) -> list[list[list[int]]]:
     """Products of per-block divisor subspaces z^k H^2 (-) z^d H^2."""
     n = sum(block_degrees)
-    per_block = []
-    offset = 0
-    for d in block_degrees:
-        choices = []
-        for k in range(d + 1):
-            cols = [offset + j for j in range(k, d)]
-            choices.append(cols)
-        per_block.append(choices)
-        offset += d
-    elements = []
-    for combo in product(*per_block):
-        cols = [c for block in combo for c in block]
-        dok = {(c, j): QQ.one for j, c in enumerate(cols)}
-        elements.append(DomainMatrix.from_dok(dok, (n, len(cols)), QQ))
-    return elements
+    per_block = [
+        [list(range(start + k, start + d)) for k in range(d + 1)]
+        for d, start in zip(block_degrees, accumulate(block_degrees, initial=0))
+    ]
+    return [
+        [[int(i == c) for i in range(n)] for block in combo for c in block]
+        for combo in product(*per_block)
+    ]
 
 
-def _grid_vectors(n: int, step: Fraction, reach: int) -> list[DomainMatrix]:
+def _grid_vectors(n: int, step: Fraction, reach: int) -> list[list]:
     """e_i and e_i + t e_j for grid values t, as exact rational vectors."""
-    vals = [QQ(k * step.numerator, step.denominator) for k in range(-reach, reach + 1) if k != 0]
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    doks = [{(i, 0): QQ.one} for i in range(n)]
-    doks += [{(i, 0): QQ.one, (j, 0): t} for i, j in pairs for t in vals]
-    return [DomainMatrix.from_dok(dok, (n, 1), QQ) for dok in doks]
+    vals = [k * step for k in range(-reach, reach + 1) if k != 0]
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    vectors = [list(e) for e in units]
+    for i, j in product(range(n), repeat=2):
+        if i != j:
+            for t in vals:
+                vec = list(units[i])
+                vec[j] = t
+                vectors.append(vec)
+    return vectors
 
 
-def _basis_strings(basis: DomainMatrix) -> list[list[str]]:
-    """Columns of a rational basis as sympy number strings."""
-    return [[str(QQ.to_sympy(v)) for v in col] for col in basis.transpose().to_list()]
+def _basis_strings(basis: list[list]) -> list[list[str]]:
+    """Columns of a rational basis as number strings."""
+    return [[str(x) for x in col] for col in basis]

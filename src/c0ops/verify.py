@@ -1,21 +1,37 @@
 """Harness logic: orbit verification, counterexample search, diagonal demo.
 
-The float verdict and the diagonal demo need numpy only.  The exact
-search runs on ``exact_nilpotent``, which loads sympy; each of its
-functions here imports what it uses when it first runs, so a process
-that never searches never loads sympy.
+The float verdict and the diagonal demo run on numpy.  The exact search
+runs on ``exact_nilpotent``, on stdlib fractions and integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import inner
 from .errors import HypothesisViolated, IllConditioned
+from .exact_nilpotent import (
+    Polynomial,
+    _basis_strings,
+    _dot,
+    _grid_vectors,
+    _integral,
+    _lattice_elements,
+    commutant_basis,
+    complement_basis,
+    compression_on_complement,
+    direct_sum_nilpotent,
+    fraction_free_pivots,
+    linear_forms,
+    nilpotent_jordan_model,
+    nullspace,
+    orbit_closure,
+    restriction_on_basis,
+    rref,
+)
 from .inner import InnerFunction
 from .jordan import (
     JordanModel,
@@ -32,9 +48,6 @@ from .subspaces import (
     orthonormalize,
     principal_distance,
 )
-
-if TYPE_CHECKING:
-    from sympy.polys.matrices import DomainMatrix
 
 DEFAULT_SWEEP = (4, 8, 12, 16)
 DEFAULT_GATE = 0.05
@@ -148,49 +161,65 @@ def verify_orbit(
 # ---------------------------------------------------------------------------
 
 
-def _subspace_signature(basis: DomainMatrix):
-    from .exact_nilpotent import rref
-
-    reduced, _ = rref(basis.transpose())
-    return tuple(tuple(row) for row in reduced.to_list() if any(row))
+def _subspace_signature(basis: list[list]) -> tuple:
+    """The reduced row echelon form of the basis columns: equal exactly for equal spans."""
+    return tuple(map(tuple, rref(basis)[0]))
 
 
-def decide_commutant_orbit(
-    comm_basis: DomainMatrix, b1: DomainMatrix, b2: DomainMatrix
-) -> bool:
+def _support(vec: list) -> list[tuple[int, object]]:
+    return [(i, x) for i, x in enumerate(vec) if x]
+
+
+def decide_commutant_orbit(comm_basis: list, b1: list[list], b2: list[list]) -> bool:
     """Exact decision: does an invertible commutant element map M1 onto M2?
 
     At these dimensions a quasiaffinity is invertible, so membership in
     the orbit reduces to solving linear mapping constraints inside the
     commutant and testing whether the solution family contains an
-    invertible element (determinant not identically zero). X = sum x_i C_i
+    invertible element (determinant not identically zero). X = sum y_i C_i
     maps M1 into M2 iff L^T X B1 = 0, where the columns of L span the
-    left null space of B2. On row-major vecs, vec(L^T C B1) = (L^T (x) B1^T)
-    vec(C), so with the vec(C_i) as the rows of comm_basis the constraints
-    on x are the columns of comm_basis (L (x) B1), and the family of
-    solutions is the product of their nullspace with comm_basis.
+    orthogonal complement of M2. The C_i of ``commutant_basis`` are 0/1
+    matrices with disjoint supports, so X holds y_i wherever C_i has a
+    one, and entry (a, b) of L^T C_i B1 sums L[r, a] B1[c, b] over those
+    positions (r, c). The family is spanned by the integer parameter
+    vectors y that solve these constraints.
     """
-    from .exact_nilpotent import QQ, DomainMatrix, _unvec, complement_basis, kron, nullspace, rref
+    if len(b1) != len(b2):
+        return False
+    if not b1:
+        return True  # the zero subspace is its own orbit
+    n = len(b1[0])
+    slot = [[None] * n for _ in range(n)]  # slot[r][c] = i where C_i has a one at (r, c)
+    for i, ones in enumerate(comm_basis):
+        for r, c in ones:
+            slot[r][c] = i
+    b1_supports = [_support(b) for b in b1]
+    constraints = []
+    for left in map(_support, complement_basis(b2, n)):
+        for right in b1_supports:
+            row = [0] * len(comm_basis)
+            for r, x in left:
+                for c, y in right:
+                    if slot[r][c] is not None:
+                        row[slot[r][c]] += x * y
+            constraints.append(row)
+    params = [_integral(x) for x in nullspace(constraints, len(comm_basis))]
+    if not params:
+        return False
 
-    n = b1.shape[0]
-    if b1.shape[1] != b2.shape[1]:
-        return False
-    constraints = comm_basis * kron(complement_basis(b2), b1)
-    params = nullspace(constraints.transpose())
-    p = params.shape[0]
-    if p == 0:
-        return False
-    family = params * comm_basis  # one row-major vec X per row
-    # fast path: random exact samples usually certify invertibility (full rank)
+    def member(coeffs, zero=0):
+        """sum_i coeffs[i] C_i as an n x n matrix."""
+        return [[zero if i is None else coeffs[i] for i in row] for row in slot]
+
+    # fast path: random integer samples usually certify invertibility (full rank)
     rng = np.random.default_rng(12345)
-    draws = [[QQ(int(w)) for w in rng.integers(-5, 6, size=p)] for _ in range(4)]
-    samples = DomainMatrix(draws, (len(draws), p), QQ).to_sparse() * family
-    if any(len(rref(x_mat)[1]) == n for x_mat in _unvec(samples, n)):
-        return True
-    # exact certificate that no invertible element exists: det(sum t_j X_j) over QQ[t_0, ...]
-    ring = QQ.poly_ring(*(f"t{j}" for j in range(p)))
-    t_row = DomainMatrix([list(ring.gens)], (1, p), ring).to_sparse()
-    return _unvec(t_row * family.convert_to(ring), n)[0].det() != 0
+    draws = [[int(w) for w in rng.integers(-5, 6, size=len(params))] for _ in range(4)]
+    for w in draws:
+        if len(fraction_free_pivots(member([_dot(w, col) for col in zip(*params)]))) == n:
+            return True
+    # exact certificate that no invertible element exists: det(sum t_j X_j) over Z[t_0, ...],
+    # X_j the member of the j-th parameter vector
+    return len(fraction_free_pivots(member(linear_forms(params), Polynomial()))) == n
 
 
 @dataclass
@@ -233,41 +262,27 @@ def counterexample_search(
     this is the witness a pair-by-pair search finds. A witness comes with
     the compression models of both subspaces.
     """
-    from .exact_nilpotent import (
-        _basis_strings,
-        _grid_vectors,
-        _lattice_elements,
-        commutant_basis,
-        compression_on_complement,
-        direct_sum_nilpotent,
-        nilpotent_jordan_model,
-        orbit_closure,
-        restriction_on_basis,
-    )
-
-    t_mat = direct_sum_nilpotent(block_degrees)
-    n = t_mat.shape[0]
+    t_op = direct_sum_nilpotent(block_degrees)
+    n = t_op.n
     max_deg = max(block_degrees)
     reach = int(1 / grid_step) if grid_step <= 1 else 1
     seen = {}
     for vec in _grid_vectors(n, grid_step, reach):
-        basis = orbit_closure(t_mat, [vec])
+        basis = orbit_closure(t_op, [vec])
         seen.setdefault(_subspace_signature(basis), basis)
     for basis in _lattice_elements(block_degrees):
-        if basis.shape[1] == 0:
+        if not basis:
             continue
         seen.setdefault(_subspace_signature(basis), basis)
-    groups: dict[tuple, list[DomainMatrix]] = {}
+    groups: dict[tuple, list[list[list]]] = {}
     for basis in seen.values():
-        if basis.shape[1] in (0, n):
+        if len(basis) in (0, n):
             continue
-        model = nilpotent_jordan_model(
-            restriction_on_basis(t_mat, basis), max_deg
-        )
+        model = nilpotent_jordan_model(restriction_on_basis(t_op, basis), max_deg)
         key = tuple(p.degree for p in model.parts)
         groups.setdefault(key, []).append(basis)
 
-    comm = commutant_basis(t_mat)
+    comm = commutant_basis(t_op)
     pairs_checked = 0
     budget_exhausted = False
     witness = None
@@ -286,7 +301,7 @@ def counterexample_search(
                     "m2_basis": _basis_strings(b2),
                 }
                 compression_models = tuple(
-                    nilpotent_jordan_model(compression_on_complement(t_mat, b), max_deg)
+                    nilpotent_jordan_model(compression_on_complement(t_op, b), max_deg)
                     for b in (b1, b2)
                 )
                 break

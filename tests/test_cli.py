@@ -226,6 +226,29 @@ def test_float_verb_never_imports_sympy(subspace_files):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_counterexample_verb_never_imports_sympy(tmp_path):
+    # the exact search runs on stdlib fractions, so no verb loads sympy
+    package_root = os.path.dirname(os.path.dirname(c0ops.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    cfg = tmp_path / "search.json"
+    cfg.write_text(json.dumps({"blocks": [2, 1], "grid_denominator": 8}))
+    script = (
+        "import sys\n"
+        "import c0ops.cli\n"
+        f"assert c0ops.cli.main(['counterexample', '--config', {str(cfg)!r}]) == 0\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "witness found:" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def verify_config(tmp_path, cfg):
     p = tmp_path / "verify.json"
     p.write_text(json.dumps(cfg))

@@ -1,17 +1,26 @@
 """Rational-arithmetic backend for nilpotent direct sums, cross-checked
 against the floating pipeline on the same integer data."""
 
+from fractions import Fraction
+
 import numpy as np
+import pytest
 import sympy as sp
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from c0ops.exact_nilpotent import (
+    Polynomial,
     complement_basis,
     compression_on_complement,
     direct_sum_nilpotent,
     exact_subspace_models,
+    fraction_free_pivots,
+    linear_forms,
     nilpotent_jordan_model,
+    nullspace,
     orbit_closure,
-    rational,
+    rref,
 )
 from c0ops.inner import monomial
 from c0ops.jordan import subspace_models
@@ -20,16 +29,22 @@ from c0ops.subspaces import AmbientSpace, SubspaceFrame, orthonormalize
 RNG = np.random.default_rng(90210)
 
 
+def dense(t_op):
+    """The matrix of a NilpotentSum, column j the image of e_j."""
+    n = t_op.n
+    return sp.Matrix(n, n, lambda i, j: t_op.apply([int(k == j) for k in range(n)])[i])
+
+
 def test_nilpotent_block_shape():
-    b = direct_sum_nilpotent([3]).to_Matrix()
+    b = dense(direct_sum_nilpotent([3]))
     assert b == sp.Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
 
 def test_orbit_closure_of_cyclic_vector():
     t = direct_sum_nilpotent([3])
-    v = rational(sp.Matrix([1, 0, 0]))
-    basis = orbit_closure(t, [v]).to_Matrix()
-    assert basis.cols == 3
+    v = [1, 0, 0]
+    basis = orbit_closure(t, [v])
+    assert len(basis) == 3
 
 
 def degrees(model):
@@ -47,8 +62,8 @@ def test_exact_jordan_of_shift_restriction():
 
 def test_exact_complement_compression():
     t = direct_sum_nilpotent([2])
-    basis = rational(sp.Matrix([[0], [1]]))  # span{z} inside H(z^2)
-    assert complement_basis(basis).to_Matrix().cols == 1
+    basis = [[0, 1]]  # span{z} inside H(z^2), one column
+    assert len(complement_basis(basis, 2)) == 1
     a = compression_on_complement(t, basis)
     assert degrees(nilpotent_jordan_model(a, 2)) == [1]
 
@@ -71,3 +86,147 @@ def test_exact_matches_float_on_random_integer_subspaces():
             m = SubspaceFrame(amb, orthonormalize(cols.astype(complex)))
             rest_f, comp_f = subspace_models(amb, m)
             assert rest_f == rest_e and comp_f == comp_e
+
+
+@pytest.mark.parametrize(
+    "vec, entry",
+    [
+        ([0.1, 1, 0, 0], 0.1),
+        ([1j, 1, 0, 0], 1j),
+        (sp.Matrix([0.1, 1, 0, 0]), sp.Float(0.1)),
+        (sp.Matrix([sp.I, 1, 0, 0]), sp.I),
+        (sp.Matrix([sp.sqrt(2), 1, 0, 0]), sp.sqrt(2)),
+    ],
+    ids=["float", "complex", "sympy-float", "sympy-I", "sqrt2"],
+)
+def test_exact_models_refuse_inexact_entries(vec, entry):
+    # an inexact or irrational entry is refused by name, never rounded to a rational
+    with pytest.raises(TypeError) as err:
+        exact_subspace_models(2, 2, [vec])
+    assert repr(entry) in str(err.value)
+
+
+def test_exact_models_accept_every_rational_type():
+    expected = exact_subspace_models(2, 2, [[1, 2, 0, 3]])
+    for vec in (
+        [Fraction(1, 3), Fraction(2, 3), 0, 1],
+        sp.Matrix([sp.Rational(1, 3), sp.Rational(2, 3), 0, 1]),
+        sp.Matrix([1, 2, 0, 3]),
+    ):
+        rest, comp, basis = exact_subspace_models(2, 2, [vec])
+        assert (rest, comp) == expected[:2]
+        assert basis.rank() == expected[2].rank()
+        assert sp.Matrix.hstack(basis, expected[2]).rank() == basis.rank()
+
+
+def random_rational_matrix(rows, cols, rank):
+    """A rows x cols rational matrix of the given rank at most, with small entries."""
+    def rand(r, c):
+        return [
+            [Fraction(int(RNG.integers(-4, 5)), int(RNG.integers(1, 4))) for _ in range(c)]
+            for _ in range(r)
+        ]
+
+    left, right = rand(rows, rank), rand(rank, cols)
+    return [
+        [sum((left[i][k] * right[k][j] for k in range(rank)), Fraction(0)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 2), (5, 3, 3), (4, 4, 4), (6, 7, 3), (1, 4, 1), (4, 6, 0)])
+def test_rref_and_nullspace_match_sympy(shape):
+    rows, cols, rank = shape
+    for _ in range(5):
+        mat = random_rational_matrix(rows, cols, rank)
+        reduced, pivots = rref(mat)
+        expected, expected_pivots = sp.Matrix(mat).rref()
+        assert pivots == expected_pivots
+        assert [[sp.Rational(x.numerator, x.denominator) for x in row] for row in reduced] == (
+            expected.tolist()[: len(pivots)]
+        )
+        assert all(isinstance(x, Fraction) for row in reduced for x in row)
+        null = nullspace(mat, cols)
+        assert [sp.Matrix(v) for v in null] == sp.Matrix(mat).nullspace()
+
+
+def pencil(family):
+    """sum_j t_j X_j as a matrix of Polynomials."""
+    n = len(family[0])
+    forms = linear_forms([[x for row in x_mat for x in row] for x_mat in family])
+    return [forms[i * n : (i + 1) * n] for i in range(n)]
+
+
+def sympy_pencil_det(family):
+    ring = QQ.poly_ring(*(f"t{j}" for j in range(len(family))))
+    n = len(family[0])
+    entries = [
+        [sum((g * int(x_mat[r][c]) for g, x_mat in zip(ring.gens, family)), ring.zero) for c in range(n)]
+        for r in range(n)
+    ]
+    return DomainMatrix(entries, (n, n), ring).det()
+
+
+def random_family(n, p, density=0.5):
+    return [
+        [[int(RNG.integers(-3, 4)) if RNG.random() < density else 0 for _ in range(n)] for _ in range(n)]
+        for _ in range(p)
+    ]
+
+
+def skew_family(n, p):
+    family = []
+    for _ in range(p):
+        x_mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                x_mat[i][j] = int(RNG.integers(-3, 4))
+                x_mat[j][i] = -x_mat[i][j]
+        family.append(x_mat)
+    return family
+
+
+def common_kernel_family(n, p):
+    # X_j = R_j (|v|^2 I - v v^T) kills v for every j
+    v = [int(x) for x in RNG.integers(-2, 3, size=n)]
+    v[0] = v[0] or 1
+    proj = [[sum(x * x for x in v) * (i == j) - v[i] * v[j] for j in range(n)] for i in range(n)]
+    return [
+        [[sum(a * b for a, b in zip(row, col)) for col in zip(*proj)] for row in r_mat]
+        for r_mat in random_family(n, p, density=0.7)
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, n, p, singular",
+    [
+        (random_family, 3, 2, None),
+        (random_family, 4, 3, None),
+        (lambda n, p: random_family(n, p, density=0.25), 5, 3, None),
+        (skew_family, 3, 3, True),
+        (skew_family, 5, 2, True),
+        (skew_family, 4, 2, None),
+        (common_kernel_family, 3, 3, True),
+        (common_kernel_family, 4, 2, True),
+    ],
+    ids=["rand3x2", "rand4x3", "sparse5x3", "skew3", "skew5", "skew4", "kernel3", "kernel4"],
+)
+def test_pencil_determinant_zero_test_matches_sympy(make, n, p, singular):
+    # full rank over Q(t) by fraction-free elimination <=> det(sum t_j X_j) != 0
+    for _ in range(4):
+        family = make(n, p)
+        expected_regular = sympy_pencil_det(family) != 0
+        if singular:
+            assert not expected_regular
+        assert (len(fraction_free_pivots(pencil(family))) == n) == expected_regular
+
+
+def test_polynomial_exact_division():
+    for _ in range(20):
+        a, b = (pencil(random_family(2, 3, density=0.8))[0][0] for _ in range(2))
+        if b:
+            assert (a * b) // b == a
+            assert (a * b - a * b) == Polynomial()
+    t0, t1 = linear_forms([[1, 0], [0, 1]])
+    with pytest.raises(ArithmeticError):
+        t0 // t1

@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 
 from c0ops.errors import IllConditioned
-from c0ops.exact_nilpotent import commutant_basis, direct_sum_nilpotent, rational
+from c0ops.exact_nilpotent import commutant_basis, direct_sum_nilpotent
 from c0ops.inner import blaschke, monomial
 from c0ops.jordan import random_invariant_subspace
 from c0ops.subspaces import AmbientSpace, SubspaceFrame
@@ -62,12 +62,15 @@ class TestVerifyOrbit:
 
 class TestCounterexample:
     @pytest.mark.parametrize(
-        "blocks", [[2, 1], [1, 1], [2, 2], [3, 2, 1], [2, 2, 2]], ids=lambda b: "-".join(map(str, b))
+        "blocks",
+        [[2, 1], [1, 1], [2, 2], [3, 2, 1], [2, 2, 2], [4, 2, 1], [3, 3, 1]],
+        ids=lambda b: "-".join(map(str, b)),
     )
     def test_commutant_of_mixed_sum(self, blocks):
         t_exact = direct_sum_nilpotent(blocks)
-        t, n = t_exact.to_Matrix(), t_exact.shape[0]
-        basis = [sp.Matrix(n, n, row) for row in commutant_basis(t_exact).to_Matrix().tolist()]
+        n = t_exact.n
+        t = sp.Matrix(n, n, lambda i, j: t_exact.apply([int(k == j) for k in range(n)])[i])
+        basis = [sp.Matrix(n, n, lambda i, j: int((i, j) in ones)) for ones in commutant_basis(t_exact)]
         # {X : XT = TX} for (+)_i S(z^{d_i}) has dimension sum_{i,j} min(d_i, d_j)
         assert len(basis) == sum(min(a, b) for a in blocks for b in blocks)
         for c in basis:
@@ -78,8 +81,8 @@ class TestCounterexample:
     def test_witness_pair_decided_false(self):
         t = direct_sum_nilpotent([2, 1])
         comm = commutant_basis(t)
-        b1 = rational(sp.Matrix([0, 1, 0]))  # span{z} in the big block
-        b2 = rational(sp.Matrix([0, 0, 1]))  # the small block
+        b1 = [[0, 1, 0]]  # span{z} in the big block
+        b2 = [[0, 0, 1]]  # the small block
         assert decide_commutant_orbit(comm, b1, b2) is False
         assert decide_commutant_orbit(comm, b1, b1) is True
 
@@ -87,8 +90,8 @@ class TestCounterexample:
         # span{1 + c z'} for c != 0 all map onto each other
         t = direct_sum_nilpotent([2, 1])
         comm = commutant_basis(t)
-        m_c = lambda c: rational(sp.Matrix([[1, 0], [0, 1], [c, 0]]))
-        assert decide_commutant_orbit(comm, m_c(1), m_c(sp.Rational(1, 3))) is True
+        m_c = lambda c: [[1, 0, c], [0, 1, 0]]  # the columns of [[1, 0], [0, 1], [c, 0]]
+        assert decide_commutant_orbit(comm, m_c(1), m_c(Fraction(1, 3))) is True
         assert decide_commutant_orbit(comm, m_c(0), m_c(2)) is True
 
     def test_search_finds_witness(self):
@@ -117,14 +120,30 @@ class TestCounterexample:
 
     @pytest.mark.parametrize(
         "blocks, denominator, subspaces, decisions",
-        [([2, 2, 2], 2, 98, 89), ([2, 2, 2, 2], 1, 128, 114)],
-        ids=["2-2-2@1/2", "2-2-2-2@1"],
+        [
+            ([2, 2, 2], 2, 98, 89),
+            ([2, 2, 2, 2], 1, 128, 114),
+            ([3, 3, 3], 2, 225, 206),
+            ([4, 4], 2, 120, 106),
+        ],
+        ids=["2-2-2@1/2", "2-2-2-2@1", "3-3-3@1/2", "4-4@1/2"],
     )
     def test_larger_uniform_negative_controls(self, blocks, denominator, subspaces, decisions):
         rep = counterexample_search(blocks, grid_step=Fraction(1, denominator))
         assert rep.witness is None and rep.witness_compression_models is None
         assert rep.exhausted and not rep.budget_exhausted
         assert (rep.subspace_count, rep.pairs_checked) == (subspaces, decisions)
+
+    def test_witness_decided_by_certificate_at_n7(self):
+        # the one decision of [3,2,2]@1/2 fails every random sample, so the
+        # determinant certificate over Q[t_0, ...] decides it at n = 7
+        rep = counterexample_search([3, 2, 2], grid_step=Fraction(1, 2))
+        assert (rep.subspace_count, rep.pairs_checked) == (131, 1)
+        assert rep.witness["m1_basis"] == [["0", "0", "1", "0", "0", "0", "0"]]
+        assert rep.witness["m2_basis"] == [["0", "0", "0", "0", "1", "0", "0"]]
+        m1, m2 = rep.witness_compression_models
+        assert [p.degree for p in m1.parts] == [2, 2, 2]
+        assert [p.degree for p in m2.parts] == [3, 2, 1]
 
     def test_uniform_negative_control(self):
         rep = counterexample_search([1, 1], grid_step=Fraction(1, 4))
