@@ -17,7 +17,6 @@ matrices, and it imports their package when it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from math import lcm
@@ -27,7 +26,6 @@ from .inner import monomial
 from .jordan import JordanModel, chain_lengths
 
 
-@dataclass(frozen=True)
 class NilpotentSum:
     """S(z^{d_0}) (+) S(z^{d_1}) (+) ... on Q^n in the bases 1, z, ..., z^{d-1}.
 
@@ -35,11 +33,9 @@ class NilpotentSum:
     vector to 0.
     """
 
-    block_degrees: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return sum(self.block_degrees)
+    def __init__(self, block_degrees: list[int]):
+        self.block_degrees = tuple(block_degrees)
+        self.n = sum(self.block_degrees)
 
     def apply(self, vec: list) -> list:
         """T vec: each block's entries move down one place and its first entry becomes 0."""
@@ -53,7 +49,7 @@ class NilpotentSum:
 
 def direct_sum_nilpotent(block_degrees: list[int]) -> NilpotentSum:
     """Exact operator S(z^{d_0}) (+) S(z^{d_1}) (+) ..."""
-    return NilpotentSum(tuple(block_degrees))
+    return NilpotentSum(block_degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +231,6 @@ def orbit_closure(t_op: NilpotentSum, vectors: list[list]) -> list[list]:
         while any(v):  # T is nilpotent; zero columns are never pivots
             cols.append(v)
             v = t_op.apply(v)
-    if not cols:
-        return []
     krylov = [list(r) for r in zip(*map(_integral, cols))]
     return [cols[j] for j in fraction_free_pivots(krylov)]
 
