@@ -48,6 +48,7 @@ from .quasiaffine import (
 )
 from .subspaces import (
     AmbientSpace,
+    CopyBlocks,
     SubspaceFrame,
     image_closure,
     invariant_subspace_of_block,

@@ -18,7 +18,7 @@ from .errors import (
     NotAnnihilated,
     NotInvariant,
 )
-from .inner import InnerFunction, ONE, blaschke, quotient
+from .inner import InnerFunction, ONE, quotient
 from .model_space import blaschke_of_matrix
 from .subspaces import (
     AmbientSpace,
@@ -30,6 +30,7 @@ from .subspaces import (
 )
 
 ANNIHILATION_TOL = 1e-8
+RANK_TOL = 1e-8  # singular values above RANK_TOL * max(1, s_max) count toward a rank
 RANK_GAP_MIN = 1e2
 
 
@@ -71,7 +72,7 @@ def _rank(mat: np.ndarray) -> int:
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    thr = 1e-8 * max(1.0, float(s[0]))
+    thr = RANK_TOL * max(1.0, float(s[0]))
     r = int(np.sum(s > thr))
     if 0 < r < s.size and s[r] > 0.0:
         if s[r - 1] / s[r] < RANK_GAP_MIN:
@@ -86,9 +87,9 @@ def _rank_sequence(a_mat, zero, mult):
     """Ranks of (A - zero I)^k for k = 0..mult."""
     n = a_mat.shape[0]
     base = a_mat - zero * np.eye(n, dtype=complex)
-    ranks = [n]
-    power = np.eye(n, dtype=complex)
-    for _ in range(mult):
+    power = base
+    ranks = [n, _rank(power)]
+    for _ in range(mult - 1):
         power = power @ base
         ranks.append(_rank(power))
     return ranks
@@ -135,15 +136,10 @@ def jordan_model_of(a_mat: np.ndarray, theta_ref: InnerFunction) -> JordanModel:
         sizes = chain_lengths(_rank_sequence(a_mat, a, m))
         per_zero.append([(a, s) for s in sizes])
     length = max((len(s) for s in per_zero), default=0)
-    parts = []
-    for n_th in range(length):
-        p = ONE
-        for sizes in per_zero:
-            if n_th < len(sizes):
-                a, s = sizes[n_th]
-                p = p * blaschke(a, s)
-        parts.append(p)
-    return JordanModel(tuple(parts))
+    return JordanModel(tuple(
+        InnerFunction(tuple(sizes[n_th] for sizes in per_zero if n_th < len(sizes)))
+        for n_th in range(length)
+    ))
 
 
 def _require_invariant(m_frame: SubspaceFrame) -> None:

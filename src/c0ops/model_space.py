@@ -73,17 +73,16 @@ def build_model_space(theta: InnerFunction) -> ModelSpace:
 def blaschke_of_matrix(u: InnerFunction, a_mat: np.ndarray) -> np.ndarray:
     """u(A) for a finite Blaschke product u and a square matrix A."""
     a_mat = np.asarray(a_mat, dtype=complex)
-    n = a_mat.shape[0]
-    out = np.eye(n, dtype=complex)
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(a_mat.shape[0], dtype=complex)
+    out = None
     for a, m in u.zeros:
         try:
             factor = np.linalg.solve(eye - a.conjugate() * a_mat, a_mat - a * eye)
         except np.linalg.LinAlgError as exc:  # cannot occur for contractions
             raise SingularResolvent(str(exc)) from exc
         for _ in range(m):
-            out = out @ factor
-    return out
+            out = factor if out is None else out @ factor
+    return eye if out is None else out
 
 
 def functional_calculus(space: ModelSpace, u: InnerFunction) -> np.ndarray:

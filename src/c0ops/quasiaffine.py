@@ -3,7 +3,9 @@
 Implements the norm-preserving solver, the triangular quasiaffinity X
 with weighted diagonal, the density-approximant sweep with its explicit
 error bound, and the globally assembled quasiaffinity Y built from a
-pairing of copies.
+pairing of copies. X is a dense matrix; Y is kept as its row blocks, one
+normalised X per pairing row on that row's copies, and is applied to
+frames block by block.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .jordan import JordanModel
 from .model_space import ModelSpace, ModelVector, functional_calculus
 from .subspaces import (
     AmbientSpace,
+    CopyBlocks,
     SubspaceFrame,
     image_closure,
     invariant_subspace_of_block,
@@ -79,13 +82,22 @@ class WeightSchedule:
 
 @dataclass(frozen=True)
 class QuasiaffinityRecord:
-    """A constructed intertwiner with its measured quality numbers."""
+    """A constructed intertwiner with its measured quality numbers.
 
-    matrix: np.ndarray = field(repr=False)
+    ``operator`` is a dense matrix (X) or copy-row blocks (Y).
+    """
+
+    operator: np.ndarray | CopyBlocks = field(repr=False)
     intertwining_residual: float
     sigma_min: float
-    norm: float  # the 2-norm of matrix
+    norm: float  # the 2-norm of the operator
     pairing: tuple[tuple[int, int, int], ...] = ()  # (copy, row, slot)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The operator as a dense matrix; copy-row blocks are expanded on each read."""
+        op = self.operator
+        return op.dense() if isinstance(op, CopyBlocks) else op
 
 
 def _symbol(theta: InnerFunction, phi: InnerFunction, psi: InnerFunction) -> InnerFunction:
@@ -323,13 +335,15 @@ def build_Y_main(
     tau_model: JordanModel,
     schedule: WeightSchedule,
 ) -> QuasiaffinityRecord:
-    """Global quasiaffinity on (+)_{n<N} H(theta) from the per-row operators.
+    """Global quasiaffinity on (+)_{n<N} H(theta), kept as its row blocks.
 
     Odd copy 2r+1 heads row r; the Cantor pairing hands the row the even
     copies of its slots 0..k-1. Row r is build_X over these copies divided
-    by its 2-norm, and copies no row uses keep the identity. Defined for
-    the Jordan ambient, whose T_N repeats S(theta) on every copy, so
-    sigma_min(Y) and the residual of Y T_N - T_N Y are extremes over rows.
+    by its 2-norm, recorded on the copy list (2r+1, then the paired
+    copies); copies no row uses keep the identity, and no (N d)-square
+    matrix is formed. Defined for the Jordan ambient, whose T_N repeats
+    S(theta) on every copy, so sigma_min(Y) and the residual of
+    Y T_N - T_N Y are extremes over rows.
     """
     theta = ambient.theta
     n_copies = ambient.copies
@@ -356,7 +370,7 @@ def build_Y_main(
         if row < n_heads:
             rows[row].append(2 * j)
 
-    y_mat = np.eye(n_copies * d, dtype=complex)
+    blocks: list[tuple[tuple[int, ...], np.ndarray]] = []
     pairing_log: list[tuple[int, int, int]] = []
     sigma_min, residual = 1.0, 0.0  # the numbers of an identity copy
     for row, paired in enumerate(rows):
@@ -373,12 +387,11 @@ def build_Y_main(
             pairing_log.append((copy, row, slot))
         x_rec = build_X(ambient.model, len(paired), omegas, schedule)
         scale = x_rec.norm
-        idx = np.concatenate([np.arange(c * d, (c + 1) * d) for c in [2 * row + 1, *paired]])
-        y_mat[np.ix_(idx, idx)] = x_rec.matrix / scale
+        blocks.append(((2 * row + 1, *paired), x_rec.operator / scale))
         sigma_min = min(sigma_min, x_rec.sigma_min / scale)
         residual = max(residual, x_rec.intertwining_residual / scale)
     # each row block is divided by its 2-norm and the other copies carry I_d
-    return QuasiaffinityRecord(y_mat, residual, sigma_min, 1.0, tuple(pairing_log))
+    return QuasiaffinityRecord(CopyBlocks(n_copies, d, tuple(blocks)), residual, sigma_min, 1.0, tuple(pairing_log))
 
 
 def compression_intertwiner(

@@ -59,6 +59,43 @@ class AmbientSpace:
         return cls(build_model_space(theta), copies)
 
 
+@dataclass(frozen=True)
+class CopyBlocks:
+    """An operator on (+)_{n<copies} C^dim that is the identity off a few copy groups.
+
+    Each row ``(copy list, block)`` maps the listed copies, stacked in list
+    order, by the square block; the lists are disjoint, and a copy in none
+    of them passes unchanged. ``X @ frame`` applies it row by row, so no
+    (copies*dim)-square matrix is formed unless ``dense`` is read.
+    """
+
+    copies: int
+    dim: int
+    rows: tuple[tuple[tuple[int, ...], np.ndarray], ...] = field(repr=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.copies * self.dim
+        return n, n
+
+    def _index(self, copy_list: tuple[int, ...]) -> np.ndarray:
+        return (self.dim * np.asarray(copy_list)[:, None] + np.arange(self.dim)).ravel()
+
+    def __matmul__(self, frame: np.ndarray) -> np.ndarray:
+        out = np.array(frame, dtype=complex)
+        for copy_list, block in self.rows:
+            idx = self._index(copy_list)
+            out[idx] = block @ out[idx]
+        return out
+
+    def dense(self) -> np.ndarray:
+        out = np.eye(self.shape[0], dtype=complex)
+        for copy_list, block in self.rows:
+            idx = self._index(copy_list)
+            out[np.ix_(idx, idx)] = block
+        return out
+
+
 def orthonormalize(columns: np.ndarray, rank: int | None = None) -> np.ndarray:
     """Orthonormal basis for the column space, rank by singular threshold."""
     columns = np.asarray(columns, dtype=complex)
@@ -203,9 +240,10 @@ def principal_distance(a: SubspaceFrame, b: SubspaceFrame) -> float:
     return float(np.linalg.norm(b.frame - a.frame @ (a.frame.conj().T @ b.frame), 2))
 
 
-def image_closure(x_mat: np.ndarray, m_frame: SubspaceFrame) -> SubspaceFrame:
-    """Frame for the column space of X restricted to M."""
-    x_mat = np.asarray(x_mat, dtype=complex)
+def image_closure(x_mat: np.ndarray | CopyBlocks, m_frame: SubspaceFrame) -> SubspaceFrame:
+    """Frame for the column space of X restricted to M; X is a matrix or copy-row blocks."""
+    if not isinstance(x_mat, CopyBlocks):
+        x_mat = np.asarray(x_mat, dtype=complex)
     if x_mat.shape[1] != m_frame.ambient.total_dim:
         raise ValueError("operator does not act on the ambient space")
     return SubspaceFrame.from_columns(m_frame.ambient, x_mat @ m_frame.frame)

@@ -145,7 +145,7 @@ def verify_orbit(
             )
         m1_canon = canonical_subspace(theta, rest1, comp1, n_copies, model_ambient)
         m2_canon = canonical_subspace(theta, rest1, comp2, n_copies, model_ambient)
-        dist = principal_distance(image_closure(y_rec.matrix, m1_canon), m2_canon)
+        dist = principal_distance(image_closure(y_rec.operator, m1_canon), m2_canon)
         curve.append((n_copies, dist))
     ok = _curve_accepts(curve, gate)
     return VerifyReport(

@@ -1,6 +1,7 @@
 """Norm-preserving solver, triangular X, density sweep, assembled Y."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from c0ops.errors import (
     NotInSubspace,
     PreconditionViolated,
 )
-from c0ops.inner import ONE, all_divisors, blaschke, divides, monomial, quotient
-from c0ops.jordan import JordanModel, canonical_subspace
+from c0ops.inner import ONE, InnerFunction, all_divisors, blaschke, divides, monomial, quotient
+from c0ops.jordan import JordanModel, canonical_subspace, random_invariant_subspace
 from c0ops.model_space import ModelVector, build_model_space, functional_calculus
 from c0ops.quasiaffine import (
     WeightSchedule,
@@ -27,8 +28,10 @@ from c0ops.subspaces import (
     AmbientSpace,
     image_closure,
     invariant_subspace_of_block,
+    orthonormalize,
     principal_distance,
 )
+from c0ops.verify import verify_orbit
 
 RNG = np.random.default_rng(424242)
 
@@ -241,6 +244,46 @@ class TestBuildY:
                 m2 = canonical_subspace(theta, rest, psi, n, amb)
                 dist = principal_distance(image_closure(rec.matrix, m1), m2)
                 assert dist <= 1e-10
+
+    def test_blockwise_image_matches_dense_with_nontrivial_symbol(self):
+        # tau != psi makes the row-0 symbols b_b and 1, so X_0 has non-zero
+        # off-diagonal blocks; at each N some copies carry no row
+        a, b = 0.3, -0.4j
+        theta = blaschke(a) * blaschke(b)
+        rest = JordanModel((theta, blaschke(a)))
+        psi, tau = JordanModel((theta,)), JordanModel((blaschke(b),))
+        rng = np.random.default_rng(17)
+        for n in (8, 12, 64):
+            amb = AmbientSpace.build(theta, n)
+            rec = build_Y_main(amb, rest, psi, tau, WeightSchedule.factorial(64))
+            y, d = rec.matrix, amb.model.dim
+            assert np.abs(y[d : 2 * d, :d]).max() > 0.1  # head copy 1 from slot copy 0
+            used = {c for c, _, _ in rec.pairing} | {2 * r + 1 for _, r, _ in rec.pairing}
+            assert len(used) < n
+            cols = rng.standard_normal((n * d, 5)) + 1j * rng.standard_normal((n * d, 5))
+            m1 = canonical_subspace(theta, rest, psi, n, amb)
+            for frame in (orthonormalize(cols), m1.frame):
+                assert np.abs(rec.operator @ frame - y @ frame).max() <= 1e-15
+            # Y carries canon(phi, psi) into canon(phi, tau)
+            m2 = canonical_subspace(theta, rest, tau, n, amb).frame
+            img = image_closure(rec.operator, m1).frame
+            assert np.linalg.norm(img - m2 @ (m2.conj().T @ img), 2) <= 1e-12
+
+    def test_verify_orbit_builds_no_dense_Y(self):
+        # at N = 512 a dense Y on 4096 coordinates alone would take 268 MB
+        theta = InnerFunction(((0.3, 2), (-0.25, 2), (0.2 + 0.35j, 2), (-0.1 - 0.4j, 2)))
+        amb = AmbientSpace.build(theta, 4)
+        rng = np.random.default_rng(8)
+        m1 = random_invariant_subspace(amb, rng, num_vectors=2)
+        m2 = random_invariant_subspace(amb, rng, num_vectors=2)
+        tracemalloc.start()
+        try:
+            rep = verify_orbit(amb, m1, m2, sweep=(512,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "orbit"
+        assert peak < 64 * 2**20
 
     def test_divisibility_failure_raised(self):
         theta = monomial(2)
