@@ -5,7 +5,10 @@ with weighted diagonal, the density-approximant sweep with its explicit
 error bound, and the globally assembled quasiaffinity Y built from a
 pairing of copies. X is a dense matrix; Y is kept as its row blocks, one
 normalised X per pairing row on that row's copies, and is applied to
-frames block by block.
+frames block by block. A slot of X whose symbol is theta carries the
+exact zero block theta(S(theta)) = 0 and decouples from the head, so its
+weight is read off as a singular value with no functional calculus or
+SVD; a row of Y whose symbols are all theta is diagonal.
 """
 
 from __future__ import annotations
@@ -168,31 +171,51 @@ def build_X(
     """The quasiaffinity X = [[I, omega_m(S)/(m+1), ...], [0, diag(c_m I)]].
 
     It acts on H(theta) (+) (+)_{m<copies} H(theta), the head then slot m.
+    A slot whose symbol is theta carries the exact zero head block, since
+    theta(S(theta)) = 0, so it decouples: X is c_m I on that slot (+) X
+    reduced to the head and the other slots. The weights of the theta
+    slots are singular values of X, only the reduced matrix takes an SVD,
+    and only its commutators enter the residual of XT - TX; with every
+    symbol theta there is no functional calculus and no SVD.
     """
     if copies < 1:
         raise TruncationTooSmall("need at least one summand")
     if len(omega_list) != copies:
         raise HypothesisViolated("omega list length must equal copies")
-    for omega in omega_list:
-        if not inner.divides(omega, space.theta):
+    theta = space.theta
+    distinct = dict.fromkeys(omega_list)
+    for omega in distinct:
+        if not inner.divides(omega, theta):
             raise HypothesisViolated(f"{omega!r} does not divide theta")
     if len(schedule.values) < copies:
         raise HypothesisViolated("schedule shorter than the truncation")
     d, s_mat = space.dim, space.shift_matrix
-    ops = {w: functional_calculus(space, w) for w in dict.fromkeys(omega_list)}
+    # a divisor of theta of full degree is theta
+    ops = {w: functional_calculus(space, w) for w in distinct if w.degree < theta.degree}
     x_mat = np.zeros(((copies + 1) * d, (copies + 1) * d), dtype=complex)
     x_mat[:d, :d] = np.eye(d)
+    coupled = [0]  # the head block, then each slot with a symbol other than theta
+    decoupled = []  # the weights of the theta slots, singular values of X
     for m, omega in enumerate(omega_list):
         blk = slice((m + 1) * d, (m + 2) * d)
-        x_mat[:d, blk] = ops[omega] / (m + 1)
         x_mat[blk, blk] = schedule.value(m) * np.eye(d)
-    # with T = I (x) S, XT - TX vanishes outside the head row, whose slot-m
-    # block is (omega_m(S) S - S omega_m(S)) / (m+1)
-    comm = {w: op @ s_mat - s_mat @ op for w, op in ops.items()}
-    head_row = np.hstack([comm[w] / (m + 1) for m, w in enumerate(omega_list)])
-    residual = float(np.linalg.norm(head_row, 2))
-    s = np.linalg.svd(x_mat, compute_uv=False)
-    return QuasiaffinityRecord(x_mat, residual, float(s[-1]), float(s[0]))
+        if omega in ops:
+            x_mat[:d, blk] = ops[omega] / (m + 1)
+            coupled.append(m + 1)
+        else:
+            decoupled.append(schedule.value(m))
+    extremes, residual = [1.0], 0.0  # X reduced to the head alone is I
+    if len(coupled) > 1:
+        idx = (d * np.asarray(coupled)[:, None] + np.arange(d)).ravel()
+        s = np.linalg.svd(x_mat[np.ix_(idx, idx)], compute_uv=False)
+        extremes = [s[-1], s[0]]
+        # with T = I (x) S, XT - TX vanishes outside the head row, whose slot-m
+        # block is (omega_m(S) S - S omega_m(S)) / (m+1)
+        comm = {w: op @ s_mat - s_mat @ op for w, op in ops.items()}
+        head_row = np.hstack([comm[omega_list[b - 1]] / b for b in coupled[1:]])
+        residual = float(np.linalg.norm(head_row, 2))
+    singular = extremes + decoupled
+    return QuasiaffinityRecord(x_mat, residual, float(min(singular)), float(max(singular)))
 
 
 @dataclass(frozen=True)

@@ -241,12 +241,20 @@ def principal_distance(a: SubspaceFrame, b: SubspaceFrame) -> float:
 
 
 def image_closure(x_mat: np.ndarray | CopyBlocks, m_frame: SubspaceFrame) -> SubspaceFrame:
-    """Frame for the column space of X restricted to M; X is a matrix or copy-row blocks."""
-    if not isinstance(x_mat, CopyBlocks):
-        x_mat = np.asarray(x_mat, dtype=complex)
+    """Frame for the column space of X restricted to M; X is a matrix or copy-row blocks.
+
+    Copy-row blocks are taken to be injective, as every row of the orbit
+    map Y is an invertible X, so their image is orthonormalised at rank
+    dim M; at large N the weights of Y put its smallest singular values
+    under RANK_REL_TOL. A matrix image keeps the RANK_REL_TOL rule.
+    """
+    if isinstance(x_mat, CopyBlocks):
+        rank = m_frame.dim
+    else:
+        x_mat, rank = np.asarray(x_mat, dtype=complex), None
     if x_mat.shape[1] != m_frame.ambient.total_dim:
         raise ValueError("operator does not act on the ambient space")
-    return SubspaceFrame.from_columns(m_frame.ambient, x_mat @ m_frame.frame)
+    return SubspaceFrame.from_columns(m_frame.ambient, x_mat @ m_frame.frame, rank)
 
 
 def orthocomplement(m_frame: SubspaceFrame) -> SubspaceFrame:

@@ -144,7 +144,9 @@ def verify_orbit(
                 **base,
             )
         m1_canon = canonical_subspace(theta, rest1, comp1, n_copies, model_ambient)
-        m2_canon = canonical_subspace(theta, rest1, comp2, n_copies, model_ambient)
+        m2_canon = (
+            m1_canon if comp2 == comp1 else canonical_subspace(theta, rest1, comp2, n_copies, model_ambient)
+        )
         dist = principal_distance(image_closure(y_rec.operator, m1_canon), m2_canon)
         curve.append((n_copies, dist))
     ok = _curve_accepts(curve, gate)

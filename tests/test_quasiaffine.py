@@ -111,6 +111,52 @@ class TestBuildX:
         assert abs(rec.sigma_min - 0.42086143143284666) < 1e-12
 
 
+    def test_theta_slots_decouple(self):
+        # theta, 1 and proper divisors mixed under one weight above 1: the norm
+        # is that theta slot's weight, sigma_min comes from the coupled slots
+        a, b = 0.3, -0.4j
+        theta = blaschke(a, 2) * blaschke(b)
+        space = build_model_space(theta)
+        omegas = [theta, ONE, blaschke(a), theta, theta, blaschke(a) * blaschke(b), theta]
+        schedule = WeightSchedule.custom([0.5, 0.25, 0.2, 3.0, 0.4, 0.1, 0.6])
+        rec = build_X(space, len(omegas), omegas, schedule)
+        x, t = rec.matrix, np.kron(np.eye(len(omegas) + 1), space.shift_matrix)
+        s = np.linalg.svd(x, compute_uv=False)
+        assert abs(rec.norm - 3.0) <= 1e-12 and abs(rec.norm - s[0]) <= 1e-12
+        assert abs(rec.sigma_min - s[-1]) <= 1e-12 and rec.sigma_min < 0.1
+        assert abs(rec.intertwining_residual - np.linalg.norm(x @ t - t @ x, 2)) <= 1e-12
+        d = space.dim
+        for m, omega in enumerate(omegas):
+            if omega == theta:
+                assert not x[:d, (m + 1) * d : (m + 2) * d].any()
+
+    def test_theta_symbols_need_no_calculus_or_svd(self, monkeypatch):
+        # every orbit-sweep row of Y is all theta: X is the diagonal [I, c_m I]
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            "c0ops.quasiaffine.functional_calculus", counted("calculus", functional_calculus)
+        )
+        monkeypatch.setattr("numpy.linalg.svd", counted("svd", np.linalg.svd))
+        theta = InnerFunction(((0.3, 2), (-0.25, 2), (0.2 + 0.35j, 2), (-0.1 - 0.4j, 2)))
+        space = build_model_space(theta)
+        schedule = WeightSchedule.factorial(64)
+        rec = build_X(space, 5, [theta] * 5, schedule)
+        assert (rec.sigma_min, rec.norm, rec.intertwining_residual) == (1 / 120, 1.0, 0.0)
+        amb = AmbientSpace(space, 32)
+        rest, comp = JordanModel((theta,)), JordanModel((theta,) * 3)
+        y_rec = build_Y_main(amb, rest, comp, comp, schedule)
+        assert y_rec.intertwining_residual == 0.0
+        assert calls == []
+
+
 class TestSchedule:
     def test_factorial_condition_values(self):
         sched = WeightSchedule.factorial(32)

@@ -9,7 +9,7 @@ import sympy as sp
 from c0ops.errors import IllConditioned
 from c0ops.exact_nilpotent import commutant_basis, direct_sum_nilpotent
 from c0ops.inner import blaschke, monomial
-from c0ops.jordan import random_invariant_subspace
+from c0ops.jordan import JordanModel, canonical_subspace, random_invariant_subspace
 from c0ops.subspaces import AmbientSpace, SubspaceFrame
 from c0ops.verify import (
     conjugated_ambient,
@@ -29,6 +29,16 @@ class TestVerifyOrbit:
         rep = verify_orbit(amb, m, m)
         assert rep.verdict == "orbit"
         assert all(d <= 1e-10 for _, d in rep.distance_curve)
+
+    def test_same_subspace_is_orbit_at_large_n(self):
+        # the weights of Y put sigma_min(Y) far under RANK_REL_TOL at N = 192,
+        # where a thresholded rank dropped 6 of the 192 image directions
+        theta, n = monomial(2), 192
+        amb = AmbientSpace.build(theta, n)
+        m = canonical_subspace(theta, JordanModel((theta,) * (n // 2)), JordanModel((theta,)), n, amb)
+        rep = verify_orbit(amb, m, m, sweep=(n,))
+        assert rep.verdict == "orbit"
+        assert rep.distance_curve[-1][1] <= 1e-12
 
     def test_unequal_restriction_models_no_orbit(self):
         amb = AmbientSpace.build(monomial(2), 4)
