@@ -210,7 +210,11 @@ def canonical_subspace(
     copies: int,
     ambient: AmbientSpace | None = None,
 ) -> SubspaceFrame:
-    """Frame for the canonical interleaved subspace in (+)_{n<copies} H(theta)."""
+    """Frame for the canonical interleaved subspace in (+)_{n<copies} H(theta).
+
+    It is the direct sum of gamma_n H^2 (-) theta H^2 over the copies, so
+    the frame is kept per copy, one block per gamma_n.
+    """
     if restriction_model.parts and not inner.divides(
         restriction_model.parts[0], theta
     ):
@@ -222,15 +226,14 @@ def canonical_subspace(
     if ambient is None:
         ambient = AmbientSpace.build(theta, copies)
     gammas = interleaved_divisors(theta, restriction_model, compression_model, copies)
-    d = ambient.model.dim
-    block = {g: invariant_subspace_of_block(ambient.model, g).frame for g in dict.fromkeys(gammas)}
-    blocks = [block[g] for g in gammas]
-    frame = np.zeros((copies * d, sum(b.shape[1] for b in blocks)), dtype=complex)
-    col = 0
-    for n, b in enumerate(blocks):
-        frame[n * d : (n + 1) * d, col : col + b.shape[1]] = b
-        col += b.shape[1]
-    return SubspaceFrame(ambient, frame)
+    block: dict[InnerFunction, np.ndarray] = {}  # one frame per distinct gamma
+    blocks = []
+    for g in gammas:
+        frame = block.get(g)
+        if frame is None:
+            frame = block[g] = invariant_subspace_of_block(ambient.model, g).frame
+        blocks.append(frame)
+    return SubspaceFrame.per_copy(ambient, blocks)
 
 
 def random_invariant_subspace(

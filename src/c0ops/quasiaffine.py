@@ -8,7 +8,8 @@ normalised X per pairing row on that row's copies, and is applied to
 frames block by block. A slot of X whose symbol is theta carries the
 exact zero block theta(S(theta)) = 0 and decouples from the head, so its
 weight is read off as a singular value with no functional calculus or
-SVD; a row of Y whose symbols are all theta is diagonal.
+SVD. A row of Y whose symbols are all theta is diagonal, and is kept as
+its per-copy weights (1, c_0, ..., c_{k-1}) / ||X|| with no block at all.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ from .subspaces import (
 )
 
 SOLVER_TOL = 1e-9
+# compression_intertwiner's checks; the norms are relative to max(1, ||X||)
+INTERTWINE_TOL = 1e-9  # ||X T1 - T2 X||
+IMAGE_GAP_TOL = 1e-6  # gap from the closure of X M1 to M2
+COMPRESSION_TOL = 1e-8  # ||A C1 - C2 A|| on the complements
+FULL_ROW_RANK_TOL = 1e-8  # the last of A's row-count singular values
 
 
 @dataclass(frozen=True)
@@ -363,8 +369,9 @@ def build_Y_main(
     Odd copy 2r+1 heads row r; the Cantor pairing hands the row the even
     copies of its slots 0..k-1. Row r is build_X over these copies divided
     by its 2-norm, recorded on the copy list (2r+1, then the paired
-    copies); copies no row uses keep the identity, and no (N d)-square
-    matrix is formed. Defined for the Jordan ambient, whose T_N repeats
+    copies); a row whose symbols are all theta is X = diag(1, c_0, ...)
+    copy by copy and is recorded as those weights over the norm. Copies
+    no row uses keep the identity, and no (N d)-square matrix is formed. Defined for the Jordan ambient, whose T_N repeats
     S(theta) on every copy, so sigma_min(Y) and the residual of
     Y T_N - T_N Y are extremes over rows.
     """
@@ -396,6 +403,7 @@ def build_Y_main(
     blocks: list[tuple[tuple[int, ...], np.ndarray]] = []
     pairing_log: list[tuple[int, int, int]] = []
     sigma_min, residual = 1.0, 0.0  # the numbers of an identity copy
+    symbols: dict[tuple[InnerFunction, InnerFunction], InnerFunction] = {}
     for row, paired in enumerate(rows):
         if not paired:
             continue
@@ -405,15 +413,29 @@ def build_Y_main(
             phi_part = restriction_model.part(slot)
             # a padded slot or padded row has a zero canonical summand, so
             # the safe symbol is theta (zero block)
-            padded = phi_part.is_one() or row >= len(tau_model)
-            omegas.append(theta if padded else _symbol(theta, phi_part, tau_n))
+            if phi_part.is_one() or row >= len(tau_model):
+                omegas.append(theta)
+            else:
+                key = (phi_part, tau_n)
+                if key not in symbols:
+                    symbols[key] = _symbol(theta, phi_part, tau_n)
+                omegas.append(symbols[key])
             pairing_log.append((copy, row, slot))
-        x_rec = build_X(ambient.model, len(paired), omegas, schedule)
-        scale = x_rec.norm
-        blocks.append(((2 * row + 1, *paired), x_rec.operator / scale))
-        sigma_min = min(sigma_min, x_rec.sigma_min / scale)
-        residual = max(residual, x_rec.intertwining_residual / scale)
-    # each row block is divided by its 2-norm and the other copies carry I_d
+        if all(omega == theta for omega in omegas):
+            # X = diag(1, c_0, ..., c_{k-1}) copy by copy: a weight row
+            if len(schedule.values) < len(omegas):
+                raise HypothesisViolated("schedule shorter than the truncation")
+            weights = (1.0, *schedule.values[: len(omegas)])
+            op, row_sigma, row_residual, scale = np.array(weights), min(weights), 0.0, max(weights)
+        else:
+            x_rec = build_X(ambient.model, len(paired), omegas, schedule)
+            op, row_sigma, row_residual, scale = (
+                x_rec.operator, x_rec.sigma_min, x_rec.intertwining_residual, x_rec.norm
+            )
+        blocks.append(((2 * row + 1, *paired), op / scale))
+        sigma_min = min(sigma_min, row_sigma / scale)
+        residual = max(residual, row_residual / scale)
+    # each row is divided by its 2-norm and the other copies carry I_d
     return QuasiaffinityRecord(CopyBlocks(n_copies, d, tuple(blocks)), residual, sigma_min, 1.0, tuple(pairing_log))
 
 
@@ -428,19 +450,19 @@ def compression_intertwiner(
     x_mat = np.asarray(x_mat, dtype=complex)
     t1, t2 = ambient1.operator_matrix, ambient2.operator_matrix
     scale = max(1.0, float(np.linalg.norm(x_mat, 2)))
-    if np.linalg.norm(x_mat @ t1 - t2 @ x_mat, 2) > 1e-9 * scale:
+    if np.linalg.norm(x_mat @ t1 - t2 @ x_mat, 2) > INTERTWINE_TOL * scale:
         raise PreconditionViolated("X does not intertwine the ambients")
-    if principal_distance(image_closure(x_mat, m1), m2) > 1e-6:
+    if principal_distance(image_closure(x_mat, m1), m2) > IMAGE_GAP_TOL:
         raise PreconditionViolated("closure of X M1 is not M2")
     q1 = orthocomplement(m1).frame
     q2 = orthocomplement(m2).frame
     a_mat = q2.conj().T @ x_mat @ q1
     c1 = q1.conj().T @ t1 @ q1
     c2 = q2.conj().T @ t2 @ q2
-    if np.linalg.norm(a_mat @ c1 - c2 @ a_mat, 2) > 1e-8 * scale:
+    if np.linalg.norm(a_mat @ c1 - c2 @ a_mat, 2) > COMPRESSION_TOL * scale:
         raise PreconditionViolated("compressions are not intertwined")
     if a_mat.shape[0] > 0:
         s = np.linalg.svd(a_mat, compute_uv=False)
-        if s.size < a_mat.shape[0] or s[a_mat.shape[0] - 1] <= 1e-8 * max(1.0, s[0]):
+        if s.size < a_mat.shape[0] or s[a_mat.shape[0] - 1] <= FULL_ROW_RANK_TOL * max(1.0, s[0]):
             raise PreconditionViolated("A does not have full row rank")
     return a_mat

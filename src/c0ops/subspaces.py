@@ -1,4 +1,11 @@
-"""Orthonormal frames for subspaces of (sums of) model spaces."""
+"""Orthonormal frames for subspaces of (sums of) model spaces.
+
+A frame is a dense matrix, or, for a direct sum over groups of copies, one
+block per group: canonical frames are per copy. The orbit map Y is kept as
+copy rows (``CopyBlocks``), square blocks or per-copy weights, so its image
+of a grouped frame and the gap between two grouped frames are computed one
+group at a time.
+"""
 
 from __future__ import annotations
 
@@ -59,13 +66,20 @@ class AmbientSpace:
         return cls(build_model_space(theta), copies)
 
 
+def _rows(copy_list, dim: int) -> np.ndarray:
+    """Coordinate indices of the listed copies, stacked in list order."""
+    return (dim * np.asarray(copy_list)[:, None] + np.arange(dim)).ravel()
+
+
 @dataclass(frozen=True)
 class CopyBlocks:
     """An operator on (+)_{n<copies} C^dim that is the identity off a few copy groups.
 
     Each row ``(copy list, block)`` maps the listed copies, stacked in list
-    order, by the square block; the lists are disjoint, and a copy in none
-    of them passes unchanged. ``X @ frame`` applies it row by row, so no
+    order: a square block maps them together, and a weight row, a vector
+    with one positive weight per listed copy, scales each copy by its
+    weight. The lists are disjoint, and a copy in none of them passes
+    unchanged. ``X @ frame`` applies it row by row, so no
     (copies*dim)-square matrix is formed unless ``dense`` is read.
     """
 
@@ -78,21 +92,24 @@ class CopyBlocks:
         n = self.copies * self.dim
         return n, n
 
-    def _index(self, copy_list: tuple[int, ...]) -> np.ndarray:
-        return (self.dim * np.asarray(copy_list)[:, None] + np.arange(self.dim)).ravel()
-
     def __matmul__(self, frame: np.ndarray) -> np.ndarray:
         out = np.array(frame, dtype=complex)
         for copy_list, block in self.rows:
-            idx = self._index(copy_list)
-            out[idx] = block @ out[idx]
+            idx = _rows(copy_list, self.dim)
+            if block.ndim == 1:
+                out[idx] *= np.repeat(block, self.dim)[:, None]
+            else:
+                out[idx] = block @ out[idx]
         return out
 
     def dense(self) -> np.ndarray:
         out = np.eye(self.shape[0], dtype=complex)
         for copy_list, block in self.rows:
-            idx = self._index(copy_list)
-            out[np.ix_(idx, idx)] = block
+            idx = _rows(copy_list, self.dim)
+            if block.ndim == 1:
+                out[idx, idx] = np.repeat(block, self.dim)
+            else:
+                out[np.ix_(idx, idx)] = block
         return out
 
 
@@ -109,22 +126,103 @@ def orthonormalize(columns: np.ndarray, rank: int | None = None) -> np.ndarray:
     return u[:, :rank]
 
 
-@dataclass(frozen=True)
+Part = tuple[tuple[int, ...], np.ndarray]  # (copy list, block on those copies)
+
+
+def _stack(parts, order: tuple[int, ...], dim: int) -> np.ndarray:
+    """The blocks of ``parts`` side by side, rows placed at the copies of ``order``.
+
+    The copies of the parts are those of ``order``; a single part listed in
+    that order is returned as it is.
+    """
+    if len(parts) == 1 and parts[0][0] == order:
+        return parts[0][1]
+    pos = {c: i for i, c in enumerate(order)}
+    out = np.zeros((len(order) * dim, sum(b.shape[1] for _, b in parts)), dtype=complex)
+    col = 0
+    for copy_list, block in parts:
+        out[_rows([pos[c] for c in copy_list], dim), col : col + block.shape[1]] = block
+        col += block.shape[1]
+    return out
+
+
+def _join(first, second):
+    """Yield (order, parts of first, parts of second) over the finest copy
+    partition that both layouts refine.
+
+    ``first`` covers every copy that ``second`` lists, and ``order`` lists
+    a joined group's copies part by part of ``first``; the lists of each
+    layout are disjoint.
+    """
+    owner = {c: g for g, (copy_list, _) in enumerate(first) for c in copy_list}
+    root = list(range(len(first)))
+
+    def find(g):
+        while root[g] != g:
+            g = root[g]
+        return g
+
+    for copy_list, _ in second:
+        tops = {find(owner[c]) for c in copy_list}
+        top = min(tops)
+        for g in tops:
+            root[g] = top
+    joined: dict[int, tuple[list, list]] = {}
+    for g, part in enumerate(first):
+        joined.setdefault(find(g), ([], []))[0].append(part)
+    for part in second:
+        joined[find(owner[part[0][0]])][1].append(part)
+    for firsts, seconds in joined.values():
+        yield tuple(c for copy_list, _ in firsts for c in copy_list), firsts, seconds
+
+
 class SubspaceFrame:
-    """A closed subspace given by a matrix with orthonormal columns."""
+    """A closed subspace given by a matrix with orthonormal columns.
 
-    ambient: AmbientSpace
-    frame: np.ndarray = field(repr=False)
+    A subspace that is a direct sum over disjoint groups of copies can be
+    given in the grouped layout instead: ``groups`` holds one part
+    (copy list, block) per group, the block an orthonormal frame on the
+    group's copies stacked in list order, and the parts cover every copy.
+    Canonical frames are per copy, one part per copy. The dense ``frame``
+    of a grouped subspace puts the blocks side by side, part by part, and
+    is built on its first read.
+    """
 
-    def __post_init__(self):
-        frame = np.asarray(self.frame, dtype=complex)
-        if frame.ndim != 2 or frame.shape[0] != self.ambient.total_dim:
+    def __init__(self, ambient: AmbientSpace, frame: np.ndarray | None = None, groups=None):
+        self.ambient = ambient
+        self.groups: tuple[Part, ...] | None = None
+        if groups is not None:
+            groups, d, covered = tuple(groups), ambient.model.dim, []
+            for copy_list, block in groups:
+                covered += copy_list
+                if block.shape[0] != len(copy_list) * d:
+                    raise ValueError("a block does not have dim rows per copy of its group")
+                block.setflags(write=False)
+            if sorted(covered) != list(range(ambient.copies)):
+                raise ValueError("groups do not cover each copy once")
+            self.groups = groups
+            return
+        frame = np.asarray(frame, dtype=complex)
+        if frame.ndim != 2 or frame.shape[0] != ambient.total_dim:
             raise ValueError("frame shape does not match ambient dimension")
-        object.__setattr__(self, "frame", frame)
-        self.frame.setflags(write=False)
+        frame.setflags(write=False)
+        self.frame = frame
+
+    @classmethod
+    def per_copy(cls, ambient: AmbientSpace, blocks) -> "SubspaceFrame":
+        """The direct sum of one orthonormal (dim x k_n) block per copy."""
+        return cls(ambient, groups=[((n,), b) for n, b in enumerate(blocks)])
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        frame = _stack(self.groups, tuple(range(self.ambient.copies)), self.ambient.model.dim)
+        frame.setflags(write=False)
+        return frame
 
     @property
     def dim(self) -> int:
+        if self.groups is not None:
+            return sum(b.shape[1] for _, b in self.groups)
         return self.frame.shape[1]
 
     @classmethod
@@ -224,20 +322,80 @@ def _check_same_ambient(a: SubspaceFrame, b: SubspaceFrame):
         raise AmbientMismatch("frames live in different ambient spaces")
 
 
+def _gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Gap between the spans of two orthonormal frames of one space."""
+    if a.shape[1] != b.shape[1]:
+        return 1.0
+    if a.shape[1] == 0 or a is b or np.array_equal(a, b):
+        return 0.0
+    return float(np.linalg.norm(b - a @ (a.conj().T @ b), 2))
+
+
 def principal_distance(a: SubspaceFrame, b: SubspaceFrame) -> float:
     """2-norm gap between the orthogonal projections onto the subspaces.
 
     Read off the frames: for equal dimensions the gap is the sine of the
     largest principal angle, ||B - A (A^H B)||; for unequal dimensions it
     is 1, since the larger subspace holds a unit vector orthogonal to the
-    smaller one.
+    smaller one. Two grouped subspaces are direct sums over the groups of
+    copies that both layouts refine, so their gap is the largest gap of a
+    group, and 1 where a group's dimensions differ.
     """
     _check_same_ambient(a, b)
     if a.dim != b.dim:
         return 1.0
-    if a.dim == 0:
+    if a is b:
         return 0.0
-    return float(np.linalg.norm(b.frame - a.frame @ (a.frame.conj().T @ b.frame), 2))
+    if a.groups is None or b.groups is None:
+        return _gap(a.frame, b.frame)
+    # parts on the same copy list compare directly; the others are joined
+    d, gap, a_rest, b_rest = a.ambient.model.dim, 0.0, [], dict(b.groups)
+    for copy_list, block in a.groups:
+        other = b_rest.pop(copy_list, None)
+        if other is None:
+            a_rest.append((copy_list, block))
+        else:
+            gap = max(gap, _gap(block, other))
+    for order, a_parts, b_parts in _join(a_rest, b_rest.items()):
+        gap = max(gap, _gap(_stack(a_parts, order, d), _stack(b_parts, order, d)))
+    return gap
+
+
+def _grouped_image(y: CopyBlocks, m_frame: SubspaceFrame) -> SubspaceFrame:
+    """Y M for a grouped M, one group at a time.
+
+    A weight row scales each copy by a positive number, so it keeps the
+    span of a block on one copy; a block on several copies, or a group
+    that a square row couples, is mapped and orthonormalised at its own
+    column count.
+    """
+    d = y.dim
+    scale = np.ones(y.copies)
+    coupled = []
+    for copy_list, block in y.rows:
+        if block.ndim == 1:
+            scale[list(copy_list)] = block
+        else:
+            coupled.append((copy_list, block))
+    # a block on one copy outside every square row keeps its span
+    touched = {c for copy_list, _ in coupled for c in copy_list}
+    groups, work = [], []
+    for part in m_frame.groups:
+        (groups if len(part[0]) == 1 and part[0][0] not in touched else work).append(part)
+    if not work:
+        return m_frame
+    for order, m_parts, rows in _join(work, coupled):
+        weights = scale[list(order)]
+        if not rows and len(m_parts) == 1 and np.all(weights == weights[0]):
+            groups.append(m_parts[0])
+            continue
+        image = _stack(m_parts, order, d) * np.repeat(weights, d)[:, None]
+        pos = {c: i for i, c in enumerate(order)}
+        for copy_list, block in rows:
+            idx = _rows([pos[c] for c in copy_list], d)
+            image[idx] = block @ image[idx]
+        groups.append((order, orthonormalize(image, image.shape[1])))
+    return SubspaceFrame(m_frame.ambient, groups=groups)
 
 
 def image_closure(x_mat: np.ndarray | CopyBlocks, m_frame: SubspaceFrame) -> SubspaceFrame:
@@ -246,7 +404,8 @@ def image_closure(x_mat: np.ndarray | CopyBlocks, m_frame: SubspaceFrame) -> Sub
     Copy-row blocks are taken to be injective, as every row of the orbit
     map Y is an invertible X, so their image is orthonormalised at rank
     dim M; at large N the weights of Y put its smallest singular values
-    under RANK_REL_TOL. A matrix image keeps the RANK_REL_TOL rule.
+    under RANK_REL_TOL. Their image of a grouped M is grouped, built one
+    group at a time. A matrix image keeps the RANK_REL_TOL rule.
     """
     if isinstance(x_mat, CopyBlocks):
         rank = m_frame.dim
@@ -254,6 +413,8 @@ def image_closure(x_mat: np.ndarray | CopyBlocks, m_frame: SubspaceFrame) -> Sub
         x_mat, rank = np.asarray(x_mat, dtype=complex), None
     if x_mat.shape[1] != m_frame.ambient.total_dim:
         raise ValueError("operator does not act on the ambient space")
+    if rank is not None and m_frame.groups is not None and x_mat.dim == m_frame.ambient.model.dim:
+        return _grouped_image(x_mat, m_frame)
     return SubspaceFrame.from_columns(m_frame.ambient, x_mat @ m_frame.frame, rank)
 
 

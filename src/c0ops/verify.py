@@ -2,6 +2,11 @@
 
 The float verdict and the diagonal demo run on numpy.  The exact search
 runs on ``exact_nilpotent``, on stdlib fractions and integers.
+
+At each N of its sweep the verdict maps the per-copy canonical frame of
+(phi, psi) by the orbit map Y, whose all-theta rows are per-copy weights,
+and measures the gap to the canonical frame of (phi, tau) one copy group
+at a time; no (N d)-row frame or square matrix is formed.
 """
 
 from __future__ import annotations
@@ -361,15 +366,19 @@ def cordiag_demo(
     similarity = np.asarray(similarity, dtype=complex)
     jordan_amb = AmbientSpace.build(theta, copies)
     conj_amb = conjugated_ambient(theta, copies, similarity)
-    big_s = np.kron(np.eye(copies), similarity)
+    d = jordan_amb.model.dim
+
+    def conjugated(m: SubspaceFrame) -> SubspaceFrame:
+        """M carried by I (x) S, applied copy by copy."""
+        cols = similarity @ m.frame.reshape(copies, d, m.dim)
+        return SubspaceFrame(conj_amb, orthonormalize(cols.reshape(copies * d, m.dim)))
+
     rng = np.random.default_rng(seed)
     runs = []
     for idx in range(num_pairs):
         m1 = random_invariant_subspace(jordan_amb, rng, num_vectors=1 + idx % 2)
         m2 = random_invariant_subspace(jordan_amb, rng)
         v1 = verify_orbit(jordan_amb, m1, m2, sweep, gate)
-        m1c = SubspaceFrame(conj_amb, orthonormalize(big_s @ m1.frame))
-        m2c = SubspaceFrame(conj_amb, orthonormalize(big_s @ m2.frame))
-        v2 = verify_orbit(conj_amb, m1c, m2c, sweep, gate)
+        v2 = verify_orbit(conj_amb, conjugated(m1), conjugated(m2), sweep, gate)
         runs.append(DemoRun(idx, v1.verdict, v2.verdict))
     return runs

@@ -1,6 +1,7 @@
 """Norm-preserving solver, triangular X, density sweep, assembled Y."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from c0ops.errors import (
     PreconditionViolated,
 )
 from c0ops.inner import ONE, InnerFunction, all_divisors, blaschke, divides, monomial, quotient
-from c0ops.jordan import JordanModel, canonical_subspace, random_invariant_subspace
+from c0ops.jordan import JordanModel, canonical_subspace, interleaved_divisors, random_invariant_subspace
 from c0ops.model_space import ModelVector, build_model_space, functional_calculus
 from c0ops.quasiaffine import (
     WeightSchedule,
@@ -26,6 +27,8 @@ from c0ops.quasiaffine import (
 )
 from c0ops.subspaces import (
     AmbientSpace,
+    CopyBlocks,
+    SubspaceFrame,
     image_closure,
     invariant_subspace_of_block,
     orthonormalize,
@@ -330,6 +333,83 @@ class TestBuildY:
             tracemalloc.stop()
         assert rep.verdict == "orbit"
         assert peak < 64 * 2**20
+
+    def test_per_copy_layout_matches_dense(self):
+        # degree 16: an all-theta triple, whose rows of Y are all weights, and
+        # one whose row 0 has the symbols b_c b_a^2 b_b^2 and b_c
+        za, zb, zc, ze = 0.3, -0.25, 0.2 + 0.35j, -0.1 - 0.4j
+        theta = InnerFunction(((za, 4), (zb, 4), (zc, 4), (ze, 4)))
+        ab = blaschke(za, 2) * blaschke(zb, 2)
+        triples = [
+            (JordanModel((theta, theta)), JordanModel((theta,)), JordanModel((theta,))),
+            (
+                JordanModel((theta, quotient(theta, ab))),
+                JordanModel((ab * blaschke(zc, 2),)),
+                JordanModel((ab * blaschke(zc),)),
+            ),
+        ]
+        sched = WeightSchedule.factorial(64)
+        space = build_model_space(theta)
+        d = space.dim
+        for rest, psi, tau in triples:
+            for n in (8, 16, 32, 64):
+                amb = AmbientSpace(space, n)
+                m_psi = canonical_subspace(theta, rest, psi, n, amb)
+                m_tau = canonical_subspace(theta, rest, tau, n, amb)
+                # the dense frame of the per-copy layout, byte for byte
+                gammas = interleaved_divisors(theta, rest, psi, n)
+                blocks = [invariant_subspace_of_block(space, g).frame for g in gammas]
+                expected = np.zeros((n * d, sum(b.shape[1] for b in blocks)), dtype=complex)
+                col = 0
+                for c, b in enumerate(blocks):
+                    expected[c * d : (c + 1) * d, col : col + b.shape[1]] = b
+                    col += b.shape[1]
+                assert m_psi.frame.tobytes() == expected.tobytes()
+                assert m_psi.frame.shape == expected.shape
+                # weight rows against the dense blocks X / ||X|| they stand for
+                rec = build_Y_main(amb, rest, psi, tau, sched)
+                rows = []
+                for copy_list, block in rec.operator.rows:
+                    if block.ndim == 1:
+                        x_rec = build_X(space, len(copy_list) - 1, [theta] * (len(copy_list) - 1), sched)
+                        block = x_rec.operator / x_rec.norm
+                    rows.append((copy_list, block))
+                dense_rows = CopyBlocks(n, d, tuple(rows))
+                weighted = [b for _, b in rec.operator.rows if b.ndim == 1]
+                assert len(weighted) == len(rows) - (rest.parts[1] != theta)
+                frame = m_psi.frame
+                assert np.abs(rec.operator @ frame - dense_rows @ frame).max() <= 1e-15
+                assert np.abs(rec.operator.dense() - dense_rows.dense()).max() <= 1e-15
+                # image and distance group by group against the dense path
+                img = image_closure(rec.operator, m_psi)
+                dense_img = image_closure(rec.matrix, SubspaceFrame(amb, frame))
+                assert principal_distance(SubspaceFrame(amb, img.frame), dense_img) <= 1e-12
+                for target in (m_psi, m_tau):
+                    dist = principal_distance(img, target)
+                    dense_dist = principal_distance(dense_img, SubspaceFrame(amb, target.frame))
+                    assert abs(dist - dense_dist) <= 1e-12
+
+    def test_degree_cap_step_without_dense_frames(self):
+        # dense, this step took 212 s and 3.7 GB: 128 copies of a degree-64 theta
+        theta = InnerFunction(tuple((0.9 * 1j**k, 16) for k in range(4)))
+        n = 128
+        rest, psi = JordanModel((theta,) * (n // 2)), JordanModel((theta,))
+        amb = AmbientSpace.build(theta, n)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            rec = build_Y_main(amb, rest, psi, psi, WeightSchedule.factorial(64))
+            m1 = canonical_subspace(theta, rest, psi, n, amb)
+            m2 = canonical_subspace(theta, rest, psi, n, amb)
+            dist = principal_distance(image_closure(rec.operator, m1), m2)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m1.dim == 64 * 64
+        assert dist == 0.0
+        assert elapsed <= 2.0
+        assert peak <= 100 * 2**20
 
     def test_divisibility_failure_raised(self):
         theta = monomial(2)

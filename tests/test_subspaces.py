@@ -10,6 +10,7 @@ from c0ops.inner import all_divisors, blaschke, divides, monomial, quotient
 from c0ops.model_space import build_model_space, functional_calculus
 from c0ops.subspaces import (
     AmbientSpace,
+    CopyBlocks,
     SubspaceFrame,
     image_closure,
     invariant_subspace_of_block,
@@ -145,6 +146,67 @@ class TestImageClosure:
         x[0, 0] = 1.0
         img = image_closure(x, m)
         assert img.dim == 1
+
+
+def random_block(rows, k):
+    cols = RNG.standard_normal((rows, k)) + 1j * RNG.standard_normal((rows, k))
+    return orthonormalize(cols, k)
+
+
+class TestGroupedLayout:
+    # 4 copies of H(z^2); the two layouts cross: their join is {0, 2, 3}, {1}
+    AMB = AmbientSpace.build(monomial(2), 4)
+
+    def layouts(self, ka, kb):
+        """Grouped frames on ((0, 2), (1,), (3,)) and ((3, 2), (0,), (1,)) with these column counts."""
+        a = SubspaceFrame(self.AMB, groups=[
+            ((0, 2), random_block(4, ka[0])), ((1,), random_block(2, ka[1])), ((3,), random_block(2, ka[2]))
+        ])
+        b = SubspaceFrame(self.AMB, groups=[
+            ((3, 2), random_block(4, kb[0])), ((0,), random_block(2, kb[1])), ((1,), random_block(2, kb[2]))
+        ])
+        return a, b
+
+    def test_dense_frame_stacks_the_blocks(self):
+        blocks = [random_block(2, k) for k in (1, 0, 2, 1)]
+        m = SubspaceFrame.per_copy(self.AMB, blocks)
+        assert m.dim == 4
+        expected = np.zeros((8, 4), dtype=complex)
+        expected[0:2, 0:1], expected[4:6, 1:3], expected[6:8, 3:4] = blocks[0], blocks[2], blocks[3]
+        assert np.array_equal(m.frame, expected)
+
+    def test_distance_matches_dense_across_crossing_groups(self):
+        # (ka, kb): equal counts on the join (a proper gap), unequal ones (1),
+        # and unequal totals
+        for ka, kb in (((2, 1, 1), (2, 1, 1)), ((3, 1, 0), (1, 1, 1)), ((2, 2, 1), (2, 1, 1)), ((2, 0, 1), (1, 1, 1))):
+            a, b = self.layouts(ka, kb)
+            dense_a, dense_b = SubspaceFrame(self.AMB, a.frame), SubspaceFrame(self.AMB, b.frame)
+            d = principal_distance(a, b)
+            assert abs(d - principal_distance(dense_a, dense_b)) <= 1e-12
+            assert abs(d - dense_distance(a, b)) <= 1e-12
+            assert abs(d - principal_distance(b, a)) <= 1e-12
+
+    def test_image_matches_dense(self):
+        # the group (0, 2) of a is coupled to copy 1 by a square row, or only
+        # scaled, by weights that differ on its two copies
+        x = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)) + 4 * np.eye(4)
+        a, _ = self.layouts((2, 1, 1), (1, 1, 1))
+        for rows in (
+            (((1, 0), x), ((2, 3), np.array([0.5, 0.25]))),
+            (((0, 2), np.array([1.0, 0.2])), ((3, 1), np.array([0.5, 0.5]))),
+        ):
+            y = CopyBlocks(4, 2, rows)
+            img = image_closure(y, a)
+            assert img.groups is not None and img.dim == a.dim
+            dense = image_closure(y.dense(), SubspaceFrame(self.AMB, a.frame))
+            assert dense_distance(img, dense) <= 1e-12
+            assert np.abs(y @ a.frame - y.dense() @ a.frame).max() <= 1e-15
+
+    def test_malformed_groups_rejected(self):
+        with pytest.raises(ValueError):
+            SubspaceFrame(self.AMB, groups=[((0, 1), random_block(4, 1)), ((3,), random_block(2, 1))])
+        with pytest.raises(ValueError):
+            SubspaceFrame.per_copy(self.AMB, [random_block(2, 1)] * 3 + [random_block(3, 1)])
 
 
 class TestAmbient:

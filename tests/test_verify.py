@@ -10,8 +10,10 @@ from c0ops.errors import IllConditioned
 from c0ops.exact_nilpotent import commutant_basis, direct_sum_nilpotent
 from c0ops.inner import blaschke, monomial
 from c0ops.jordan import JordanModel, canonical_subspace, random_invariant_subspace
-from c0ops.subspaces import AmbientSpace, SubspaceFrame
+from c0ops.quasiaffine import build_Y_main
+from c0ops.subspaces import AmbientSpace, SubspaceFrame, image_closure, principal_distance
 from c0ops.verify import (
+    Y_SCHEDULE,
     conjugated_ambient,
     cordiag_demo,
     counterexample_search,
@@ -39,6 +41,25 @@ class TestVerifyOrbit:
         rep = verify_orbit(amb, m, m, sweep=(n,))
         assert rep.verdict == "orbit"
         assert rep.distance_curve[-1][1] <= 1e-12
+
+    def test_coupled_rows_match_the_dense_path(self):
+        # the symbols of row 0 are b_{-0.4i} and 1, so Y has a square row
+        # next to its weight rows and the image is built group by group
+        theta = blaschke(0.3) * blaschke(-0.4j)
+        amb = AmbientSpace.build(theta, 6)
+        m = canonical_subspace(theta, JordanModel((theta, blaschke(0.3))), JordanModel((blaschke(-0.4j),)), 6, amb)
+        rep = verify_orbit(amb, m, m, sweep=(16, 32, 64))
+        assert rep.verdict == "orbit"
+        assert [n for n, _ in rep.distance_curve] == [16, 32, 64]
+        rest, comp = rep.restriction_models[0], rep.compression_models[0]
+        for n, dist in rep.distance_curve:
+            amb_n = AmbientSpace(amb.model, n)
+            y = build_Y_main(amb_n, rest, comp, comp, Y_SCHEDULE)
+            assert any(block.ndim == 2 for _, block in y.operator.rows)
+            dense = SubspaceFrame(amb_n, canonical_subspace(theta, rest, comp, n, amb_n).frame)
+            dense_dist = principal_distance(image_closure(y.matrix, dense), dense)
+            assert dist <= 1e-12
+            assert abs(dist - dense_dist) <= 1e-12
 
     def test_unequal_restriction_models_no_orbit(self):
         amb = AmbientSpace.build(monomial(2), 4)
