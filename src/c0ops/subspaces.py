@@ -181,8 +181,8 @@ class SubspaceFrame:
 
     A subspace that is a direct sum over disjoint groups of copies can be
     given in the grouped layout instead: ``groups`` holds one part
-    (copy list, block) per group, the block an orthonormal frame on the
-    group's copies stacked in list order, and the parts cover every copy.
+    (copy tuple, block) per group, the block an orthonormal frame on the
+    group's copies stacked in tuple order, and the parts cover every copy.
     Canonical frames are per copy, one part per copy. The dense ``frame``
     of a grouped subspace puts the blocks side by side, part by part, and
     is built on its first read.
@@ -206,7 +206,7 @@ class SubspaceFrame:
         if frame.ndim != 2 or frame.shape[0] != ambient.total_dim:
             raise ValueError("frame shape does not match ambient dimension")
         frame.setflags(write=False)
-        self.frame = frame
+        self.frame = frame  # takes the place of the cached property
 
     @classmethod
     def per_copy(cls, ambient: AmbientSpace, blocks) -> "SubspaceFrame":
