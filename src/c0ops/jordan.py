@@ -150,7 +150,7 @@ def _require_invariant(m_frame: SubspaceFrame) -> None:
 
 def _compress(ambient: AmbientSpace, q: np.ndarray) -> np.ndarray:
     """Matrix of P_Q T | span(Q) in the orthonormal frame Q."""
-    return q.conj().T @ ambient.operator_matrix @ q
+    return q.conj().T @ ambient.apply(q)
 
 
 def restriction_matrix(ambient: AmbientSpace, m_frame: SubspaceFrame) -> np.ndarray:
@@ -213,7 +213,11 @@ def canonical_subspace(
     """Frame for the canonical interleaved subspace in (+)_{n<copies} H(theta).
 
     It is the direct sum of gamma_n H^2 (-) theta H^2 over the copies, so
-    the frame is kept per copy, one block per gamma_n.
+    the frame is kept per copy, one block per gamma_n. Copy n adds
+    S(theta/gamma_n) to the restriction and S(gamma_n) to the compression,
+    so a proper divisor phi_k or psi_k adds parts beyond the given models.
+    Past the interleave length gamma_n = theta, and those copies share one
+    empty block.
     """
     if restriction_model.parts and not inner.divides(
         restriction_model.parts[0], theta
@@ -226,14 +230,10 @@ def canonical_subspace(
     if ambient is None:
         ambient = AmbientSpace.build(theta, copies)
     gammas = interleaved_divisors(theta, restriction_model, compression_model, copies)
-    block: dict[InnerFunction, np.ndarray] = {}  # one frame per distinct gamma
-    blocks = []
-    for g in gammas:
-        frame = block.get(g)
-        if frame is None:
-            frame = block[g] = invariant_subspace_of_block(ambient.model, g).frame
-        blocks.append(frame)
-    return SubspaceFrame.per_copy(ambient, blocks)
+    head = gammas[: 2 * max(len(restriction_model), len(compression_model))]
+    frame = {g: invariant_subspace_of_block(ambient.model, g).frame for g in dict.fromkeys(head)}
+    empty = np.zeros((ambient.model.dim, 0), dtype=complex)
+    return SubspaceFrame.per_copy(ambient, [frame[g] for g in head] + [empty] * (copies - len(head)))
 
 
 def random_invariant_subspace(
@@ -248,5 +248,5 @@ def random_invariant_subspace(
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for _ in range(n):
             cols.append(x.copy())
-            x = ambient.operator_matrix @ x
+            x = ambient.apply(x)
     return SubspaceFrame(ambient, orthonormalize(np.column_stack(cols)))

@@ -34,6 +34,7 @@ from .subspaces import (
     AmbientSpace,
     CopyBlocks,
     SubspaceFrame,
+    copywise,
     image_closure,
     invariant_subspace_of_block,
     orthocomplement,
@@ -448,17 +449,17 @@ def compression_intertwiner(
 ) -> np.ndarray:
     """A = P_{M2^perp} X | M1^perp in complement frame coordinates."""
     x_mat = np.asarray(x_mat, dtype=complex)
-    t1, t2 = ambient1.operator_matrix, ambient2.operator_matrix
     scale = max(1.0, float(np.linalg.norm(x_mat, 2)))
-    if np.linalg.norm(x_mat @ t1 - t2 @ x_mat, 2) > INTERTWINE_TOL * scale:
+    x_t1 = copywise(ambient1.block.T, x_mat.T).T  # X T1 = ((I (x) B1^T) X^T)^T
+    if np.linalg.norm(x_t1 - ambient2.apply(x_mat), 2) > INTERTWINE_TOL * scale:
         raise PreconditionViolated("X does not intertwine the ambients")
     if principal_distance(image_closure(x_mat, m1), m2) > IMAGE_GAP_TOL:
         raise PreconditionViolated("closure of X M1 is not M2")
     q1 = orthocomplement(m1).frame
     q2 = orthocomplement(m2).frame
     a_mat = q2.conj().T @ x_mat @ q1
-    c1 = q1.conj().T @ t1 @ q1
-    c2 = q2.conj().T @ t2 @ q2
+    c1 = q1.conj().T @ ambient1.apply(q1)
+    c2 = q2.conj().T @ ambient2.apply(q2)
     if np.linalg.norm(a_mat @ c1 - c2 @ a_mat, 2) > COMPRESSION_TOL * scale:
         raise PreconditionViolated("compressions are not intertwined")
     if a_mat.shape[0] > 0:

@@ -1,10 +1,9 @@
 """Orthonormal frames for subspaces of (sums of) model spaces.
 
-A frame is a dense matrix, or, for a direct sum over groups of copies, one
-block per group: canonical frames are per copy. The orbit map Y is kept as
-copy rows (``CopyBlocks``), square blocks or per-copy weights, so its image
-of a grouped frame and the gap between two grouped frames are computed one
-group at a time.
+T_N is applied copy by copy. A frame holds one block per group of copies:
+a matrix is the one group of all copies, and canonical frames are per copy.
+The orbit map Y is kept as copy rows (``CopyBlocks``), square blocks or
+per-copy weights, so Y M and the gap between two frames go group by group.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ class AmbientSpace:
 
     The per-copy block B defaults to S(theta). A block similar to it, such
     as S S(theta) S^{-1}, hosts a conjugated operator on the same
-    coordinate space. T_N = I_N (x) B is derived here and nowhere else.
+    coordinate space. T_N is applied here copy by copy and never formed.
     """
 
     model: ModelSpace
@@ -47,11 +46,12 @@ class AmbientSpace:
         block.setflags(write=False)
         object.__setattr__(self, "block", block)
 
-    @cached_property
-    def operator_matrix(self) -> np.ndarray:
-        op = np.kron(np.eye(self.copies), self.block)
-        op.setflags(write=False)
-        return op
+    def apply(self, cols: np.ndarray) -> np.ndarray:
+        """T_N cols, for a vector or the columns of a matrix."""
+        cols = np.asarray(cols)
+        if cols.shape[0] != self.total_dim:
+            raise ValueError("columns do not live in the ambient space")
+        return copywise(self.block, cols)
 
     @property
     def theta(self) -> InnerFunction:
@@ -64,6 +64,13 @@ class AmbientSpace:
     @classmethod
     def build(cls, theta: InnerFunction, copies: int) -> "AmbientSpace":
         return cls(build_model_space(theta), copies)
+
+
+def copywise(block: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(I_N (x) block) cols: the square block applied to the rows of each copy."""
+    d = block.shape[0]
+    k = cols.shape[1] if cols.ndim == 2 else 1
+    return (block @ cols.reshape(cols.shape[0] // d, d, k)).reshape(cols.shape)
 
 
 def _rows(copy_list, dim: int) -> np.ndarray:
@@ -177,36 +184,30 @@ def _join(first, second):
 
 
 class SubspaceFrame:
-    """A closed subspace given by a matrix with orthonormal columns.
+    """A closed subspace, a direct sum over disjoint groups of copies.
 
-    A subspace that is a direct sum over disjoint groups of copies can be
-    given in the grouped layout instead: ``groups`` holds one part
-    (copy tuple, block) per group, the block an orthonormal frame on the
-    group's copies stacked in tuple order, and the parts cover every copy.
-    Canonical frames are per copy, one part per copy. The dense ``frame``
-    of a grouped subspace puts the blocks side by side, part by part, and
-    is built on its first read.
+    ``groups`` holds one part (copy tuple, block) per group, the block an
+    orthonormal frame on the group's copies stacked in tuple order, and the
+    parts cover every copy. A frame given as a matrix with orthonormal
+    columns is the one part on all copies in order; canonical frames are
+    per copy, one part per copy. The dense ``frame`` puts the blocks side
+    by side, part by part, and is built on its first read; a lone part in
+    order is its own frame.
     """
 
     def __init__(self, ambient: AmbientSpace, frame: np.ndarray | None = None, groups=None):
         self.ambient = ambient
-        self.groups: tuple[Part, ...] | None = None
-        if groups is not None:
-            groups, d, covered = tuple(groups), ambient.model.dim, []
-            for copy_list, block in groups:
-                covered += copy_list
-                if block.shape[0] != len(copy_list) * d:
-                    raise ValueError("a block does not have dim rows per copy of its group")
-                block.setflags(write=False)
-            if sorted(covered) != list(range(ambient.copies)):
-                raise ValueError("groups do not cover each copy once")
-            self.groups = groups
-            return
-        frame = np.asarray(frame, dtype=complex)
-        if frame.ndim != 2 or frame.shape[0] != ambient.total_dim:
-            raise ValueError("frame shape does not match ambient dimension")
-        frame.setflags(write=False)
-        self.frame = frame  # takes the place of the cached property
+        if frame is not None:
+            groups = [(tuple(range(ambient.copies)), np.asarray(frame, dtype=complex))]
+        groups, d, covered = tuple(groups), ambient.model.dim, []
+        for copy_list, block in groups:
+            covered += copy_list
+            if block.ndim != 2 or block.shape[0] != len(copy_list) * d:
+                raise ValueError("a block does not have dim rows per copy of its group")
+            block.setflags(write=False)
+        if sorted(covered) != list(range(ambient.copies)):
+            raise ValueError("groups do not cover each copy once")
+        self.groups: tuple[Part, ...] = groups
 
     @classmethod
     def per_copy(cls, ambient: AmbientSpace, blocks) -> "SubspaceFrame":
@@ -221,9 +222,7 @@ class SubspaceFrame:
 
     @property
     def dim(self) -> int:
-        if self.groups is not None:
-            return sum(b.shape[1] for _, b in self.groups)
-        return self.frame.shape[1]
+        return sum(b.shape[1] for _, b in self.groups)
 
     @classmethod
     def from_columns(cls, ambient: AmbientSpace, columns, rank=None):
@@ -312,7 +311,7 @@ def is_invariant(m_frame: SubspaceFrame) -> tuple[bool, float]:
     p = m_frame.frame
     if p.shape[1] == 0:
         return True, 0.0
-    tp = m_frame.ambient.operator_matrix @ p
+    tp = m_frame.ambient.apply(p)
     residual = float(np.linalg.norm(tp - p @ (p.conj().T @ tp), 2))
     return residual <= INVARIANCE_TOL, residual
 
@@ -337,17 +336,15 @@ def principal_distance(a: SubspaceFrame, b: SubspaceFrame) -> float:
     Read off the frames: for equal dimensions the gap is the sine of the
     largest principal angle, ||B - A (A^H B)||; for unequal dimensions it
     is 1, since the larger subspace holds a unit vector orthogonal to the
-    smaller one. Two grouped subspaces are direct sums over the groups of
-    copies that both layouts refine, so their gap is the largest gap of a
-    group, and 1 where a group's dimensions differ.
+    smaller one. Both subspaces are direct sums over the groups of copies
+    that their layouts refine, so their gap is the largest gap of a group,
+    and 1 where a group's dimensions differ.
     """
     _check_same_ambient(a, b)
     if a.dim != b.dim:
         return 1.0
     if a is b:
         return 0.0
-    if a.groups is None or b.groups is None:
-        return _gap(a.frame, b.frame)
     # parts on the same copy list compare directly; the others are joined
     d, gap, a_rest, b_rest = a.ambient.model.dim, 0.0, [], dict(b.groups)
     for copy_list, block in a.groups:
@@ -404,18 +401,19 @@ def image_closure(x_mat: np.ndarray | CopyBlocks, m_frame: SubspaceFrame) -> Sub
     Copy-row blocks are taken to be injective, as every row of the orbit
     map Y is an invertible X, so their image is orthonormalised at rank
     dim M; at large N the weights of Y put its smallest singular values
-    under RANK_REL_TOL. Their image of a grouped M is grouped, built one
-    group at a time. A matrix image keeps the RANK_REL_TOL rule.
+    under RANK_REL_TOL. Their image is grouped, built one group of M at a
+    time, and they must be laid out on the ambient's copies. A matrix
+    image keeps the RANK_REL_TOL rule.
     """
+    ambient = m_frame.ambient
     if isinstance(x_mat, CopyBlocks):
-        rank = m_frame.dim
-    else:
-        x_mat, rank = np.asarray(x_mat, dtype=complex), None
-    if x_mat.shape[1] != m_frame.ambient.total_dim:
-        raise ValueError("operator does not act on the ambient space")
-    if rank is not None and m_frame.groups is not None and x_mat.dim == m_frame.ambient.model.dim:
+        if (x_mat.copies, x_mat.dim) != (ambient.copies, ambient.model.dim):
+            raise ValueError("copy blocks are not laid out on the ambient's copies")
         return _grouped_image(x_mat, m_frame)
-    return SubspaceFrame.from_columns(m_frame.ambient, x_mat @ m_frame.frame, rank)
+    x_mat = np.asarray(x_mat, dtype=complex)
+    if x_mat.shape[1] != ambient.total_dim:
+        raise ValueError("operator does not act on the ambient space")
+    return SubspaceFrame.from_columns(ambient, x_mat @ m_frame.frame)
 
 
 def orthocomplement(m_frame: SubspaceFrame) -> SubspaceFrame:

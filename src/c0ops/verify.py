@@ -49,6 +49,7 @@ from .quasiaffine import WeightSchedule, build_Y_main
 from .subspaces import (
     AmbientSpace,
     SubspaceFrame,
+    copywise,
     image_closure,
     orthonormalize,
     principal_distance,
@@ -109,7 +110,13 @@ def verify_orbit(
     sweep=DEFAULT_SWEEP,
     gate: float = DEFAULT_GATE,
 ) -> VerifyReport:
-    """Test whether M2 lies in the quasiaffine orbit of M1 for T_N."""
+    """Test whether M2 lies in the quasiaffine orbit of M1 for T_N.
+
+    The verdict reads the Jordan models of M1 and M2. Its distance curve
+    compares canonical frames built from M1's restriction model, Y
+    canon(rest1, comp1) against canon(rest1, comp2), not M1 and M2
+    themselves; ``canonical_subspace`` says which models those carry.
+    """
     theta = ambient.theta
     rest1, comp1 = subspace_models(ambient, m1)
     rest2, comp2 = subspace_models(ambient, m2)
@@ -366,12 +373,10 @@ def cordiag_demo(
     similarity = np.asarray(similarity, dtype=complex)
     jordan_amb = AmbientSpace.build(theta, copies)
     conj_amb = conjugated_ambient(theta, copies, similarity)
-    d = jordan_amb.model.dim
 
     def conjugated(m: SubspaceFrame) -> SubspaceFrame:
         """M carried by I (x) S, applied copy by copy."""
-        cols = similarity @ m.frame.reshape(copies, d, m.dim)
-        return SubspaceFrame(conj_amb, orthonormalize(cols.reshape(copies * d, m.dim)))
+        return SubspaceFrame(conj_amb, orthonormalize(copywise(similarity, m.frame)))
 
     rng = np.random.default_rng(seed)
     runs = []

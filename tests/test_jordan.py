@@ -1,11 +1,14 @@
 """Jordan models of restrictions and compressions, and the canonical
 block-diagonal subspace attached to a model pair."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from c0ops.errors import IllConditioned, ModelTooLong, NotInvariant
-from c0ops.inner import ONE, blaschke, divides, monomial
+from c0ops.inner import ONE, InnerFunction, blaschke, divides, monomial, quotient
 from c0ops.jordan import (
     JordanModel,
     canonical_subspace,
@@ -21,6 +24,7 @@ from c0ops.model_space import build_model_space
 from c0ops.subspaces import (
     AmbientSpace,
     SubspaceFrame,
+    invariant_subspace_of_block,
     is_invariant,
     orthonormalize,
 )
@@ -174,3 +178,64 @@ class TestCanonicalSubspace:
         rest = JordanModel((theta, theta, theta))
         with pytest.raises(ModelTooLong):
             canonical_subspace(theta, rest, JordanModel(), 4)
+
+    def test_models_carried_by_a_proper_divisor_pair(self):
+        # copy n adds S(theta/gamma_n) to the restriction and S(gamma_n) to
+        # the compression: gammas (1, b_b, b_b, theta, theta, theta)
+        a, b = blaschke(0.3), blaschke(-0.4j)
+        theta = a * b
+        amb = AmbientSpace.build(theta, 6)
+        canon = canonical_subspace(theta, JordanModel((theta, a)), JordanModel((b,)), 6, amb)
+        rest, comp = subspace_models(amb, canon)
+        assert rest == JordanModel((theta, a, a))
+        assert comp == JordanModel((theta, theta, theta, b, b))
+
+    def test_lookups_do_not_grow_with_copies(self, monkeypatch):
+        # only the interleave head is looked up; the theta tail shares one
+        # empty block
+        theta = InnerFunction(((0.3, 2), (-0.25, 2), (0.2 + 0.35j, 2), (-0.1 - 0.4j, 2)))
+        rest, comp = JordanModel((theta,)), JordanModel((theta,) * 3)
+        counts = {"hash": 0, "eq": 0}
+        plain_hash, plain_eq = InnerFunction.__hash__, InnerFunction.__eq__
+
+        def counted_hash(self):
+            counts["hash"] += 1
+            return plain_hash(self)
+
+        def counted_eq(self, other):
+            counts["eq"] += 1
+            return plain_eq(self, other)
+
+        monkeypatch.setattr(InnerFunction, "__hash__", counted_hash)
+        monkeypatch.setattr(InnerFunction, "__eq__", counted_eq)
+        seen = []
+        for n in (16, 128):
+            amb = AmbientSpace.build(theta, n)
+            counts.update(hash=0, eq=0)
+            canon = canonical_subspace(theta, rest, comp, n, amb)
+            seen.append(dict(counts))
+            assert canon.dim == 8
+        assert seen[0] == seen[1]
+
+
+class TestDegreeCap:
+    def test_invariance_and_restriction_without_dense_operator(self):
+        # T_N as a dense kron here is 4096 x 4096 complex: 256 MB
+        theta = InnerFunction(tuple((0.9 * 1j**k, 16) for k in range(4)))
+        amb = AmbientSpace.build(theta, 64)
+        block = invariant_subspace_of_block(amb.model, quotient(theta, blaschke(0.9))).frame
+        empty = np.zeros((amb.model.dim, 0), dtype=complex)
+        m = SubspaceFrame.per_copy(amb, [block] + [empty] * 63)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            ok, residual = is_invariant(m)
+            rest = restriction_matrix(amb, m)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and residual <= 1e-12
+        assert rest.shape == (1, 1)
+        assert elapsed <= 0.5
+        assert peak <= 8 * 2**20

@@ -273,7 +273,7 @@ class TestBuildY:
                 rec = build_Y_main(amb, rest, psi, psi, sched)
                 assert rec.intertwining_residual <= 1e-10
                 # the per-row quality numbers match their dense definitions
-                y, t = rec.matrix, amb.operator_matrix
+                y, t = rec.matrix, amb.apply(np.eye(amb.total_dim))
                 assert abs(rec.sigma_min - np.linalg.svd(y, compute_uv=False)[-1]) <= 1e-12
                 assert abs(rec.intertwining_residual - np.linalg.norm(y @ t - t @ y, 2)) <= 1e-14
                 # Y couples only the copies of one pairing row: head 2r+1

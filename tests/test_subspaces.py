@@ -202,6 +202,13 @@ class TestGroupedLayout:
             assert dense_distance(img, dense) <= 1e-12
             assert np.abs(y @ a.frame - y.dense() @ a.frame).max() <= 1e-15
 
+    def test_copy_blocks_on_other_copies_refused(self):
+        # 2 copies of dim 4 have the total dimension of 4 copies of dim 2
+        a, _ = self.layouts((2, 1, 1), (1, 1, 1))
+        y = CopyBlocks(2, 4, (((0, 1), np.array([1.0, 0.5])),))
+        with pytest.raises(ValueError):
+            image_closure(y, a)
+
     def test_malformed_groups_rejected(self):
         with pytest.raises(ValueError):
             SubspaceFrame(self.AMB, groups=[((0, 1), random_block(4, 1)), ((3,), random_block(2, 1))])

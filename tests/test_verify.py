@@ -208,7 +208,13 @@ class TestCordiagDemo:
         amb = conjugated_ambient(monomial(2), 3, s)
         block = s @ amb.model.shift_matrix @ np.linalg.inv(s)
         expected = np.kron(np.eye(3), block)
-        assert np.abs(amb.operator_matrix - expected).max() <= 1e-14
+        assert np.abs(amb.apply(np.eye(amb.total_dim)) - expected).max() <= 1e-14
+        rng = np.random.default_rng(8)
+        frame = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        assert np.abs(amb.apply(frame) - expected @ frame).max() <= 1e-14
+        vec = frame[:, 0]
+        assert amb.apply(vec).shape == (6,)
+        assert np.abs(amb.apply(vec) - expected @ vec).max() <= 1e-14
 
     def test_ill_conditioned_similarity_rejected(self):
         with pytest.raises(IllConditioned):
