@@ -185,10 +185,19 @@ def _write_out(path: str | None, payload) -> None:
         raise ParseFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _read_subspace(path: str):
+    """The subspace in path, with a note on stderr if its stored columns were not orthonormal."""
+    frame, adjust, stored = _read(path, lambda data: (*load_subspace(data), len(data["frame"])))
+    stored //= frame.ambient.total_dim
+    if frame.dim < stored:
+        print(f"{path}: {stored} stored columns are rank deficient, kept dimension {frame.dim}", file=sys.stderr)
+    elif adjust > 1e-6:
+        print(f"{path}: frame re-orthonormalization adjustment {fmt(adjust)}", file=sys.stderr)
+    return frame
+
+
 def cmd_jordan_model(args) -> int:
-    frame, adjust = _read(args.input, load_subspace)
-    if adjust > 1e-6:
-        print(f"frame re-orthonormalization adjustment {fmt(adjust)}", file=sys.stderr)
+    frame = _read_subspace(args.input)
     rest, comp = subspace_models(frame.ambient, frame)
     print(f"restriction model: {rest}")
     print(f"compression model: {comp}")
@@ -198,7 +207,7 @@ def cmd_jordan_model(args) -> int:
 
 def cmd_verify_orbit(args) -> int:
     config = read_config(args.config, args.command)
-    (m1, _), (m2, _) = (_read(path, load_subspace) for path in args.input)
+    m1, m2 = (_read_subspace(path) for path in args.input)
     ambient = m1.ambient
     if (m2.ambient.theta, m2.ambient.copies) != (ambient.theta, ambient.copies):
         raise ParseFailure(f"{args.input[1]} lives in another ambient than {args.input[0]}")

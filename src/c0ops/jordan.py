@@ -1,13 +1,14 @@
 """Minimal functions, Jordan models and the canonical interleaved subspace.
 
-Jordan structure is read off from rank sequences of (A - a I)^k, with the
-eigenvalue locations anchored to the zero list of the reference inner
-function instead of computed spectra.
+Jordan structure is read off from the ranks of b_a(A)^k, the powers of the
+Blaschke factor at each zero a of the reference inner function, so the
+eigenvalues are anchored to its zero list instead of computed spectra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .errors import (
     NotAnnihilated,
     NotInvariant,
 )
-from .inner import InnerFunction, ONE, quotient
+from .inner import InnerFunction, ONE, blaschke, quotient
 from .model_space import blaschke_of_matrix
 from .subspaces import (
     AmbientSpace,
@@ -83,18 +84,6 @@ def _rank(mat: np.ndarray) -> int:
     return r
 
 
-def _rank_sequence(a_mat, zero, mult):
-    """Ranks of (A - zero I)^k for k = 0..mult."""
-    n = a_mat.shape[0]
-    base = a_mat - zero * np.eye(n, dtype=complex)
-    power = base
-    ranks = [n, _rank(power)]
-    for _ in range(mult - 1):
-        power = power @ base
-        ranks.append(_rank(power))
-    return ranks
-
-
 def chain_lengths(ranks: list[int]) -> list[int]:
     """Jordan chain lengths, largest first, from the ranks of N^0, ..., N^m.
 
@@ -109,37 +98,42 @@ def chain_lengths(ranks: list[int]) -> list[int]:
     return [sum(1 for c in counts if c > n) for n in range(longest)]
 
 
-def _check_annihilated(a_mat: np.ndarray, theta_ref: InnerFunction):
-    if a_mat.shape[0] == 0:
-        return
-    res = float(np.linalg.norm(blaschke_of_matrix(theta_ref, a_mat), 2))
-    if res > ANNIHILATION_TOL:
-        raise NotAnnihilated(
-            f"theta_ref(A) has norm {res:.3e} > {ANNIHILATION_TOL}"
-        )
-
-
 def minimal_function(a_mat: np.ndarray, theta_ref: InnerFunction) -> InnerFunction:
     """Smallest divisor of theta_ref annihilating A: the first part of its Jordan model."""
     return jordan_model_of(a_mat, theta_ref).part(0)
 
 
 def jordan_model_of(a_mat: np.ndarray, theta_ref: InnerFunction) -> JordanModel:
-    """Jordan model of A, anchored to the zeros of theta_ref."""
+    """Jordan model of A, anchored to the zeros of theta_ref.
+
+    Each b_a(A) gives the ranks of its powers up to the multiplicity m of a
+    (on S(theta) they are partial isometries, so every rank has a clear
+    gap), and b_a(A)^m joins theta_ref(A), which must vanish. The chains
+    must fill dim A.
+    """
     a_mat = np.asarray(a_mat, dtype=complex)
-    _check_annihilated(a_mat, theta_ref)
-    if a_mat.shape[0] == 0:
+    n = a_mat.shape[0]
+    if n == 0:
         return JordanModel()
+    value = np.eye(n, dtype=complex)  # theta_ref(A), one zero at a time
     # per_zero[i] = (zero, chain length) pairs at the i-th zero, largest first
     per_zero: list[list[tuple[complex, int]]] = []
     for a, m in theta_ref.zeros:
-        sizes = chain_lengths(_rank_sequence(a_mat, a, m))
-        per_zero.append([(a, s) for s in sizes])
-    length = max((len(s) for s in per_zero), default=0)
-    return JordanModel(tuple(
-        InnerFunction(tuple(sizes[n_th] for sizes in per_zero if n_th < len(sizes)))
-        for n_th in range(length)
-    ))
+        factor = blaschke_of_matrix(blaschke(a), a_mat)
+        power, ranks = factor, [n, _rank(factor)]
+        for _ in range(m - 1):
+            power = power @ factor
+            ranks.append(_rank(power))
+        value = value @ power
+        per_zero.append([(a, s) for s in chain_lengths(ranks)])
+    res = float(np.linalg.norm(value, 2))
+    if res > ANNIHILATION_TOL:
+        raise NotAnnihilated(f"theta_ref(A) has norm {res:.3e} > {ANNIHILATION_TOL}")
+    # part n holds the n-th chain of every zero that has one
+    model = JordanModel(tuple(InnerFunction(tuple(filter(None, row))) for row in zip_longest(*per_zero)))
+    if model.total_degree != n:
+        raise IllConditioned(f"Jordan chains of total length {model.total_degree} do not fill dim A = {n}")
+    return model
 
 
 def _require_invariant(m_frame: SubspaceFrame) -> None:

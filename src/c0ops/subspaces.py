@@ -345,17 +345,11 @@ def principal_distance(a: SubspaceFrame, b: SubspaceFrame) -> float:
         return 1.0
     if a is b:
         return 0.0
-    # parts on the same copy list compare directly; the others are joined
-    d, gap, a_rest, b_rest = a.ambient.model.dim, 0.0, [], dict(b.groups)
-    for copy_list, block in a.groups:
-        other = b_rest.pop(copy_list, None)
-        if other is None:
-            a_rest.append((copy_list, block))
-        else:
-            gap = max(gap, _gap(block, other))
-    for order, a_parts, b_parts in _join(a_rest, b_rest.items()):
-        gap = max(gap, _gap(_stack(a_parts, order, d), _stack(b_parts, order, d)))
-    return gap
+    d = a.ambient.model.dim
+    return max(
+        _gap(_stack(a_parts, order, d), _stack(b_parts, order, d))
+        for order, a_parts, b_parts in _join(a.groups, b.groups)
+    )
 
 
 def _grouped_image(y: CopyBlocks, m_frame: SubspaceFrame) -> SubspaceFrame:

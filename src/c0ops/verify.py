@@ -5,8 +5,8 @@ runs on ``exact_nilpotent``, on stdlib fractions and integers.
 
 At each N of its sweep the verdict maps the per-copy canonical frame of
 (phi, psi) by the orbit map Y, whose all-theta rows are per-copy weights,
-and measures the gap to the canonical frame of (phi, tau) one copy group
-at a time; no (N d)-row frame or square matrix is formed.
+and measures the gap back to that frame one copy group at a time; no
+(N d)-row frame or square matrix is formed.
 """
 
 from __future__ import annotations
@@ -113,9 +113,10 @@ def verify_orbit(
     """Test whether M2 lies in the quasiaffine orbit of M1 for T_N.
 
     The verdict reads the Jordan models of M1 and M2. Its distance curve
-    compares canonical frames built from M1's restriction model, Y
-    canon(rest1, comp1) against canon(rest1, comp2), not M1 and M2
-    themselves; ``canonical_subspace`` says which models those carry.
+    compares Y canon(rest1, comp1) against canon(rest1, comp1), not M1 and
+    M2 themselves. One model pair serves both: a model fills its matrix, so
+    equal restriction models give compression models of equal degree, and
+    termwise tau_n | psi_n then forces tau = psi.
     """
     theta = ambient.theta
     rest1, comp1 = subspace_models(ambient, m1)
@@ -140,14 +141,14 @@ def verify_orbit(
             verdict="no-orbit",
             **base,
         )
-    needed = 2 * max(len(rest1), len(comp1), len(comp2))
+    needed = 2 * max(len(rest1), len(comp1))
     curve = []
     for n_copies in sweep:
         if n_copies < max(needed, 2):
             continue
         model_ambient = AmbientSpace(ambient.model, n_copies)
         try:
-            y_rec = build_Y_main(model_ambient, rest1, comp1, comp2, Y_SCHEDULE)
+            y_rec = build_Y_main(model_ambient, rest1, comp1, comp1, Y_SCHEDULE)
         except HypothesisViolated:
             return VerifyReport(
                 orbit_constructed=False,
@@ -155,11 +156,8 @@ def verify_orbit(
                 verdict="inconclusive",
                 **base,
             )
-        m1_canon = canonical_subspace(theta, rest1, comp1, n_copies, model_ambient)
-        m2_canon = (
-            m1_canon if comp2 == comp1 else canonical_subspace(theta, rest1, comp2, n_copies, model_ambient)
-        )
-        dist = principal_distance(image_closure(y_rec.operator, m1_canon), m2_canon)
+        canon = canonical_subspace(theta, rest1, comp1, n_copies, model_ambient)
+        dist = principal_distance(image_closure(y_rec.operator, canon), canon)
         curve.append((n_copies, dist))
     ok = _curve_accepts(curve, gate)
     return VerifyReport(

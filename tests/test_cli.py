@@ -352,6 +352,26 @@ def test_numerical_refusal_exit(tmp_path, capsys):
     assert "condition number" in captured.err
 
 
+def test_subspace_reader_notes_a_rank_deficient_frame(tmp_path, capsys):
+    # two parallel columns z and 2z span one dimension of H(z^2)
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps(_subspace_with(frame=((0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (2.0, 0.0)))))
+    assert main(["jordan-model", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "restriction model" in captured.out
+    assert f"{path}: 2 stored columns are rank deficient, kept dimension 1" in captured.err
+    cfg = verify_config(tmp_path, {"sweep": [4]})
+    assert main(["verify-orbit", "--input", str(path), str(path), "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert "verdict: orbit" in captured.out
+    assert captured.err.count(f"{path}: 2 stored columns") == 2
+    # a full-rank frame that is not orthonormal gets the adjustment note
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(_subspace_with(frame=((0.0, 0.0), (1.5, 0.0)))))
+    assert main(["jordan-model", "--input", str(scaled)]) == 0
+    assert f"{scaled}: frame re-orthonormalization adjustment 1.25" in capsys.readouterr().err
+
+
 def test_exit_table_covers_every_error():
     types = {t for t in vars(errors).values() if isinstance(t, type) and issubclass(t, Exception)}
     assert types - {errors.C0OpsError} <= set().union(*EXIT_CODES.values())

@@ -7,7 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from c0ops.errors import IllConditioned, ModelTooLong, NotInvariant
+from c0ops.errors import (
+    IllConditioned,
+    ModelTooLong,
+    NotAnnihilated,
+    NotInvariant,
+    SingularResolvent,
+)
 from c0ops.inner import ONE, InnerFunction, blaschke, divides, monomial, quotient
 from c0ops.jordan import (
     JordanModel,
@@ -96,6 +102,37 @@ class TestModelComputation:
             jordan_model_of(a, monomial(32))
         with pytest.raises(IllConditioned):
             minimal_function(a, monomial(32))
+
+    @pytest.mark.parametrize(
+        "theta, a",
+        [
+            (blaschke(0.3) * blaschke(0.3001), np.array([[0.30005]])),
+            (blaschke(0.3) * blaschke(0.3001) * blaschke(-0.2), np.diag([0.30005, -0.2])),
+        ],
+        ids=["one-eigenvalue", "two-eigenvalues"],
+    )
+    def test_eigenvalue_between_close_zeros_refused(self, theta, a):
+        # theta(A) passes the annihilation tolerance, but each factor at
+        # the close zeros keeps full rank: no chain holds the eigenvalue
+        with pytest.raises(IllConditioned, match="do not fill"):
+            jordan_model_of(a, theta)
+
+    @pytest.mark.parametrize(
+        "theta, a",
+        [
+            (ONE, np.array([[0.1]])),
+            (blaschke(0.3), build_model_space(blaschke(0.3) * blaschke(-0.2)).shift_matrix),
+        ],
+        ids=["empty-zero-list", "missing-zero"],
+    )
+    def test_not_annihilated_refused(self, theta, a):
+        with pytest.raises(NotAnnihilated):
+            jordan_model_of(a, theta)
+
+    def test_singular_resolvent_refused(self):
+        # I - conj(0.5) A is singular at A = 2
+        with pytest.raises(SingularResolvent):
+            jordan_model_of(np.array([[2.0]]), blaschke(0.5))
 
     def test_chain_lengths_refuse_increasing_drops(self):
         assert chain_lengths([4, 2, 1, 0]) == [3, 1]
@@ -239,3 +276,16 @@ class TestDegreeCap:
         assert rest.shape == (1, 1)
         assert elapsed <= 0.5
         assert peak <= 8 * 2**20
+
+    def test_models_read_at_the_cap(self):
+        # b_a(S)^k is a partial isometry, so every rank has a clear gap
+        theta = InnerFunction(tuple((0.9 * 1j**k, 16) for k in range(4)))
+        one = AmbientSpace.build(theta, 1)
+        assert jordan_model_of(one.model.shift_matrix, theta) == JordanModel((theta,))
+        for n in (2, 4):
+            amb = AmbientSpace(one.model, n)
+            half = JordanModel((theta,) * (n // 2))
+            start = time.perf_counter()
+            models = subspace_models(amb, canonical_subspace(theta, half, JordanModel((theta,)), n, amb))
+            assert time.perf_counter() - start <= 2.0
+            assert models == (half, half)
