@@ -5,14 +5,19 @@ Everything here is plain Python rationals, ``fractions.Fraction`` and
 vectors and a matrix is a list of rows.  The operator
 S(z^{d_0}) (+) S(z^{d_1}) (+) ... is a ``NilpotentSum``, which shifts a
 vector block by block and is never stored as a matrix.  The module builds
-orbit-closure subspaces, restriction and compression matrices in rational
-bases, Jordan models from exact rank sequences, the commutant of a
-nilpotent direct sum in closed form, and the grid and lattice subspaces
-the counterexample search enumerates.  Ranks of integer matrices and of
-polynomial pencils use fraction-free elimination (Bareiss, Math. Comp. 22,
-1968), so no fraction is formed.  Used to cross-check the floating
-pipeline.  ``exact_subspace_models`` alone takes and returns symbolic
-matrices, and it imports their package when it runs.
+orbit-closure subspaces, the Jordan models of their restrictions and
+compressions, the commutant of a nilpotent direct sum in closed form, and
+the grid and lattice subspaces the counterexample search enumerates.
+
+A Jordan model is read from the ranks of images: rank (T|M)^k = dim T^k M,
+and the compression to M^perp, similar to T on Q^n / M, has
+rank = dim(T^k Q^n + M) - dim M.  Each basis vector is scaled to integers
+once, and every rank, also of polynomial pencils, uses fraction-free
+elimination (Bareiss, Math. Comp. 22, 1968), so no fraction is formed.
+The restriction and compression matrices in rational bases are kept as
+the reference these models are tested against.  Used to cross-check the
+floating pipeline.  ``exact_subspace_models`` alone takes and returns
+symbolic matrices, and it imports their package when it runs.
 """
 
 from __future__ import annotations
@@ -256,20 +261,48 @@ def compression_on_complement(t_op: NilpotentSum, basis: list[list]) -> list[lis
     return restriction_on_basis(t_op, complement_basis(basis, t_op.n))
 
 
+def _image_model(apply, vectors: list[list[int]], max_power: int, modulo: list | tuple = ()) -> JordanModel:
+    """Jordan model of a nilpotent N from the ranks of the images of its powers.
+
+    N acts on the span of ``vectors`` modulo the span of ``modulo``, whose
+    integer vectors are independent, and ``apply`` is N on an integer
+    vector.  rank N^k = rank(modulo + N^k vectors) - len(modulo) by
+    Bareiss elimination, for k = 0 up to max_power or the first rank 0.
+    """
+    ranks = []
+    for _ in range(max_power + 1):
+        ranks.append(len(fraction_free_pivots([*modulo, *vectors])) - len(modulo))
+        if not ranks[-1]:
+            break
+        vectors = [w for w in map(apply, vectors) if any(w)]
+    return JordanModel(tuple(monomial(s) for s in chain_lengths(ranks)))
+
+
+def _units(n: int) -> list[list[int]]:
+    return [[int(i == j) for i in range(n)] for j in range(n)]
+
+
+def restriction_model(t_op: NilpotentSum, basis: list[list]) -> JordanModel:
+    """Jordan model of T|M for an invariant M = span(basis): rank (T|M)^k = dim T^k M."""
+    return _image_model(t_op.apply, [_integral(b) for b in basis], max(t_op.block_degrees))
+
+
+def compression_model(t_op: NilpotentSum, basis: list[list]) -> JordanModel:
+    """Jordan model of P_{M^perp} T | M^perp for an invariant M spanned by the independent basis.
+
+    The compression is similar to T on Q^n / M, and T^k Q^n is spanned by
+    the images of the unit vectors, so rank = dim(T^k Q^n + M) - dim M.
+    """
+    modulo = [_integral(b) for b in basis]
+    return _image_model(t_op.apply, _units(t_op.n), max(t_op.block_degrees), modulo)
+
+
 def nilpotent_jordan_model(a_mat: list[list], max_power: int) -> JordanModel:
-    """Jordan model of an exactly nilpotent rational matrix."""
+    """Jordan model of an exactly nilpotent rational matrix: rank A^k = dim A^k Q^n."""
     n = len(a_mat)
-    if n == 0:
-        return JordanModel()
     flat = _integral([x for row in a_mat for x in row])  # one scale keeps every rank
     a_int = [flat[i * n : (i + 1) * n] for i in range(n)]
-    a_cols = list(zip(*a_int))
-    ranks = [n]
-    power = a_int
-    for _ in range(max_power):
-        ranks.append(len(fraction_free_pivots(power)))
-        power = [[_dot(row, col) for col in a_cols] for row in power]
-    return JordanModel(tuple(monomial(s) for s in chain_lengths(ranks)))
+    return _image_model(lambda v: [_dot(row, v) for row in a_int], _units(n), max_power)
 
 
 def exact_subspace_models(d: int, copies: int, vectors: list):
@@ -290,8 +323,7 @@ def exact_subspace_models(d: int, copies: int, vectors: list):
 
     t_op = direct_sum_nilpotent([d] * copies)
     basis = orbit_closure(t_op, [[exact(x) for x in v] for v in vectors])
-    rest = nilpotent_jordan_model(restriction_on_basis(t_op, basis), d)
-    comp = nilpotent_jordan_model(compression_on_complement(t_op, basis), d)
+    rest, comp = restriction_model(t_op, basis), compression_model(t_op, basis)
     return rest, comp, sp.Matrix(t_op.n, len(basis), lambda i, j: basis[j][i])
 
 
@@ -316,7 +348,7 @@ def _lattice_elements(block_degrees: list[int]) -> list[list[list[int]]]:
 def _grid_vectors(n: int, step: Fraction, reach: int) -> list[list]:
     """e_i and e_i + t e_j for grid values t, as exact rational vectors."""
     vals = [k * step for k in range(-reach, reach + 1) if k != 0]
-    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    units = _units(n)
     vectors = [list(e) for e in units]
     for i, j in product(range(n), repeat=2):
         if i != j:

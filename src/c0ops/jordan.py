@@ -126,9 +126,11 @@ def jordan_model_of(a_mat: np.ndarray, theta_ref: InnerFunction) -> JordanModel:
             ranks.append(_rank(power))
         value = value @ power
         per_zero.append([(a, s) for s in chain_lengths(ranks)])
-    res = float(np.linalg.norm(value, 2))
-    if res > ANNIHILATION_TOL:
-        raise NotAnnihilated(f"theta_ref(A) has norm {res:.3e} > {ANNIHILATION_TOL}")
+    # ||.||_2 <= ||.||_F, so the 2-norm (an SVD) is needed only above the tolerance
+    if np.linalg.norm(value) > ANNIHILATION_TOL:
+        res = float(np.linalg.norm(value, 2))
+        if res > ANNIHILATION_TOL:
+            raise NotAnnihilated(f"theta_ref(A) has norm {res:.3e} > {ANNIHILATION_TOL}")
     # part n holds the n-th chain of every zero that has one
     model = JordanModel(tuple(InnerFunction(tuple(filter(None, row))) for row in zip_longest(*per_zero)))
     if model.total_degree != n:

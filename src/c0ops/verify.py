@@ -1,7 +1,9 @@
 """Harness logic: orbit verification, counterexample search, diagonal demo.
 
 The float verdict and the diagonal demo run on numpy.  The exact search
-runs on ``exact_nilpotent``, on stdlib fractions and integers.
+runs on ``exact_nilpotent``: its span keys and Jordan models are integer
+eliminations, and only its grid vectors, bases and orbit decisions hold
+fractions.
 
 At each N of its sweep the verdict maps the per-copy canonical frame of
 (phi, psi) by the orbit map Y, whose all-theta rows are per-copy weights,
@@ -13,29 +15,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import numpy as np
 
 from . import inner
 from .errors import HypothesisViolated, IllConditioned
 from .exact_nilpotent import (
+    NilpotentSum,
     Polynomial,
     _basis_strings,
     _dot,
     _grid_vectors,
     _integral,
     _lattice_elements,
+    _rref_den,
     commutant_basis,
     complement_basis,
-    compression_on_complement,
+    compression_model,
     direct_sum_nilpotent,
     fraction_free_pivots,
     linear_forms,
-    nilpotent_jordan_model,
     nullspace,
     orbit_closure,
-    restriction_on_basis,
-    rref,
+    restriction_model,
 )
 from .inner import InnerFunction
 from .jordan import (
@@ -174,8 +178,33 @@ def verify_orbit(
 
 
 def _subspace_signature(basis: list[list]) -> tuple:
-    """The reduced row echelon form of the basis columns: equal exactly for equal spans."""
-    return tuple(map(tuple, rref(basis)[0]))
+    """The reduced row echelon form of the basis columns, in integers: equal exactly for equal spans.
+
+    ``_rref_den`` gives that form as integer rows over one denominator;
+    dividing both by their gcd and making the denominator positive leaves
+    the one integer pair that represents it.
+    """
+    reduced, den, _ = _rref_den(basis)
+    g = gcd(den, *chain.from_iterable(reduced))
+    g = g if den > 0 else -g
+    return den // g, tuple(tuple(x // g for x in row) for row in reduced)
+
+
+def _enumerated_subspaces(t_op: NilpotentSum, grid_step: Fraction) -> list[list[list]]:
+    """Bases of the distinct orbit closures of the grid vectors, then of the lattice elements.
+
+    Each span is kept once, with the basis it was first seen with.
+    """
+    reach = int(1 / grid_step) if grid_step <= 1 else 1
+    seen = {}
+    for vec in _grid_vectors(t_op.n, grid_step, reach):
+        basis = orbit_closure(t_op, [vec])
+        seen.setdefault(_subspace_signature(basis), basis)
+    for basis in _lattice_elements(t_op.block_degrees):
+        if not basis:
+            continue
+        seen.setdefault(_subspace_signature(basis), basis)
+    return list(seen.values())
 
 
 def _support(vec: list) -> list[tuple[int, object]]:
@@ -275,23 +304,12 @@ def counterexample_search(
     the compression models of both subspaces.
     """
     t_op = direct_sum_nilpotent(block_degrees)
-    n = t_op.n
-    max_deg = max(block_degrees)
-    reach = int(1 / grid_step) if grid_step <= 1 else 1
-    seen = {}
-    for vec in _grid_vectors(n, grid_step, reach):
-        basis = orbit_closure(t_op, [vec])
-        seen.setdefault(_subspace_signature(basis), basis)
-    for basis in _lattice_elements(block_degrees):
-        if not basis:
-            continue
-        seen.setdefault(_subspace_signature(basis), basis)
+    subspaces = _enumerated_subspaces(t_op, grid_step)
     groups: dict[tuple, list[list[list]]] = {}
-    for basis in seen.values():
-        if len(basis) in (0, n):
+    for basis in subspaces:
+        if len(basis) in (0, t_op.n):
             continue
-        model = nilpotent_jordan_model(restriction_on_basis(t_op, basis), max_deg)
-        key = tuple(p.degree for p in model.parts)
+        key = tuple(p.degree for p in restriction_model(t_op, basis).parts)
         groups.setdefault(key, []).append(basis)
 
     comm = commutant_basis(t_op)
@@ -312,16 +330,13 @@ def counterexample_search(
                     "m1_basis": _basis_strings(b1),
                     "m2_basis": _basis_strings(b2),
                 }
-                compression_models = tuple(
-                    nilpotent_jordan_model(compression_on_complement(t_op, b), max_deg)
-                    for b in (b1, b2)
-                )
+                compression_models = (compression_model(t_op, b1), compression_model(t_op, b2))
                 break
         if witness or budget_exhausted:
             break
     return CounterexampleReport(
         tuple(block_degrees),
-        len(seen),
+        len(subspaces),
         pairs_checked,
         witness,
         exhausted=not budget_exhausted and witness is None,

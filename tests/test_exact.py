@@ -9,9 +9,12 @@ import sympy as sp
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from c0ops import exact_nilpotent, verify
 from c0ops.exact_nilpotent import (
     Polynomial,
+    _integral,
     complement_basis,
+    compression_model,
     compression_on_complement,
     direct_sum_nilpotent,
     exact_subspace_models,
@@ -20,11 +23,14 @@ from c0ops.exact_nilpotent import (
     nilpotent_jordan_model,
     nullspace,
     orbit_closure,
+    restriction_model,
+    restriction_on_basis,
     rref,
 )
 from c0ops.inner import monomial
 from c0ops.jordan import subspace_models
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, orthonormalize
+from c0ops.verify import _enumerated_subspaces, _grid_vectors, _subspace_signature
 
 RNG = np.random.default_rng(90210)
 
@@ -86,6 +92,66 @@ def test_exact_matches_float_on_random_integer_subspaces():
             m = SubspaceFrame(amb, orthonormalize(cols.astype(complex)))
             rest_f, comp_f = subspace_models(amb, m)
             assert rest_f == rest_e and comp_f == comp_e
+
+
+# (blocks, grid denominator) of searches whose subspaces check the image-rank models
+SEARCHES = [([2, 2, 2], 2), ([3, 2, 1], 2), ([2, 1], 16), ([4, 4], 2), ([3, 1], 8)]
+
+
+def searched_subspaces():
+    """(T, basis) for every subspace the SEARCHES enumerate, each span once."""
+    for blocks, denominator in SEARCHES:
+        t = direct_sum_nilpotent(blocks)
+        for basis in _enumerated_subspaces(t, Fraction(1, denominator)):
+            yield t, basis
+
+
+def test_image_rank_models_match_the_rational_matrices():
+    proper = 0
+    for t, basis in searched_subspaces():
+        d = max(t.block_degrees)
+        rest = nilpotent_jordan_model(restriction_on_basis(t, basis), d)
+        comp = nilpotent_jordan_model(compression_on_complement(t, basis), d)
+        assert (restriction_model(t, basis), compression_model(t, basis)) == (rest, comp)
+        assert rest.total_degree + comp.total_degree == t.n
+        proper += 0 < len(basis) < t.n
+    assert proper == 528
+
+
+def test_span_key_is_exact():
+    t = direct_sum_nilpotent([3, 2, 1])
+    # every orbit closure the search meets, repeated spans included
+    bases = [orbit_closure(t, [v]) for v in _grid_vectors(t.n, Fraction(1, 2), 2)]
+    keys = [_subspace_signature(b) for b in bases]
+    fraction_keys = [tuple(map(tuple, rref(b)[0])) for b in bases]
+    # equal keys exactly for equal Fraction RREFs, that is, for equal spans
+    assert len(set(keys)) == len(set(fraction_keys)) == len(set(zip(keys, fraction_keys))) < len(bases)
+    for basis, key in zip(bases, keys):
+        scales = [Fraction(-3, 7), Fraction(5), Fraction(2, 9), Fraction(-1)]
+        rescaled = [[c * x for x in col] for c, col in zip(scales * len(basis), basis)]
+        mixed = [[x + y for x, y in zip(basis[0], col)] for col in basis[1:]] + basis[:1]
+        for other in (rescaled, rescaled[::-1], [_integral(col) for col in basis], mixed):
+            assert _subspace_signature(other) == key
+
+
+def test_span_keys_and_model_reads_build_no_fraction(monkeypatch):
+    calls = []
+
+    def counting_fraction(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    subspaces = list(searched_subspaces())
+    for module in (exact_nilpotent, verify):
+        monkeypatch.setattr(module, "Fraction", counting_fraction)
+    for t, basis in subspaces:
+        _subspace_signature(basis)
+        restriction_model(t, basis)
+        compression_model(t, basis)
+    assert calls == []
+    # the rational restriction matrix does build them, so the count is live
+    restriction_on_basis(*subspaces[0])
+    assert calls
 
 
 @pytest.mark.parametrize(

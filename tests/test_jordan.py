@@ -16,6 +16,7 @@ from c0ops.errors import (
 )
 from c0ops.inner import ONE, InnerFunction, blaschke, divides, monomial, quotient
 from c0ops.jordan import (
+    ANNIHILATION_TOL,
     JordanModel,
     canonical_subspace,
     chain_lengths,
@@ -26,7 +27,7 @@ from c0ops.jordan import (
     restriction_matrix,
     subspace_models,
 )
-from c0ops.model_space import build_model_space
+from c0ops.model_space import blaschke_of_matrix, build_model_space
 from c0ops.subspaces import (
     AmbientSpace,
     SubspaceFrame,
@@ -128,6 +129,15 @@ class TestModelComputation:
     def test_not_annihilated_refused(self, theta, a):
         with pytest.raises(NotAnnihilated):
             jordan_model_of(a, theta)
+
+    def test_annihilation_judged_by_the_2_norm(self):
+        # theta(A) = b_a(c) I_3 with |b_a(c)| = 0.9e-8: the Frobenius norm,
+        # checked first, is sqrt(3) times that and above the tolerance
+        a, w = 0.5, 0.9e-8
+        mat = (w + a) / (1 + a * w) * np.eye(3)
+        value = blaschke_of_matrix(blaschke(a), mat)
+        assert np.linalg.norm(value, 2) <= ANNIHILATION_TOL < np.linalg.norm(value)
+        assert jordan_model_of(mat, blaschke(a)) == JordanModel((blaschke(a),) * 3)
 
     def test_singular_resolvent_refused(self):
         # I - conj(0.5) A is singular at A = 2

@@ -22,6 +22,11 @@ from c0ops.verify import (
 )
 
 RNG = np.random.default_rng(1618)
+WITNESS_2_1 = {
+    "restriction_model_degrees": [1],
+    "m1_basis": [["0", "1", "0"]],
+    "m2_basis": [["0", "0", "1"]],
+}
 
 
 class TestVerifyOrbit:
@@ -128,12 +133,13 @@ class TestCounterexample:
     def test_search_finds_witness(self):
         rep = counterexample_search([2, 1], grid_step=Fraction(1, 8))
         # pinned: deciding each group's first member finds the pair-by-pair witness
-        assert rep.witness == {
-            "restriction_model_degrees": [1],
-            "m1_basis": [["0", "1", "0"]],
-            "m2_basis": [["0", "0", "1"]],
-        }
+        assert rep.witness == WITNESS_2_1
         assert (rep.subspace_count, rep.pairs_checked) == (65, 1)
+
+    def test_search_finds_witness_on_a_fine_grid(self):
+        rep = counterexample_search([2, 1], grid_step=Fraction(1, 256))
+        assert rep.witness == WITNESS_2_1
+        assert (rep.subspace_count, rep.pairs_checked) == (2049, 1)
 
     def test_search_decides_first_member_against_the_rest(self):
         # 15 proper subspaces of 16 fall in 4 model groups: 11 decisions, not all 35 pairs
@@ -156,8 +162,10 @@ class TestCounterexample:
             ([2, 2, 2, 2], 1, 128, 114),
             ([3, 3, 3], 2, 225, 206),
             ([4, 4], 2, 120, 106),
+            ([2, 2, 2], 4, 194, 185),
+            ([3, 3], 4, 141, 132),
         ],
-        ids=["2-2-2@1/2", "2-2-2-2@1", "3-3-3@1/2", "4-4@1/2"],
+        ids=["2-2-2@1/2", "2-2-2-2@1", "3-3-3@1/2", "4-4@1/2", "2-2-2@1/4", "3-3@1/4"],
     )
     def test_larger_uniform_negative_controls(self, blocks, denominator, subspaces, decisions):
         rep = counterexample_search(blocks, grid_step=Fraction(1, denominator))
