@@ -12,6 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 from c0ops import exact_nilpotent, verify
 from c0ops.exact_nilpotent import (
     Polynomial,
+    _grid_vectors,
     _integral,
     complement_basis,
     compression_model,
@@ -30,7 +31,7 @@ from c0ops.exact_nilpotent import (
 from c0ops.inner import monomial
 from c0ops.jordan import subspace_models
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, orthonormalize
-from c0ops.verify import _enumerated_subspaces, _grid_vectors, _subspace_signature
+from c0ops.verify import _enumerated_subspaces, _subspace_signature
 
 RNG = np.random.default_rng(90210)
 
