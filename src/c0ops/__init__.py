@@ -24,7 +24,6 @@ from .jordan import (
     canonical_subspace,
     interleaved_divisors,
     jordan_model_of,
-    minimal_function,
     random_invariant_subspace,
     restriction_matrix,
     subspace_models,

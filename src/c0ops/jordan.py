@@ -1,4 +1,4 @@
-"""Minimal functions, Jordan models and the canonical interleaved subspace.
+"""Jordan models and the canonical interleaved subspace.
 
 Jordan structure is read off from the ranks of b_a(A)^k, the powers of the
 Blaschke factor at each zero a of the reference inner function, so the
@@ -26,7 +26,6 @@ from .subspaces import (
     SubspaceFrame,
     invariant_subspace_of_block,
     is_invariant,
-    orthocomplement,
     orthonormalize,
 )
 
@@ -60,6 +59,19 @@ class JordanModel:
     @property
     def total_degree(self) -> int:
         return sum(p.degree for p in self.parts)
+
+    def complement(self, theta: InnerFunction, copies: int) -> "JordanModel":
+        """(theta/phi_{N-1-n})_{n<N}: the model left over in N = copies copies of S(theta).
+
+        Klein's rule: at a zero of theta of multiplicity m, C^{Nd} is a free
+        C[z]/(z^m)-module of rank N, and a submodule of type lambda has as
+        cotype the complement of lambda in the N x m rectangle (T. Klein,
+        J. London Math. Soc. 43, 1968). So when T|M has model self, the
+        compression of T_N to M^perp has this one.
+        """
+        if len(self) > copies:
+            raise ValueError(f"a model of length {len(self)} does not fit {copies} copies")
+        return JordanModel(tuple(quotient(theta, self.part(copies - 1 - n)) for n in range(copies)))
 
     def to_dict(self) -> dict:
         return {"parts": [p.to_dict() for p in self.parts]}
@@ -98,11 +110,6 @@ def chain_lengths(ranks: list[int]) -> list[int]:
     return [sum(1 for c in counts if c > n) for n in range(longest)]
 
 
-def minimal_function(a_mat: np.ndarray, theta_ref: InnerFunction) -> InnerFunction:
-    """Smallest divisor of theta_ref annihilating A: the first part of its Jordan model."""
-    return jordan_model_of(a_mat, theta_ref).part(0)
-
-
 def jordan_model_of(a_mat: np.ndarray, theta_ref: InnerFunction) -> JordanModel:
     """Jordan model of A, anchored to the zeros of theta_ref.
 
@@ -138,21 +145,13 @@ def jordan_model_of(a_mat: np.ndarray, theta_ref: InnerFunction) -> JordanModel:
     return model
 
 
-def _require_invariant(m_frame: SubspaceFrame) -> None:
+def restriction_matrix(ambient: AmbientSpace, m_frame: SubspaceFrame) -> np.ndarray:
+    """Matrix of T|M in the frame coordinates of M, which must be invariant."""
     ok, residual = is_invariant(m_frame)
     if not ok:
         raise NotInvariant(f"invariance residual {residual:.3e}")
-
-
-def _compress(ambient: AmbientSpace, q: np.ndarray) -> np.ndarray:
-    """Matrix of P_Q T | span(Q) in the orthonormal frame Q."""
+    q = m_frame.frame
     return q.conj().T @ ambient.apply(q)
-
-
-def restriction_matrix(ambient: AmbientSpace, m_frame: SubspaceFrame) -> np.ndarray:
-    """Matrix of T|M in the frame coordinates of M."""
-    _require_invariant(m_frame)
-    return _compress(ambient, m_frame.frame)
 
 
 def subspace_models(
@@ -160,12 +159,13 @@ def subspace_models(
 ) -> tuple[JordanModel, JordanModel]:
     """Jordan models of the restriction T|M and the compression T_{M^perp}.
 
-    The invariance of M is checked once, by restriction_matrix.
+    Only T|M is read; restriction_matrix checks that M is invariant. The
+    compression model is its rectangle complement (JordanModel.complement),
+    by Klein's rule wherever each copy's block is similar to S(theta): in
+    the uniform ambient and in any conjugated copy of it.
     """
-    theta = ambient.theta
-    rest = jordan_model_of(restriction_matrix(ambient, m_frame), theta)
-    comp = jordan_model_of(_compress(ambient, orthocomplement(m_frame).frame), theta)
-    return rest, comp
+    rest = jordan_model_of(restriction_matrix(ambient, m_frame), ambient.theta)
+    return rest, rest.complement(ambient.theta, ambient.copies)
 
 
 def interleaved_divisors(

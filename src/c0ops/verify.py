@@ -116,11 +116,11 @@ def verify_orbit(
 ) -> VerifyReport:
     """Test whether M2 lies in the quasiaffine orbit of M1 for T_N.
 
-    The verdict reads the Jordan models of M1 and M2. Its distance curve
-    compares Y canon(rest1, comp1) against canon(rest1, comp1), not M1 and
-    M2 themselves. One model pair serves both: a model fills its matrix, so
-    equal restriction models give compression models of equal degree, and
-    termwise tau_n | psi_n then forces tau = psi.
+    The verdict reads the Jordan models of M1 and M2. A compression model
+    is the complement of its restriction model, so compression_divisibility
+    holds whenever restriction_models_equal does, and every no-orbit comes
+    from unequal restriction models. The distance curve compares
+    Y canon(rest1, comp1) with canon(rest1, comp1), not M1 and M2.
     """
     theta = ambient.theta
     rest1, comp1 = subspace_models(ambient, m1)

@@ -119,6 +119,18 @@ def test_image_rank_models_match_the_rational_matrices():
     assert proper == 528
 
 
+def test_uniform_compression_model_is_the_rectangle_complement():
+    # two independent integer reads: Klein's rule, not the float code
+    count = 0
+    for blocks, step in [([2, 2, 2], Fraction(1)), ([3, 3], Fraction(1, 2)), ([4, 4], Fraction(1))]:
+        t = direct_sum_nilpotent(blocks)
+        for basis in _enumerated_subspaces(t, step):
+            rest = restriction_model(t, basis)
+            assert compression_model(t, basis) == rest.complement(monomial(blocks[0]), len(blocks))
+            count += 1
+    assert count == 175
+
+
 def test_span_key_is_exact():
     t = direct_sum_nilpotent([3, 2, 1])
     # every orbit closure the search meets, repeated spans included

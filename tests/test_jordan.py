@@ -3,6 +3,7 @@ block-diagonal subspace attached to a model pair."""
 
 import time
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from c0ops.errors import (
     NotInvariant,
     SingularResolvent,
 )
-from c0ops.inner import ONE, InnerFunction, blaschke, divides, monomial, quotient
+from c0ops.inner import ONE, InnerFunction, all_divisors, blaschke, divides, monomial, quotient
 from c0ops.jordan import (
     ANNIHILATION_TOL,
     JordanModel,
@@ -22,7 +23,6 @@ from c0ops.jordan import (
     chain_lengths,
     interleaved_divisors,
     jordan_model_of,
-    minimal_function,
     random_invariant_subspace,
     restriction_matrix,
     subspace_models,
@@ -31,10 +31,13 @@ from c0ops.model_space import blaschke_of_matrix, build_model_space
 from c0ops.subspaces import (
     AmbientSpace,
     SubspaceFrame,
+    copywise,
     invariant_subspace_of_block,
     is_invariant,
+    orthocomplement,
     orthonormalize,
 )
+from c0ops.verify import conjugated_ambient
 
 RNG = np.random.default_rng(555)
 
@@ -75,7 +78,7 @@ class TestModelComputation:
     def test_minimal_function_of_block(self):
         theta = blaschke(0.3) * blaschke(-0.2, 2)
         space = build_model_space(theta)
-        assert minimal_function(space.shift_matrix, theta) == theta
+        assert jordan_model_of(space.shift_matrix, theta).part(0) == theta
 
     def test_frame_invariance(self):
         # Jordan data of a restriction is independent of the frame chosen
@@ -102,7 +105,7 @@ class TestModelComputation:
         with pytest.raises(IllConditioned):
             jordan_model_of(a, monomial(32))
         with pytest.raises(IllConditioned):
-            minimal_function(a, monomial(32))
+            jordan_model_of(a, monomial(32)).part(0)
 
     @pytest.mark.parametrize(
         "theta, a",
@@ -188,6 +191,73 @@ class TestSubspaceModels:
             rest, comp = subspace_models(amb, m)
             assert rest.total_degree == m.dim
             assert comp.total_degree == amb.total_dim - m.dim
+
+
+def dense_compression_model(amb, m):
+    """The compression model read from Q^H T_N Q, Q an orthonormal frame of M^perp."""
+    q = orthocomplement(m).frame
+    return jordan_model_of(q.conj().T @ amb.apply(q), amb.theta)
+
+
+def divisor_frames(theta, copies, rng):
+    """Orbit closures of two vectors of (+)_n gamma_n H^2 (-) theta H^2, one per divisor tuple gamma."""
+    amb = AmbientSpace.build(theta, copies)
+    blocks = {g: invariant_subspace_of_block(amb.model, g).frame for g in all_divisors(theta)}
+    for gammas in product(blocks, repeat=copies):
+        d_frame = SubspaceFrame.per_copy(amb, [blocks[g] for g in gammas]).frame
+        cols = []
+        for _ in range(2):
+            x = d_frame @ (rng.standard_normal(d_frame.shape[1]) + 1j * rng.standard_normal(d_frame.shape[1]))
+            for _ in range(theta.degree):  # p_theta(T_N) = 0 has degree d
+                cols.append(x)
+                x = amb.apply(x)
+        yield SubspaceFrame(amb, orthonormalize(np.column_stack(cols)))
+
+
+# the thetas of the rectangle-complement finding
+KLEIN_THETAS = [
+    monomial(3),
+    blaschke(0.3) * blaschke(-0.2),
+    blaschke(0.3, 2) * blaschke(-0.4j),
+    blaschke(0.5, 3) * blaschke(-0.1, 2),
+]
+
+
+def similarity(d):
+    """One fixed well-conditioned d x d similarity for the conjugated ambients."""
+    return np.eye(d) + 0.5 * np.triu(np.ones((d, d)), 1) + 0.25j * np.tril(np.ones((d, d)), -1)
+
+
+class TestRectangleComplement:
+    def test_complement_of_a_model(self):
+        theta = blaschke(0.3, 2) * blaschke(-0.4j)
+        rest = JordanModel((theta, blaschke(0.3)))
+        assert rest.complement(theta, 3) == JordanModel((theta, blaschke(0.3) * blaschke(-0.4j), ONE))
+        assert JordanModel().complement(theta, 2) == JordanModel((theta, theta))
+        assert rest.complement(theta, 3).complement(theta, 3) == rest
+        with pytest.raises(ValueError):
+            rest.complement(theta, 1)
+
+    def test_dense_compression_reads_the_complement(self):
+        rng = np.random.default_rng(1968)
+        frames = [m for theta in KLEIN_THETAS[:3] for n in (2, 3) for m in divisor_frames(theta, n, rng)]
+        models = {(m.ambient.theta, m.ambient.copies, subspace_models(m.ambient, m)[0]) for m in frames}
+        # every model with at most two chains per zero occurs: 10 + 10, 9 + 9, 18 + 18
+        assert len(frames) == 412 and len(models) == 74
+        randoms = [
+            random_invariant_subspace(AmbientSpace.build(theta, n), rng, num_vectors=k)
+            for theta in KLEIN_THETAS
+            for n in range(2, 6)
+            for k in (1, 1, 2, 2, 3, 3)
+        ]
+        for m in frames + randoms:
+            assert subspace_models(m.ambient, m)[1] == dense_compression_model(m.ambient, m)
+        # the rule is about modules, not inner products: it holds for S S(theta) S^{-1} too
+        for m in frames + randoms:
+            sim = similarity(m.ambient.model.dim)
+            amb = conjugated_ambient(m.ambient.theta, m.ambient.copies, sim)
+            conj = SubspaceFrame(amb, orthonormalize(copywise(sim, m.frame)))
+            assert subspace_models(amb, conj)[1] == dense_compression_model(amb, conj)
 
 
 class TestCanonicalSubspace:
