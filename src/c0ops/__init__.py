@@ -56,7 +56,6 @@ from .subspaces import (
     orthocomplement,
     orthonormalize,
     principal_distance,
-    project_onto_submodel,
 )
 from .verify import (
     CounterexampleReport,

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import errors
-from .inner import InnerFunction
+from .inner import MAX_DEGREE, InnerFunction
 from .jordan import subspace_models
 from .model_space import build_model_space
 from .quasiaffine import WeightSchedule, density_sweep, random_density_targets
@@ -85,6 +85,12 @@ def _integer(value, least: int = 1) -> int:
     return value
 
 
+def _block_degree(value) -> int:
+    if _integer(value) > MAX_DEGREE:
+        raise ValueError(f"{value!r} exceeds the degree cap {MAX_DEGREE}")
+    return value
+
+
 def _number(value) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"{value!r} is not a number")
@@ -138,7 +144,7 @@ CONFIG_KEYS = {
         "target_support": (_integer, 6),
     },
     "counterexample": {
-        "blocks": (_list_of(_integer), [2, 1]),
+        "blocks": (_list_of(_block_degree), [2, 1]),
         "grid_denominator": (_integer, 64),
         "budget": (_integer, 100000),
     },

@@ -6,14 +6,16 @@ vectors and a matrix is a list of rows.  The operator
 S(z^{d_0}) (+) S(z^{d_1}) (+) ... is a ``NilpotentSum``, which shifts a
 vector block by block and is never stored as a matrix.  The module builds
 orbit-closure subspaces, the Jordan models of their restrictions and
-compressions, the commutant of a nilpotent direct sum in closed form, and
-the grid and lattice subspaces the counterexample search enumerates.
+compressions, integer nullspaces, the commutant of a nilpotent direct sum
+in closed form, and the grid and lattice subspaces the counterexample
+search enumerates, the lattice ones with their restriction models.
 
 A Jordan model is read from the ranks of images: rank (T|M)^k = dim T^k M,
 and the compression to M^perp, similar to T on Q^n / M, has
 rank = dim(T^k Q^n + M) - dim M.  Each basis vector is scaled to integers
-once, and every rank, also of polynomial pencils, uses fraction-free
-elimination (Bareiss, Math. Comp. 22, 1968), so no fraction is formed.
+once, and every rank and nullspace, also of polynomial pencils, uses
+fraction-free elimination (Bareiss, Math. Comp. 22, 1968), so no fraction
+is formed.
 The restriction and compression matrices in rational bases are kept as
 the reference these models are tested against.  Used to cross-check the
 floating pipeline.  ``exact_subspace_models`` alone takes and returns
@@ -107,21 +109,28 @@ def rref(rows: list[list]) -> tuple[list[list[Fraction]], tuple[int, ...]]:
     return [[Fraction(x, den) for x in r] for r in reduced], pivots
 
 
-def nullspace(rows: list[list], ncols: int) -> list[list]:
-    """Basis of {x : rows x = 0}, with ncols the length of x.
+def _nullspace_den(rows: list[list], ncols: int) -> tuple[list[list[int]], int]:
+    """Integer basis of {x : rows x = 0}, with ncols the length of x, and its scale den.
 
-    One vector per free column: 1 there and minus the reduced entries at
-    the pivot columns.
+    One vector per free column: den there and minus the integer reduced
+    entries at the pivot columns, so each is den times a vector of
+    ``nullspace``.
     """
     reduced, den, pivots = _rref_den(rows)
     basis = []
     for free in sorted(set(range(ncols)) - set(pivots)):
         vec = [0] * ncols
-        vec[free] = 1
+        vec[free] = den
         for row, p in zip(reduced, pivots):
-            vec[p] = Fraction(-row[free], den)
+            vec[p] = -row[free]
         basis.append(vec)
-    return basis
+    return basis, den
+
+
+def nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
+    """Basis of {x : rows x = 0} in sympy's convention: 1 at a free column, 0 at the others."""
+    basis, den = _nullspace_den(rows, ncols)
+    return [[Fraction(x, den) for x in vec] for vec in basis]
 
 
 def fraction_free_pivots(rows: list[list]) -> list[int]:
@@ -229,13 +238,19 @@ def commutant_basis(t_op: NilpotentSum) -> list[list[tuple[int, int]]]:
 def orbit_closure(t_op: NilpotentSum, vectors: list[list]) -> list[list]:
     """Basis of the smallest invariant subspace containing the vectors.
 
-    The basis is the pivot columns of the Krylov matrix [x, Tx, T^2 x, ...].
+    Of one vector v it is the Krylov chain v, Tv, ..., T^{l-1} v, where
+    T^l v = 0: for a nilpotent T the chain is independent, so no
+    elimination is needed, and T restricted to it is one Jordan block of
+    size l.  Of several vectors it is the pivot columns of the Krylov
+    matrix [x, Tx, T^2 x, ...], found by Bareiss elimination.
     """
     cols = []
     for v in vectors:
         while any(v):  # T is nilpotent; zero columns are never pivots
             cols.append(v)
             v = t_op.apply(v)
+    if len(vectors) == 1:
+        return cols
     krylov = [list(r) for r in zip(*map(_integral, cols))]
     return [cols[j] for j in fraction_free_pivots(krylov)]
 
@@ -253,7 +268,7 @@ def restriction_on_basis(t_op: NilpotentSum, basis: list[list]) -> list[list[Fra
 
 def complement_basis(basis: list[list], n: int) -> list[list[int]]:
     """Integer basis of the orthogonal complement of span(basis) in Q^n."""
-    return [_integral(v) for v in nullspace(basis, n)]
+    return _nullspace_den(basis, n)[0]
 
 
 def compression_on_complement(t_op: NilpotentSum, basis: list[list]) -> list[list[Fraction]]:
@@ -332,15 +347,22 @@ def exact_subspace_models(d: int, copies: int, vectors: list):
 # ---------------------------------------------------------------------------
 
 
-def _lattice_elements(block_degrees: list[int]) -> list[list[list[int]]]:
-    """Products of per-block divisor subspaces z^k H^2 (-) z^d H^2."""
+def _lattice_elements(block_degrees: list[int]) -> list[tuple[tuple[int, ...], list[list[int]]]]:
+    """Products of per-block divisor subspaces z^k H^2 (-) z^d H^2, each with its restriction model.
+
+    T restricted to z^k H^2 (-) z^d H^2 is S(z^{d-k}), so a product has the
+    parts d_i - k_i > 0; the model is their degrees in descending order.
+    """
     n = sum(block_degrees)
     per_block = [
         [list(range(start + k, start + d)) for k in range(d + 1)]
         for d, start in zip(block_degrees, accumulate(block_degrees, initial=0))
     ]
     return [
-        [[int(i == c) for i in range(n)] for block in combo for c in block]
+        (
+            tuple(sorted((len(block) for block in combo if block), reverse=True)),
+            [[int(i == c) for i in range(n)] for block in combo for c in block],
+        )
         for combo in product(*per_block)
     ]
 

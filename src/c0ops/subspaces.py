@@ -16,7 +16,7 @@ import numpy as np
 from . import inner
 from .errors import AmbientMismatch, NotADivisor
 from .inner import InnerFunction
-from .model_space import ModelSpace, ModelVector, build_model_space, functional_calculus
+from .model_space import ModelSpace, build_model_space, functional_calculus
 
 INVARIANCE_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -290,20 +290,6 @@ def invariant_subspace_of_block(
         return SubspaceFrame(ambient, np.zeros((space.dim, 0), dtype=complex))
     op = functional_calculus(space, phi)
     return SubspaceFrame.from_columns(ambient, op, rank=k)
-
-
-def project_onto_submodel(
-    space: ModelSpace, f: ModelVector, divisor: InnerFunction
-) -> ModelVector:
-    """Orthogonal projection of f onto H(theta/divisor) inside H(theta).
-
-    H(theta/d) is the orthocomplement in H(theta) of the invariant
-    subspace (theta/d) H^2 (-) theta H^2 = ran (theta/d)(S(theta)).
-    """
-    if f.space is not space and f.space.theta != space.theta:
-        raise ValueError("vector does not live in the given space")
-    frame = invariant_subspace_of_block(space, inner.quotient(space.theta, divisor)).frame
-    return ModelVector(space, f.coords - frame @ (frame.conj().T @ f.coords))
 
 
 def is_invariant(m_frame: SubspaceFrame) -> tuple[bool, float]:

