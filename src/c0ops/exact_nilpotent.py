@@ -13,13 +13,13 @@ search enumerates, the lattice ones with their restriction models.
 A Jordan model is read from the ranks of images: rank (T|M)^k = dim T^k M,
 and the compression to M^perp, similar to T on Q^n / M, has
 rank = dim(T^k Q^n + M) - dim M.  Each basis vector is scaled to integers
-once, and every rank and nullspace, also of polynomial pencils, uses
-fraction-free elimination (Bareiss, Math. Comp. 22, 1968), so no fraction
-is formed.
-The restriction and compression matrices in rational bases are kept as
-the reference these models are tested against.  Used to cross-check the
-floating pipeline.  ``exact_subspace_models`` alone takes and returns
-symbolic matrices, and it imports their package when it runs.
+once, and one fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
+forms no fraction: its forward pass gives the ranks, Krylov pivots and the
+determinant certificate over Z[t_0, ...], and the reduced forms behind span
+keys and nullspaces add a back pass.  The rational restriction and
+compression matrices are the tests' reference for these models, which
+cross-check the floating pipeline.  ``exact_subspace_models`` alone takes
+and returns symbolic matrices, and it imports their package when it runs.
 """
 
 from __future__ import annotations
@@ -74,29 +74,48 @@ def _dot(a: list, b: list):
     return sum(map(mul, a, b))
 
 
-def _rref_den(rows: list[list]) -> tuple[list[list[int]], int, tuple[int, ...]]:
-    """Fraction-free Gauss-Jordan on the rows scaled to integers.
+def _echelon(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Pivot rows and pivot columns of a matrix over Z or Z[t_0, ...] by Bareiss elimination.
 
-    Returns (reduced, den, pivots): the nonzero rows of the reduced row
-    echelon form are the rows of ``reduced`` divided by ``den``.  Each
-    pivot step multiplies every other row by the pivot and divides it
-    exactly by the previous pivot, so all pivots end equal to ``den``.
+    The pivot rows come in pivot order and keep their full length, zero
+    left of the pivot.  After each step every entry is a minor of the
+    input, so the division by the previous pivot is exact.
     """
-    rest = [_integral(r) for r in rows if any(r)]
-    reduced, pivots, den = [], [], 1
+    tops, pivots, rest = [], [], list(rows)
     for c in range(len(rest[0]) if rest else 0):
-        i = next((i for i, r in enumerate(rest) if r[c]), None)
-        if i is None:
+        for i, top in enumerate(rest):
+            if top[c]:
+                break
+        else:
             continue
-        top = rest.pop(i)
-        p = top[c]
-        reduced = [[(p * x - r[c] * y) // den for x, y in zip(r, top)] for r in reduced]
-        rest = [[(p * x - r[c] * y) // den for x, y in zip(r, top)] for r in rest]
-        reduced.append(top)
+        del rest[i]
+        p, tail, zero = top[c], top[c + 1 :], [top[c] - top[c]]  # zero: column c after this step
+        if tops:
+            prev = tops[-1][pivots[-1]]
+            rest = [r[:c] + zero + [(p * x - r[c] * y) // prev for x, y in zip(r[c + 1 :], tail)] for r in rest]
+        else:  # the first step divides by 1, and Polynomial has no // 1
+            rest = [r[:c] + zero + [p * x - r[c] * y for x, y in zip(r[c + 1 :], tail)] for r in rest]
+        tops.append(top)
         pivots.append(c)
-        den = p
         if not rest:
             break
+    return tops, pivots
+
+
+def _rref_den(rows: list[list]) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan: ``_echelon`` on the rows scaled to integers, then a back pass.
+
+    Returns (reduced, den, pivots): the nonzero rows of the reduced row
+    echelon form are the rows of ``reduced`` divided by ``den``.  At pivot
+    k the back pass multiplies each earlier row by p_k and divides it
+    exactly by p_{k-1}, so all pivots end equal to ``den``.
+    """
+    reduced, pivots = _echelon([_integral(r) for r in rows if any(r)])
+    den = 1
+    for k, c in enumerate(pivots):
+        top, p = reduced[k], reduced[k][c]
+        reduced[:k] = [[(p * x - r[c] * y) // den for x, y in zip(r, top)] for r in reduced[:k]]
+        den = p
     return reduced, den, tuple(pivots)
 
 
@@ -131,31 +150,6 @@ def nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
     """Basis of {x : rows x = 0} in sympy's convention: 1 at a free column, 0 at the others."""
     basis, den = _nullspace_den(rows, ncols)
     return [[Fraction(x, den) for x in vec] for vec in basis]
-
-
-def fraction_free_pivots(rows: list[list]) -> list[int]:
-    """Pivot columns of a matrix over Z or Z[t_0, ...] by Bareiss elimination.
-
-    After each step every entry is a minor of the input, so the division
-    by the previous pivot is exact.  The rank is the number of pivots.
-    """
-    pivots, prev = [], None
-    rows = [list(r) for r in rows]
-    for c in range(len(rows[0]) if rows else 0):
-        i = next((i for i, r in enumerate(rows) if r[0]), None)
-        if i is None:
-            rows = [r[1:] for r in rows]
-            continue
-        top = rows.pop(i)
-        p = top[0]
-        rows = [[p * x - r[0] * y for x, y in zip(r[1:], top[1:])] for r in rows]
-        if prev is not None:
-            rows = [[x // prev for x in r] for r in rows]
-        prev = p
-        pivots.append(c)
-        if not rows:
-            break
-    return pivots
 
 
 class Polynomial(dict):
@@ -252,7 +246,7 @@ def orbit_closure(t_op: NilpotentSum, vectors: list[list]) -> list[list]:
     if len(vectors) == 1:
         return cols
     krylov = [list(r) for r in zip(*map(_integral, cols))]
-    return [cols[j] for j in fraction_free_pivots(krylov)]
+    return [cols[j] for j in _echelon(krylov)[1]]
 
 
 def restriction_on_basis(t_op: NilpotentSum, basis: list[list]) -> list[list[Fraction]]:
@@ -286,7 +280,7 @@ def _image_model(apply, vectors: list[list[int]], max_power: int, modulo: list |
     """
     ranks = []
     for _ in range(max_power + 1):
-        ranks.append(len(fraction_free_pivots([*modulo, *vectors])) - len(modulo))
+        ranks.append(len(_echelon([*modulo, *vectors])[1]) - len(modulo))
         if not ranks[-1]:
             break
         vectors = [w for w in map(apply, vectors) if any(w)]

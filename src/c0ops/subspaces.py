@@ -229,11 +229,8 @@ class SubspaceFrame:
         return cls(ambient, orthonormalize(np.asarray(columns, dtype=complex), rank))
 
     def to_dict(self) -> dict:
-        flat = []
-        for j in range(self.dim):
-            for i in range(self.ambient.total_dim):
-                v = self.frame[i, j]
-                flat.append([v.real, v.imag])
+        frame = self.frame
+        flat = np.stack((frame.real, frame.imag), -1).transpose(1, 0, 2).reshape(-1, 2).tolist()
         return {
             "ambient": {
                 "theta": self.ambient.theta.to_dict(),
@@ -261,11 +258,8 @@ def load_subspace(data: dict) -> tuple[SubspaceFrame, float]:
     if len(flat) % n:
         raise ValueError("frame length not a multiple of the ambient dimension")
     k = len(flat) // n
-    cols = np.empty((n, k), dtype=complex)
-    for j in range(k):
-        for i in range(n):
-            re, im = flat[j * n + i]
-            cols[i, j] = complex(re, im)
+    # stored column by column; copied to C order, which fixes the rounding of the adjustment below
+    cols = np.array([complex(re, im) for re, im in flat], dtype=complex).reshape(k, n).T.copy()
     if not np.all(np.isfinite(cols)):
         raise ValueError("frame has non-finite entries")
     frame = SubspaceFrame.from_columns(ambient, cols)

@@ -28,6 +28,7 @@ from .exact_nilpotent import (
     Polynomial,
     _basis_strings,
     _dot,
+    _echelon,
     _grid_vectors,
     _integral,
     _lattice_elements,
@@ -37,7 +38,6 @@ from .exact_nilpotent import (
     complement_basis,
     compression_model,
     direct_sum_nilpotent,
-    fraction_free_pivots,
     linear_forms,
     orbit_closure,
 )
@@ -265,11 +265,11 @@ def decide_commutant_orbit(comm_basis: list, b1: list[list], b2: list[list]) -> 
 
     # fast path: integer samples usually certify invertibility (full rank)
     for w in _sample_weights(len(params)):
-        if len(fraction_free_pivots(member([_dot(w, col) for col in zip(*params)]))) == n:
+        if len(_echelon(member([_dot(w, col) for col in zip(*params)]))[1]) == n:
             return True
     # exact certificate that no invertible element exists: det(sum t_j X_j) over Z[t_0, ...],
     # X_j the member of the j-th parameter vector
-    return len(fraction_free_pivots(member(linear_forms(params), Polynomial()))) == n
+    return len(_echelon(member(linear_forms(params), Polynomial()))[1]) == n
 
 
 @dataclass

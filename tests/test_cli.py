@@ -285,6 +285,9 @@ Z2_7 = {"zeros": [{"re": 0.0, "im": 0.0, "mult": 2.7}]}
         (JORDAN, _subspace_with(theta={"zeros": [[0.0, 0.0], [0.0, 0.0]]})),
         (JORDAN, _subspace_with(theta={"zeros": [{"re": 1.5, "im": 0.0, "mult": 2}]})),
         (JORDAN, _subspace_with(frame=((float("nan"), 0.0), (1.0, 0.0)))),
+        (JORDAN, _subspace_with(frame=((0.0, 0.0, 1.0), (1.0, 0.0)))),
+        (JORDAN, {**_subspace_with(), "frame": ["ab", [1.0, 0.0]]}),
+        (JORDAN, _subspace_with(frame=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))),
         (SWEEP, {k: v for k, v in DENSITY.items() if k != "psi1"}),
         (VERIFY, {"sweep": 5}),
         (VERIFY, {"gate": "x"}),
@@ -315,6 +318,9 @@ Z2_7 = {"zeros": [{"re": 0.0, "im": 0.0, "mult": 2.7}]}
         "readme-pair-zeros",
         "zero-outside-disc",
         "nan-frame",
+        "frame-entry-of-three-numbers",
+        "frame-entry-a-string",
+        "frame-length-not-a-multiple",
         "density-without-psi1",
         "verify-sweep-not-a-list",
         "verify-gate-not-a-number",

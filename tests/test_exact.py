@@ -12,6 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 from c0ops import exact_nilpotent, verify
 from c0ops.exact_nilpotent import (
     Polynomial,
+    _echelon,
     _grid_vectors,
     _integral,
     commutant_basis,
@@ -20,7 +21,6 @@ from c0ops.exact_nilpotent import (
     compression_on_complement,
     direct_sum_nilpotent,
     exact_subspace_models,
-    fraction_free_pivots,
     linear_forms,
     nilpotent_jordan_model,
     nullspace,
@@ -151,7 +151,7 @@ def test_carried_models_and_krylov_bases_match_their_reads():
                 chain.append(w)
                 w = t.apply(w)
             krylov = [list(r) for r in zip(*map(_integral, chain))]
-            pivot_basis = [chain[j] for j in fraction_free_pivots(krylov)]
+            pivot_basis = [chain[j] for j in _echelon(krylov)[1]]
             basis = orbit_closure(t, [v])
             assert _subspace_signature(basis) == _subspace_signature(pivot_basis)
             assert basis == pivot_basis
@@ -190,7 +190,7 @@ def test_orbit_decisions_run_in_integers(monkeypatch):
             assert len(complement) == t.n - len(basis)
             assert all(type(x) is int for vec in complement for x in vec)
             assert all(sum(x * y for x, y in zip(b, vec)) == 0 for b in basis for vec in complement)
-            assert len(fraction_free_pivots(complement + [_integral(b) for b in basis])) == t.n
+            assert len(_echelon(complement + [_integral(b) for b in basis])[1]) == t.n
     assert calls == []
     # the rational nullspace does build them, so the count is live
     nullspace([[1, 2]], 2)
@@ -287,6 +287,7 @@ def test_rref_and_nullspace_match_sympy(shape):
         reduced, pivots = rref(mat)
         expected, expected_pivots = sp.Matrix(mat).rref()
         assert pivots == expected_pivots
+        assert tuple(_echelon([_integral(row) for row in mat])[1]) == expected_pivots
         assert [[sp.Rational(x.numerator, x.denominator) for x in row] for row in reduced] == (
             expected.tolist()[: len(pivots)]
         )
@@ -363,7 +364,7 @@ def test_pencil_determinant_zero_test_matches_sympy(make, n, p, singular):
         expected_regular = sympy_pencil_det(family) != 0
         if singular:
             assert not expected_regular
-        assert (len(fraction_free_pivots(pencil(family))) == n) == expected_regular
+        assert (len(_echelon(pencil(family))[1]) == n) == expected_regular
 
 
 def test_polynomial_exact_division():
