@@ -3,6 +3,17 @@
 Jordan structure is read off from the ranks of b_a(A)^k, the powers of the
 Blaschke factor at each zero a of the reference inner function, so the
 eigenvalues are anchored to its zero list instead of computed spectra.
+One rank rule (``_rank``) reads every rank from a vector of singular
+values, which come from one of two reads:
+
+- ``jordan_model_of`` forms b_a(A) and its powers for a square matrix A
+  and takes their SVDs. ``subspace_models`` uses it on a conjugated
+  ambient, through ``restriction_matrix``.
+- On the Jordan ambient, where every copy is S(theta), b_a(T_N)^k is a
+  partial isometry whose kernel is known in closed form
+  (``ModelSpace.kernel_frames``). For an invariant M the singular values
+  of b_a(T|M)^k are the sines of the principal angles between M and that
+  kernel, read one distinct copy group of M at a time.
 """
 
 from __future__ import annotations
@@ -81,8 +92,12 @@ class JordanModel:
         return cls(tuple(InnerFunction.from_dict(p) for p in data["parts"]))
 
 
-def _rank(mat: np.ndarray) -> int:
-    s = np.linalg.svd(mat, compute_uv=False)
+def _rank(s: np.ndarray) -> int:
+    """Rank read off singular values s, largest first, under the gap rule.
+
+    Values above RANK_TOL * max(1, s_max) count; the last counted and the
+    first dropped must be RANK_GAP_MIN apart, or the rank is refused.
+    """
     if s.size == 0 or s[0] == 0.0:
         return 0
     thr = RANK_TOL * max(1.0, float(s[0]))
@@ -110,6 +125,20 @@ def chain_lengths(ranks: list[int]) -> list[int]:
     return [sum(1 for c in counts if c > n) for n in range(longest)]
 
 
+def _model(theta_ref: InnerFunction, ranks: list[list[int]]) -> JordanModel:
+    """The model whose chains at the i-th zero of theta_ref have ranks[i] (of b_a^0, b_a^1, ...).
+
+    Part n holds the n-th chain of every zero that has one, and the chains
+    must fill the dimension ranks[i][0].
+    """
+    per_zero = [[(a, s) for s in chain_lengths(r)] for (a, _), r in zip(theta_ref.zeros, ranks)]
+    model = JordanModel(tuple(InnerFunction(tuple(filter(None, row))) for row in zip_longest(*per_zero)))
+    n = ranks[0][0]
+    if model.total_degree != n:
+        raise IllConditioned(f"Jordan chains of total length {model.total_degree} do not fill dim A = {n}")
+    return model
+
+
 def jordan_model_of(a_mat: np.ndarray, theta_ref: InnerFunction) -> JordanModel:
     """Jordan model of A, anchored to the zeros of theta_ref.
 
@@ -123,35 +152,99 @@ def jordan_model_of(a_mat: np.ndarray, theta_ref: InnerFunction) -> JordanModel:
     if n == 0:
         return JordanModel()
     value = np.eye(n, dtype=complex)  # theta_ref(A), one zero at a time
-    # per_zero[i] = (zero, chain length) pairs at the i-th zero, largest first
-    per_zero: list[list[tuple[complex, int]]] = []
+    ranks = []
     for a, m in theta_ref.zeros:
         factor = blaschke_of_matrix(blaschke(a), a_mat)
-        power, ranks = factor, [n, _rank(factor)]
+        power, ranks_a = factor, [n, _rank(np.linalg.svd(factor, compute_uv=False))]
         for _ in range(m - 1):
             power = power @ factor
-            ranks.append(_rank(power))
+            ranks_a.append(_rank(np.linalg.svd(power, compute_uv=False)))
         value = value @ power
-        per_zero.append([(a, s) for s in chain_lengths(ranks)])
+        ranks.append(ranks_a)
     # ||.||_2 <= ||.||_F, so the 2-norm (an SVD) is needed only above the tolerance
     if np.linalg.norm(value) > ANNIHILATION_TOL:
         res = float(np.linalg.norm(value, 2))
         if res > ANNIHILATION_TOL:
             raise NotAnnihilated(f"theta_ref(A) has norm {res:.3e} > {ANNIHILATION_TOL}")
-    # part n holds the n-th chain of every zero that has one
-    model = JordanModel(tuple(InnerFunction(tuple(filter(None, row))) for row in zip_longest(*per_zero)))
-    if model.total_degree != n:
-        raise IllConditioned(f"Jordan chains of total length {model.total_degree} do not fill dim A = {n}")
-    return model
+    return _model(theta_ref, ranks)
 
 
 def restriction_matrix(ambient: AmbientSpace, m_frame: SubspaceFrame) -> np.ndarray:
     """Matrix of T|M in the frame coordinates of M, which must be invariant."""
+    _check_invariant(m_frame)
+    q = m_frame.frame
+    return q.conj().T @ ambient.apply(q)
+
+
+def _check_invariant(m_frame: SubspaceFrame):
     ok, residual = is_invariant(m_frame)
     if not ok:
         raise NotInvariant(f"invariance residual {residual:.3e}")
-    q = m_frame.frame
-    return q.conj().T @ ambient.apply(q)
+
+
+def _kernel_sines(q: np.ndarray, copies: int, bases: np.ndarray, k: int) -> np.ndarray:
+    """Singular values of (I_copies (x) b_a(S)^k) Q, one row per stacked kernel basis of b_a(S).
+
+    The first k columns of a basis span ker b_a(S)^k and, when ck > n =
+    dim Q, the rest its complement. The operator is a partial isometry
+    with kernel K = I_copies (x) basis[:, :k], so its singular values on Q
+    are n - ck ones and the sines of the principal angles between span Q
+    and K, those of (I - QQ^H) K, when ck <= n; else those of
+    K_perp^H Q, padded with zeros to n.
+    """
+    count, d, _ = bases.shape
+    n = q.shape[1]
+    q_copies = q.reshape(copies, d, n)
+    if copies * k <= n:
+        kernels = bases[:, :, :k]
+        coords = q_copies.conj().swapaxes(1, 2) @ kernels[:, None]  # Q_c^H K, (count, copies, n, k)
+        inside = q @ coords.swapaxes(1, 2).reshape(count, n, copies * k)  # QQ^H K
+        blocks = inside.reshape(count, copies, d, copies, k)
+        blocks[:, range(copies), :, range(copies), :] -= kernels  # -(I - QQ^H) K
+        sines = np.linalg.svd(inside, compute_uv=False)
+        return np.concatenate((np.ones((count, n - copies * k)), sines), axis=1)
+    coords = bases[:, None, :, k:].conj().swapaxes(-1, -2) @ q_copies  # K_perp^H Q, (count, copies, d - k, n)
+    sines = np.linalg.svd(coords.reshape(count, -1, n), compute_uv=False)
+    return np.concatenate((sines, np.zeros((count, n - sines.shape[1]))), axis=1)
+
+
+def _jordan_restriction_model(ambient: AmbientSpace, m_frame: SubspaceFrame) -> JordanModel:
+    """Model of T|M on the Jordan ambient, from M's angles to the kernels of b_a(T_N)^k.
+
+    M is invariant, so b_a(T_N)^k Q = Q b_a(A)^k for A = T|M: the singular
+    values of b_a(A)^k are those of b_a(T_N)^k Q (``_kernel_sines``), with no
+    solve, power or dim M-square SVD. A direct sum of groups has the union
+    of their singular values, so each distinct group is read once, and at
+    each k every zero of multiplicity >= k is read in one batch.
+    """
+    _check_invariant(m_frame)
+    n = m_frame.dim
+    if n == 0:
+        return JordanModel()
+    space, zeros = ambient.model, ambient.theta.zeros
+    mults = [m for _, m in zeros]
+    groups = m_frame.distinct_groups()
+    # one basis per zero: its kernel frame, then the complement if a group reads it
+    wide = any(copies * max(mults) > q.shape[1] for copies, q, _ in groups)
+    bases = np.zeros((len(zeros), space.dim, space.dim if wide else max(mults)), dtype=complex)
+    for i, frame in enumerate(space.kernel_frames):
+        bases[i, :, : frame.shape[1]] = frame
+        if wide:
+            bases[i, :, frame.shape[1] :] = space.kernel_complements[i]
+    ranks = [[n] for _ in zeros]
+    for k in range(1, max(mults) + 1):
+        # a zero at rank 0 stays there: its kernels only grow
+        live = [i for i, m in enumerate(mults) if m >= k and ranks[i][-1]]
+        if not live:
+            break
+        batch = bases if len(live) == len(zeros) else bases[live]
+        parts = [part for copies, q, repeats in groups for part in [_kernel_sines(q, copies, batch, k)] * repeats]
+        sines = parts[0] if len(parts) == 1 else -np.sort(-np.concatenate(parts, axis=1), axis=1)
+        for i, s in zip(live, sines):
+            ranks[i].append(_rank(s))
+    for i, m in enumerate(mults):
+        ranks[i] += [0] * (m + 1 - len(ranks[i]))
+    return _model(ambient.theta, ranks)
 
 
 def subspace_models(
@@ -159,12 +252,16 @@ def subspace_models(
 ) -> tuple[JordanModel, JordanModel]:
     """Jordan models of the restriction T|M and the compression T_{M^perp}.
 
-    Only T|M is read; restriction_matrix checks that M is invariant. The
-    compression model is its rectangle complement (JordanModel.complement),
-    by Klein's rule wherever each copy's block is similar to S(theta): in
-    the uniform ambient and in any conjugated copy of it.
+    Only T|M is read, and M must be invariant. On the Jordan ambient it is
+    read from M's angles to the kernels of b_a(T_N)^k; on a conjugated one,
+    from restriction_matrix. The compression model is its rectangle
+    complement (JordanModel.complement), by Klein's rule wherever each
+    copy's block is similar to S(theta).
     """
-    rest = jordan_model_of(restriction_matrix(ambient, m_frame), ambient.theta)
+    if ambient.is_jordan:
+        rest = _jordan_restriction_model(ambient, m_frame)
+    else:
+        rest = jordan_model_of(restriction_matrix(ambient, m_frame), ambient.theta)
     return rest, rest.complement(ambient.theta, ambient.copies)
 
 

@@ -15,11 +15,25 @@ S(theta) is lower triangular in closed form (Garcia, Mashreghi, Ross,
 
 For theta = z^d the TMW basis is the monomial basis {1, z, ..., z^{d-1}}
 and the matrix is exactly the nilpotent lower Jordan block.
+
+The kernels of b_a(S)^k, k up to the multiplicity m of a zero a, come in
+closed form too. ker b_a(S)^k = (theta/b_a^k) H(b_a^k), which is the span
+of the last k TMW vectors of any zero list that puts the copies of a last.
+Swapping adjacent zeros alpha (at j) and beta (at j+1) changes only v_j and
+v_{j+1}:
+
+    (v'_j, v'_{j+1}) = (v_j, v_{j+1}) [[g, b_beta(alpha)], [conj(b_alpha(beta)), g]],
+    g = c_alpha c_beta / (1 - conj(beta) alpha),
+
+so moving one copy of a past the r zeros after it is one fixed unitary on
+its vector and theirs. ``ModelSpace.kernel_frames`` applies it once per
+copy of a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +52,45 @@ class ModelSpace:
     def __post_init__(self):
         self.shift_matrix.setflags(write=False)
 
+    @cached_property
+    def kernel_frames(self) -> tuple[np.ndarray, ...]:
+        """Nested orthonormal frames of the kernels of b_a(S)^k, one per zero (a, m) of theta.
+
+        Each is a dim x m array whose first k columns span
+        ker b_a(S)^k = (theta/b_a^k) H(b_a^k) for k = 1, ..., m.
+        """
+        a = _zero_list(self.theta)
+        d, p, frames = self.dim, 0, []
+        for zero, m in self.theta.zeros:
+            p += m  # the copies of zero sit at p - m, ..., p - 1
+            frame = np.zeros((d, m), dtype=complex)
+            if m == 1:
+                frame[p - 1 :, 0] = _moved_copy(zero, a[p:])
+            else:
+                move = _move_past(zero, a[p:])
+                later = np.eye(d, dtype=complex)[:, p:]
+                for i in range(m):  # copy q = p - 1 - i, still e_q, moves to position d - 1 - i
+                    moved = later @ move[1:]
+                    moved[p - 1 - i] += move[0]
+                    later, frame[:, i] = moved[:, :-1], moved[:, -1]
+            frame.setflags(write=False)
+            frames.append(frame)
+        return tuple(frames)
+
+    @cached_property
+    def kernel_complements(self) -> tuple[np.ndarray, ...]:
+        """Orthonormal frames of the complements of ker b_a(S)^m, one per zero (a, m) of theta.
+
+        With the kernel frame F, [F[:, k:], complement] spans the
+        complement of ker b_a(S)^k. Householder QR of F gives it.
+        """
+        out = []
+        for frame in self.kernel_frames:
+            comp = np.linalg.qr(frame, mode="complete").Q[:, frame.shape[1] :]
+            comp.setflags(write=False)
+            out.append(comp)
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class ModelVector:
@@ -55,12 +108,54 @@ class ModelVector:
         return float(np.linalg.norm(self.coords))
 
 
+def _zero_list(theta: InnerFunction) -> np.ndarray:
+    """The zeros of theta with multiplicity, in the order of the TMW basis."""
+    return np.array([z for z, m in theta.zeros for _ in range(m)], dtype=complex)
+
+
+def _swap_weights(a: complex, later: np.ndarray):
+    """g(a, beta) and b_beta(a) for each beta in ``later``, the entries of a swap past beta."""
+    denom = 1.0 - later.conj() * a
+    return np.sqrt((1.0 - abs(a) ** 2) * (1.0 - np.abs(later) ** 2)) / denom, (a - later) / denom
+
+
+def _moved_copy(a: complex, later: np.ndarray) -> np.ndarray:
+    """The TMW vector of a zero a at q after it moves past the r zeros ``later``.
+
+    In (v_q, ..., v_{q+r}) it is x_0 = prod_l b_{beta_l}(a) and
+    x_i = g(a, beta_i) prod_{l>i} b_{beta_l}(a); it spans ker b_a(S) when
+    the zero at q is the only copy of a.
+    """
+    g, steps = _swap_weights(a, later)
+    tail = np.cumprod(np.concatenate(([1.0], steps[::-1])))[::-1]  # prod_{l>i} b_{beta_l}(a)
+    return np.concatenate(([1.0], g)) * tail
+
+
+def _move_past(a: complex, later: np.ndarray) -> np.ndarray:
+    """Unitary taking (v_q, ..., v_{q+r}) to the TMW vectors with the zero a moved from q to q + r.
+
+    Column j < r is the new vector of later[j] and the last column
+    ``_moved_copy``. After j swaps the moved vector is
+    sum_{i<=j} s_i prod_{i<l<=j} b_{beta_l}(a) v_{q+i}, with s_0 = 1 and
+    s_i = g(a, beta_i), and swap j + 1 leaves g(a, beta_{j+1}) times it plus
+    conj(b_a(beta_{j+1})) v_{q+j+1} at q + j.
+    """
+    r = later.size
+    g, steps = _swap_weights(a, later)
+    i = np.arange(r + 1)
+    factors = np.where(i[:, None] < i, np.concatenate(([1.0], steps)), 1.0)
+    move = np.where(i[:, None] <= i, np.concatenate(([1.0], g))[:, None] * np.cumprod(factors, axis=1), 0.0)
+    move[:, :r] *= g
+    move[np.arange(1, r + 1), np.arange(r)] = ((later - a) / (1.0 - np.conj(a) * later)).conj()
+    return move
+
+
 def build_model_space(theta: InnerFunction) -> ModelSpace:
     """Construct H(theta) and the matrix of the compressed shift."""
     d = theta.degree
     if d < 1:
         raise ValueError("degree of theta must be >= 1")
-    a = np.array([z for z, m in theta.zeros for _ in range(m)], dtype=complex)
+    a = _zero_list(theta)
     c = np.sqrt(1.0 - np.abs(a) ** 2)
     shift = np.diag(a)
     for j in range(d - 1):

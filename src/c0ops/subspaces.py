@@ -53,6 +53,11 @@ class AmbientSpace:
             raise ValueError("columns do not live in the ambient space")
         return copywise(self.block, cols)
 
+    @cached_property
+    def is_jordan(self) -> bool:
+        """Whether every copy carries S(theta) itself: T_N is the Jordan operator of theta."""
+        return np.array_equal(self.block, self.model.shift_matrix)
+
     @property
     def theta(self) -> InnerFunction:
         return self.model.theta
@@ -224,6 +229,21 @@ class SubspaceFrame:
     def dim(self) -> int:
         return sum(b.shape[1] for _, b in self.groups)
 
+    def distinct_groups(self) -> list[tuple[int, np.ndarray, int]]:
+        """(copy count, block, repeats) once per distinct nonempty block.
+
+        T_N acts on each group's copies as the same block, so the subspace
+        and T_N restricted to it are the direct sum of these, each taken
+        ``repeats`` times.
+        """
+        seen: dict = {}
+        for copy_list, block in self.groups:
+            if block.shape[1]:
+                key = (len(copy_list), block.shape, block.tobytes())
+                count, _, repeats = seen.get(key, (len(copy_list), block, 0))
+                seen[key] = (count, block, repeats + 1)
+        return list(seen.values())
+
     @classmethod
     def from_columns(cls, ambient: AmbientSpace, columns, rank=None):
         return cls(ambient, orthonormalize(np.asarray(columns, dtype=complex), rank))
@@ -287,12 +307,15 @@ def invariant_subspace_of_block(
 
 
 def is_invariant(m_frame: SubspaceFrame) -> tuple[bool, float]:
-    """Residual of T M inside M; invariant iff the residual is tiny."""
-    p = m_frame.frame
-    if p.shape[1] == 0:
-        return True, 0.0
-    tp = m_frame.ambient.apply(p)
-    residual = float(np.linalg.norm(tp - p @ (p.conj().T @ tp), 2))
+    """Residual of T M inside M; invariant iff the residual is tiny.
+
+    (I - P_M) T_N P_M is block diagonal over the groups, so the residual is
+    the largest of a distinct group.
+    """
+    residual = 0.0
+    for _, p, _ in m_frame.distinct_groups():
+        tp = copywise(m_frame.ambient.block, p)
+        residual = max(residual, float(np.linalg.norm(tp - p @ (p.conj().T @ tp), 2)))
     return residual <= INVARIANCE_TOL, residual
 
 

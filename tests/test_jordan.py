@@ -260,6 +260,123 @@ class TestRectangleComplement:
             assert subspace_models(amb, conj)[1] == dense_compression_model(amb, conj)
 
 
+def dense_restriction_model(amb, m):
+    """The restriction model read from the matrix Q^H T_N Q of the whole frame."""
+    return jordan_model_of(restriction_matrix(amb, m), amb.theta)
+
+
+def read_outcome(read):
+    """A read's model, or the type of the error it refuses with."""
+    try:
+        return read()
+    except Exception as exc:  # noqa: BLE001 - the two reads must refuse alike
+        return type(exc)
+
+
+def scan_family(name, d, rng):
+    """A theta of degree d from one of the benchmark's model-scan families."""
+    if name == "monomial":
+        return monomial(d)
+    if name == "spread":
+        return InnerFunction(tuple((0.9 * np.exp(2j * np.pi * k / d), 1) for k in range(d)))
+    if name == "clustered":
+        phase = 2 * np.pi * rng.uniform()
+        return InnerFunction(tuple((0.5 * np.exp(1j * (phase + np.pi * k / 2)), d // 4) for k in range(4)))
+    zeros = []
+    while len(zeros) < d:  # d simple zeros in the disc of radius 0.6, 0.05 apart
+        a = 0.6 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        if all(abs(a - b) >= 0.05 for b in zeros):
+            zeros.append(a)
+    return InnerFunction(tuple((a, 1) for a in zeros))
+
+
+class TestKernelRead:
+    """subspace_models on the Jordan ambient against the dense read of T|M."""
+
+    @pytest.mark.parametrize("d", (8, 16, 32, 64))
+    @pytest.mark.parametrize("family", ("monomial", "spread", "clustered", "random"))
+    def test_random_frames_of_the_scan_families(self, family, d):
+        rng = np.random.default_rng(d)
+        amb = AmbientSpace.build(scan_family(family, d, rng), 2)
+        assert amb.is_jordan
+        m = random_invariant_subspace(amb, rng)
+        assert subspace_models(amb, m)[0] == dense_restriction_model(amb, m)
+        if d <= 16:
+            # two generators may lose a Krylov direction; then both reads refuse
+            m = random_invariant_subspace(amb, rng, num_vectors=2)
+            assert read_outcome(lambda: subspace_models(amb, m)[0]) == read_outcome(lambda: dense_restriction_model(amb, m))
+
+    @pytest.mark.parametrize(
+        "theta, copies",
+        [
+            (monomial(8), 4),
+            (blaschke(0.3) * blaschke(-0.2), 4),
+            (blaschke(0.3, 2) * blaschke(-0.2) * blaschke(0.1 + 0.5j, 3), 3),
+            (blaschke(0.5, 3) * blaschke(-0.1, 2), 5),
+        ],
+        ids=["z8x4", "two-zeros-x4", "three-zeros-x3", "b3b2-x5"],
+    )
+    def test_frames_narrower_than_the_kernels(self, theta, copies):
+        # N k > dim M for the larger k: the sines come from the kernel's
+        # complement there and from M's complement below
+        rng = np.random.default_rng(copies)
+        amb = AmbientSpace.build(theta, copies)
+        branches = set()
+        for k in (1, 2):
+            m = random_invariant_subspace(amb, rng, num_vectors=k)
+            branches |= {copies * j > m.dim for _, mult in theta.zeros for j in range(1, mult + 1)}
+            assert subspace_models(amb, m)[0] == dense_restriction_model(amb, m)
+        assert branches == {True, False}
+
+    @pytest.mark.parametrize("theta", KLEIN_THETAS, ids=str)
+    def test_empty_frame_and_whole_space(self, theta):
+        amb = AmbientSpace.build(theta, 3)
+        whole = SubspaceFrame(amb, np.eye(amb.total_dim, dtype=complex))
+        assert subspace_models(amb, whole) == (JordanModel((theta,) * 3), JordanModel())
+        assert subspace_models(amb, whole)[0] == dense_restriction_model(amb, whole)
+        empty = SubspaceFrame(amb, np.zeros((amb.total_dim, 0), dtype=complex))
+        assert subspace_models(amb, empty) == (JordanModel(), JordanModel((theta,) * 3))
+        per_copy = SubspaceFrame.per_copy(amb, [np.zeros((amb.model.dim, 0), dtype=complex)] * 3)
+        assert subspace_models(amb, per_copy) == (JordanModel(), JordanModel((theta,) * 3))
+
+    def test_grouped_frames_read_each_block_once(self):
+        # T_N on a per-copy frame of gamma blocks is (+)_n S(theta/gamma_n):
+        # at each zero its chains are the multiplicities there, merged
+        rng = np.random.default_rng(7)
+        for theta in KLEIN_THETAS[1:3]:
+            amb = AmbientSpace.build(theta, 5)
+            blocks = {g: invariant_subspace_of_block(amb.model, g).frame for g in all_divisors(theta)}
+            for _ in range(12):
+                gammas = [list(blocks)[i] for i in rng.integers(len(blocks), size=5)]
+                m = SubspaceFrame.per_copy(amb, [blocks[g] for g in gammas])
+                chains = []
+                for a, _ in theta.zeros:
+                    lengths = sorted((dict(quotient(theta, g).zeros).get(a, 0) for g in gammas), reverse=True)
+                    chains.append([(a, n) for n in lengths])
+                expected = JordanModel(tuple(InnerFunction(tuple(filter(lambda z: z[1], row))) for row in zip(*chains)))
+                assert subspace_models(amb, m)[0] == expected == dense_restriction_model(amb, m)
+
+    def test_non_invariant_frames_refused(self):
+        amb = AmbientSpace.build(blaschke(0.3) * blaschke(-0.2), 2)
+        bad = SubspaceFrame(amb, orthonormalize(RNG.standard_normal((4, 1)) + 0j))
+        with pytest.raises(NotInvariant):
+            subspace_models(amb, bad)
+        good = invariant_subspace_of_block(amb.model, blaschke(0.3)).frame
+        grouped = SubspaceFrame.per_copy(amb, [good, np.eye(2, 1, dtype=complex)])
+        with pytest.raises(NotInvariant):
+            subspace_models(amb, grouped)
+
+    def test_conjugated_ambient_keeps_the_dense_read(self):
+        theta = blaschke(0.3, 2) * blaschke(-0.4j)
+        sim = similarity(theta.degree)
+        amb = conjugated_ambient(theta, 2, sim)
+        assert not amb.is_jordan
+        base = AmbientSpace(amb.model, 2)
+        m = random_invariant_subspace(base, np.random.default_rng(3))
+        conj = SubspaceFrame(amb, orthonormalize(copywise(sim, m.frame)))
+        assert subspace_models(amb, conj)[0] == dense_restriction_model(amb, conj) == subspace_models(base, m)[0]
+
+
 class TestCanonicalSubspace:
     def test_interleaving_rule(self):
         theta = monomial(2)

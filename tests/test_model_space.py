@@ -195,3 +195,50 @@ def test_norm_matches_coordinates():
     space = build_model_space(THETAS[1])
     v = np.array([3.0, 4.0], dtype=complex)
     assert abs(ModelVector(space, v).norm - 5.0) < 1e-12
+
+
+def _spread(d):
+    return InnerFunction(tuple((0.9 * np.exp(2j * np.pi * k / d), 1) for k in range(d)))
+
+
+def _clustered(d):
+    return InnerFunction(tuple((0.5 * np.exp(1j * (0.7 + np.pi * k / 2)), d // 4) for k in range(4)))
+
+
+KERNEL_THETAS = [
+    *[pytest.param(monomial(d), id=f"z^{d}") for d in (1, 8, 64)],
+    *[pytest.param(_spread(d), id=f"spread{d}") for d in (8, 64)],
+    *[pytest.param(_clustered(d), id=f"clustered{d}") for d in (8, 64)],
+    pytest.param(blaschke(0.3, 2) * blaschke(-0.2) * blaschke(0.1 + 0.5j, 3), id="three-zeros"),
+    pytest.param(InnerFunction(tuple((0.9 * 1j**k, 16) for k in range(4))), id="degree-cap"),
+]
+
+
+@pytest.mark.parametrize("theta", KERNEL_THETAS)
+def test_kernel_frames_match_svd_null_spaces(theta):
+    # the first k columns of a zero's frame span ker b_a(S)^k, the SVD null
+    # space of the power; with the complement they form a unitary
+    space = build_model_space(theta)
+    assert len(space.kernel_frames) == len(theta.zeros)
+    worst = 0.0
+    for (a, m), frame, comp in zip(theta.zeros, space.kernel_frames, space.kernel_complements):
+        assert frame.shape == (space.dim, m) and comp.shape == (space.dim, space.dim - m)
+        basis = np.hstack((frame, comp))
+        worst = max(worst, np.linalg.norm(basis.conj().T @ basis - np.eye(space.dim)))
+        factor = functional_calculus(space, blaschke(a))
+        power = np.eye(space.dim)
+        for k in range(1, m + 1):
+            power = power @ factor
+            _, s, vh = np.linalg.svd(power)
+            assert s[space.dim - k] < 1e-10 and (k == space.dim or s[space.dim - k - 1] > 0.5)  # kernel dim k
+            null = vh[space.dim - k :].conj().T
+            kernel = frame[:, :k]
+            worst = max(worst, np.linalg.norm(power @ kernel, 2))
+            worst = max(worst, np.linalg.norm(null - kernel @ (kernel.conj().T @ null), 2))
+    assert worst <= 1e-12, worst
+
+
+def test_kernel_frames_are_cached_per_space():
+    space = build_model_space(_clustered(8))
+    assert space.kernel_frames is space.kernel_frames
+    assert build_model_space(_clustered(8)).kernel_frames is not space.kernel_frames
