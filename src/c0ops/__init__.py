@@ -23,9 +23,7 @@ from .jordan import (
     JordanModel,
     canonical_subspace,
     interleaved_divisors,
-    jordan_model_of,
     random_invariant_subspace,
-    restriction_matrix,
     subspace_models,
 )
 from .model_space import (

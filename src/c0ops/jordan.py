@@ -4,16 +4,14 @@ Jordan structure is read off from the ranks of b_a(A)^k, the powers of the
 Blaschke factor at each zero a of the reference inner function, so the
 eigenvalues are anchored to its zero list instead of computed spectra.
 One rank rule (``_rank``) reads every rank from a vector of singular
-values, which come from one of two reads:
-
-- ``jordan_model_of`` forms b_a(A) and its powers for a square matrix A
-  and takes their SVDs. ``subspace_models`` uses it on a conjugated
-  ambient, through ``restriction_matrix``.
-- On the Jordan ambient, where every copy is S(theta), b_a(T_N)^k is a
-  partial isometry whose kernel is known in closed form
-  (``ModelSpace.kernel_frames``). For an invariant M the singular values
-  of b_a(T|M)^k are the sines of the principal angles between M and that
-  kernel, read one distinct copy group of M at a time.
+values, and there is one read of them. On the Jordan ambient, where every
+copy is S(theta), b_a(T_N)^k is a partial isometry whose kernel is known
+in closed form (``ModelSpace.kernel_frames``). For an invariant M the
+singular values of b_a(T|M)^k are the sines of the principal angles
+between M and that kernel, read one distinct copy group of M at a time.
+An ambient conjugated by C is read the same way after M is mapped back
+by I (x) C^{-1}, which makes T|M a similar restriction of the Jordan
+ambient's T_N.
 """
 
 from __future__ import annotations
@@ -24,23 +22,17 @@ from itertools import zip_longest
 import numpy as np
 
 from . import inner
-from .errors import (
-    IllConditioned,
-    ModelTooLong,
-    NotAnnihilated,
-    NotInvariant,
-)
-from .inner import InnerFunction, ONE, blaschke, quotient
-from .model_space import blaschke_of_matrix
+from .errors import IllConditioned, ModelTooLong, NotInvariant
+from .inner import InnerFunction, ONE, quotient
 from .subspaces import (
     AmbientSpace,
     SubspaceFrame,
+    copywise,
     invariant_subspace_of_block,
     is_invariant,
     orthonormalize,
 )
 
-ANNIHILATION_TOL = 1e-8
 RANK_TOL = 1e-8  # singular values above RANK_TOL * max(1, s_max) count toward a rank
 RANK_GAP_MIN = 1e2
 
@@ -139,49 +131,6 @@ def _model(theta_ref: InnerFunction, ranks: list[list[int]]) -> JordanModel:
     return model
 
 
-def jordan_model_of(a_mat: np.ndarray, theta_ref: InnerFunction) -> JordanModel:
-    """Jordan model of A, anchored to the zeros of theta_ref.
-
-    Each b_a(A) gives the ranks of its powers up to the multiplicity m of a
-    (on S(theta) they are partial isometries, so every rank has a clear
-    gap), and b_a(A)^m joins theta_ref(A), which must vanish. The chains
-    must fill dim A.
-    """
-    a_mat = np.asarray(a_mat, dtype=complex)
-    n = a_mat.shape[0]
-    if n == 0:
-        return JordanModel()
-    value = np.eye(n, dtype=complex)  # theta_ref(A), one zero at a time
-    ranks = []
-    for a, m in theta_ref.zeros:
-        factor = blaschke_of_matrix(blaschke(a), a_mat)
-        power, ranks_a = factor, [n, _rank(np.linalg.svd(factor, compute_uv=False))]
-        for _ in range(m - 1):
-            power = power @ factor
-            ranks_a.append(_rank(np.linalg.svd(power, compute_uv=False)))
-        value = value @ power
-        ranks.append(ranks_a)
-    # ||.||_2 <= ||.||_F, so the 2-norm (an SVD) is needed only above the tolerance
-    if np.linalg.norm(value) > ANNIHILATION_TOL:
-        res = float(np.linalg.norm(value, 2))
-        if res > ANNIHILATION_TOL:
-            raise NotAnnihilated(f"theta_ref(A) has norm {res:.3e} > {ANNIHILATION_TOL}")
-    return _model(theta_ref, ranks)
-
-
-def restriction_matrix(ambient: AmbientSpace, m_frame: SubspaceFrame) -> np.ndarray:
-    """Matrix of T|M in the frame coordinates of M, which must be invariant."""
-    _check_invariant(m_frame)
-    q = m_frame.frame
-    return q.conj().T @ ambient.apply(q)
-
-
-def _check_invariant(m_frame: SubspaceFrame):
-    ok, residual = is_invariant(m_frame)
-    if not ok:
-        raise NotInvariant(f"invariance residual {residual:.3e}")
-
-
 def _kernel_sines(q: np.ndarray, copies: int, bases: np.ndarray, k: int) -> np.ndarray:
     """Singular values of (I_copies (x) b_a(S)^k) Q, one row per stacked kernel basis of b_a(S).
 
@@ -217,7 +166,6 @@ def _jordan_restriction_model(ambient: AmbientSpace, m_frame: SubspaceFrame) -> 
     of their singular values, so each distinct group is read once, and at
     each k every zero of multiplicity >= k is read in one batch.
     """
-    _check_invariant(m_frame)
     n = m_frame.dim
     if n == 0:
         return JordanModel()
@@ -252,16 +200,21 @@ def subspace_models(
 ) -> tuple[JordanModel, JordanModel]:
     """Jordan models of the restriction T|M and the compression T_{M^perp}.
 
-    Only T|M is read, and M must be invariant. On the Jordan ambient it is
-    read from M's angles to the kernels of b_a(T_N)^k; on a conjugated one,
-    from restriction_matrix. The compression model is its rectangle
-    complement (JordanModel.complement), by Klein's rule wherever each
-    copy's block is similar to S(theta).
+    Only T|M is read, from M's angles to the kernels of b_a(T_N)^k, and M
+    must be invariant. On an ambient conjugated by C, T|M is similar to
+    the restriction of the Jordan ambient to (I (x) C^{-1}) M, which is
+    read in its place. The compression model is the rectangle complement
+    of the restriction model (JordanModel.complement, Klein's rule).
     """
-    if ambient.is_jordan:
-        rest = _jordan_restriction_model(ambient, m_frame)
-    else:
-        rest = jordan_model_of(restriction_matrix(ambient, m_frame), ambient.theta)
+    ok, residual = is_invariant(m_frame)
+    if not ok:
+        raise NotInvariant(f"invariance residual {residual:.3e}")
+    if not ambient.is_jordan:
+        inverse = np.linalg.inv(ambient.similarity)
+        ambient = AmbientSpace(ambient.model, ambient.copies)
+        groups = [(copy_list, copywise(inverse, block)) for copy_list, block in m_frame.groups]
+        m_frame = SubspaceFrame(ambient, groups=[(c, orthonormalize(b, b.shape[1])) for c, b in groups])
+    rest = _jordan_restriction_model(ambient, m_frame)
     return rest, rest.complement(ambient.theta, ambient.copies)
 
 

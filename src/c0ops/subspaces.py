@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import inner
-from .errors import AmbientMismatch, NotADivisor
+from .errors import AmbientMismatch, IllConditioned, NotADivisor
 from .inner import InnerFunction
 from .model_space import ModelSpace, build_model_space, functional_calculus
 
@@ -26,25 +26,29 @@ RANK_REL_TOL = 1e-8
 class AmbientSpace:
     """N copies of H(theta) carrying T_N = B (+) ... (+) B.
 
-    The per-copy block B defaults to S(theta). A block similar to it, such
-    as S S(theta) S^{-1}, hosts a conjugated operator on the same
-    coordinate space. T_N is applied here copy by copy and never formed.
+    Each copy carries B = C S(theta) C^{-1} for the similarity C, or
+    S(theta) itself when C is None: the Jordan ambient. C is d x d with
+    condition number at most 1e6. T_N is applied here copy by copy and
+    never formed.
     """
 
     model: ModelSpace
     copies: int
-    block: np.ndarray = field(repr=False, default=None)
+    similarity: np.ndarray | None = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.copies < 1:
             raise ValueError("copies must be >= 1")
-        block = self.model.shift_matrix if self.block is None else self.block
-        block = np.array(block, dtype=complex)
+        if self.similarity is None:
+            return
+        sim = np.array(self.similarity, dtype=complex)
         d = self.model.dim
-        if block.shape != (d, d):
-            raise ValueError(f"block shape {block.shape} is not ({d}, {d})")
-        block.setflags(write=False)
-        object.__setattr__(self, "block", block)
+        if sim.shape != (d, d):
+            raise ValueError(f"similarity shape {sim.shape} is not ({d}, {d})")
+        if not np.linalg.cond(sim) <= 1e6:
+            raise IllConditioned("similarity condition number exceeds 1e6")
+        sim.setflags(write=False)
+        object.__setattr__(self, "similarity", sim)
 
     def apply(self, cols: np.ndarray) -> np.ndarray:
         """T_N cols, for a vector or the columns of a matrix."""
@@ -54,9 +58,18 @@ class AmbientSpace:
         return copywise(self.block, cols)
 
     @cached_property
+    def block(self) -> np.ndarray:
+        """The block B of each copy."""
+        if self.is_jordan:
+            return self.model.shift_matrix
+        block = self.similarity @ self.model.shift_matrix @ np.linalg.inv(self.similarity)
+        block.setflags(write=False)
+        return block
+
+    @property
     def is_jordan(self) -> bool:
         """Whether every copy carries S(theta) itself: T_N is the Jordan operator of theta."""
-        return np.array_equal(self.block, self.model.shift_matrix)
+        return self.similarity is None
 
     @property
     def theta(self) -> InnerFunction:

@@ -21,7 +21,7 @@ from functools import cache
 import numpy as np
 
 from . import inner
-from .errors import HypothesisViolated, IllConditioned
+from .errors import HypothesisViolated
 from .exact_nilpotent import (
     NilpotentSum,
     Polynomial,
@@ -46,7 +46,6 @@ from .jordan import (
     random_invariant_subspace,
     subspace_models,
 )
-from .model_space import build_model_space
 from .quasiaffine import WeightSchedule, build_Y_main
 from .subspaces import (
     AmbientSpace,
@@ -351,18 +350,6 @@ class DemoRun:
         return self.jordan_verdict == self.conjugated_verdict
 
 
-def conjugated_ambient(
-    theta: InnerFunction, copies: int, similarity: np.ndarray
-) -> AmbientSpace:
-    """Ambient for (+)_{n<copies} (S S(theta) S^{-1})."""
-    similarity = np.asarray(similarity, dtype=complex)
-    if np.linalg.cond(similarity) > 1e6:
-        raise IllConditioned("similarity condition number exceeds 1e6")
-    model = build_model_space(theta)
-    block = similarity @ model.shift_matrix @ np.linalg.inv(similarity)
-    return AmbientSpace(model, copies, block)
-
-
 def cordiag_demo(
     theta: InnerFunction,
     copies: int,
@@ -373,13 +360,12 @@ def cordiag_demo(
     gate: float = DEFAULT_GATE,
 ) -> list[DemoRun]:
     """Paired verdicts in the Jordan ambient and its conjugated copy."""
-    similarity = np.asarray(similarity, dtype=complex)
     jordan_amb = AmbientSpace.build(theta, copies)
-    conj_amb = conjugated_ambient(theta, copies, similarity)
+    conj_amb = AmbientSpace(jordan_amb.model, copies, similarity)
 
     def conjugated(m: SubspaceFrame) -> SubspaceFrame:
         """M carried by I (x) S, applied copy by copy."""
-        return SubspaceFrame(conj_amb, orthonormalize(copywise(similarity, m.frame)))
+        return SubspaceFrame(conj_amb, orthonormalize(copywise(conj_amb.similarity, m.frame)))
 
     rng = np.random.default_rng(seed)
     runs = []

@@ -360,6 +360,44 @@ def test_numerical_refusal_exit(tmp_path, capsys):
     assert "condition number" in captured.err
 
 
+BENCH_SIMILARITY = [[1.0, 0.35], [0.15, 1.4]]
+ORBIT_PAIR = """
+    {
+      "index": %d,
+      "jordan": "orbit",
+      "conjugated": "orbit"
+    }"""
+NO_ORBIT_PAIR = ORBIT_PAIR.replace('"orbit"', '"no-orbit"')
+ONE_PAIR_OUT = "pair 0: jordan=orbit conjugated=orbit [agree]\ndisagreements: 0 / 1\n"
+ONE_PAIR_JSON = '{\n  "pairs": [%s\n  ],\n  "disagreements": 0\n}\n' % (ORBIT_PAIR % 0)
+
+
+@pytest.mark.parametrize(
+    "config, stdout, report",
+    [
+        (DEMO, ONE_PAIR_OUT, ONE_PAIR_JSON),
+        ({**DEMO, "similarity": BENCH_SIMILARITY}, ONE_PAIR_OUT, ONE_PAIR_JSON),
+        (
+            {**DEMO, "similarity": BENCH_SIMILARITY, "pairs": 4},
+            "pair 0: jordan=orbit conjugated=orbit [agree]\n"
+            "pair 1: jordan=no-orbit conjugated=no-orbit [agree]\n"
+            "pair 2: jordan=orbit conjugated=orbit [agree]\n"
+            "pair 3: jordan=no-orbit conjugated=no-orbit [agree]\n"
+            "disagreements: 0 / 4\n",
+            '{\n  "pairs": [%s,%s,%s,%s\n  ],\n  "disagreements": 0\n}\n'
+            % (ORBIT_PAIR % 0, NO_ORBIT_PAIR % 1, ORBIT_PAIR % 2, NO_ORBIT_PAIR % 3),
+        ),
+    ],
+    ids=["demo", "bench-similarity", "bench-similarity-4-pairs"],
+)
+def test_cordiag_demo_output_is_pinned(tmp_path, capsys, config, stdout, report):
+    cfg, out = tmp_path / "demo.json", tmp_path / "out.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["cordiag-demo", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert out.read_text() == report
+
+
 def test_subspace_reader_notes_a_rank_deficient_frame(tmp_path, capsys):
     # two parallel columns z and 2z span one dimension of H(z^2)
     path = tmp_path / "parallel.json"

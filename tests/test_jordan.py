@@ -17,14 +17,13 @@ from c0ops.errors import (
 )
 from c0ops.inner import ONE, InnerFunction, all_divisors, blaschke, divides, monomial, quotient
 from c0ops.jordan import (
-    ANNIHILATION_TOL,
     JordanModel,
+    _model,
+    _rank,
     canonical_subspace,
     chain_lengths,
     interleaved_divisors,
-    jordan_model_of,
     random_invariant_subspace,
-    restriction_matrix,
     subspace_models,
 )
 from c0ops.model_space import blaschke_of_matrix, build_model_space
@@ -37,9 +36,48 @@ from c0ops.subspaces import (
     orthocomplement,
     orthonormalize,
 )
-from c0ops.verify import conjugated_ambient
 
 RNG = np.random.default_rng(555)
+ANNIHILATION_TOL = 1e-8
+
+
+def jordan_model_of(a_mat, theta_ref):
+    """The reference read: the Jordan model of a square matrix A, anchored to the zeros of theta_ref.
+
+    Each b_a(A) gives the ranks of its powers up to the multiplicity m of a
+    under the rank rule of subspace_models (on S(theta) they are partial
+    isometries, so every rank has a clear gap), and b_a(A)^m joins
+    theta_ref(A), which must vanish. The chains must fill dim A.
+    """
+    a_mat = np.asarray(a_mat, dtype=complex)
+    n = a_mat.shape[0]
+    if n == 0:
+        return JordanModel()
+    value = np.eye(n, dtype=complex)  # theta_ref(A), one zero at a time
+    ranks = []
+    for a, m in theta_ref.zeros:
+        factor = blaschke_of_matrix(blaschke(a), a_mat)
+        power, ranks_a = factor, [n, _rank(np.linalg.svd(factor, compute_uv=False))]
+        for _ in range(m - 1):
+            power = power @ factor
+            ranks_a.append(_rank(np.linalg.svd(power, compute_uv=False)))
+        value = value @ power
+        ranks.append(ranks_a)
+    # ||.||_2 <= ||.||_F, so the 2-norm (an SVD) is needed only above the tolerance
+    if np.linalg.norm(value) > ANNIHILATION_TOL:
+        res = float(np.linalg.norm(value, 2))
+        if res > ANNIHILATION_TOL:
+            raise NotAnnihilated(f"theta_ref(A) has norm {res:.3e} > {ANNIHILATION_TOL}")
+    return _model(theta_ref, ranks)
+
+
+def restriction_matrix(amb, m_frame):
+    """Matrix of T|M in the frame coordinates of M, which must be invariant."""
+    ok, residual = is_invariant(m_frame)
+    if not ok:
+        raise NotInvariant(f"invariance residual {residual:.3e}")
+    q = m_frame.frame
+    return q.conj().T @ amb.apply(q)
 
 
 def haar_unitary(k, rng):
@@ -255,7 +293,7 @@ class TestRectangleComplement:
         # the rule is about modules, not inner products: it holds for S S(theta) S^{-1} too
         for m in frames + randoms:
             sim = similarity(m.ambient.model.dim)
-            amb = conjugated_ambient(m.ambient.theta, m.ambient.copies, sim)
+            amb = AmbientSpace(m.ambient.model, m.ambient.copies, sim)
             conj = SubspaceFrame(amb, orthonormalize(copywise(sim, m.frame)))
             assert subspace_models(amb, conj)[1] == dense_compression_model(amb, conj)
 
@@ -365,16 +403,35 @@ class TestKernelRead:
         grouped = SubspaceFrame.per_copy(amb, [good, np.eye(2, 1, dtype=complex)])
         with pytest.raises(NotInvariant):
             subspace_models(amb, grouped)
+        # a conjugated ambient judges the frame as given, before it is mapped back
+        conj = AmbientSpace(amb.model, 2, similarity(2))
+        with pytest.raises(NotInvariant):
+            subspace_models(conj, SubspaceFrame(conj, copywise(similarity(2), bad.frame)))
 
-    def test_conjugated_ambient_keeps_the_dense_read(self):
-        theta = blaschke(0.3, 2) * blaschke(-0.4j)
-        sim = similarity(theta.degree)
-        amb = conjugated_ambient(theta, 2, sim)
-        assert not amb.is_jordan
-        base = AmbientSpace(amb.model, 2)
-        m = random_invariant_subspace(base, np.random.default_rng(3))
-        conj = SubspaceFrame(amb, orthonormalize(copywise(sim, m.frame)))
-        assert subspace_models(amb, conj)[0] == dense_restriction_model(amb, conj) == subspace_models(base, m)[0]
+    def test_conjugated_frames_map_back_to_the_jordan_ambient(self):
+        # T|M is similar to the restriction of the Jordan ambient to
+        # (I (x) C^{-1})M, so its model is read up to cond(C) = 1e5, where
+        # the dense read of C-conjugated frames with two chains per zero
+        # loses its rank gaps or theta(A) = 0
+        refused = set()
+        for theta in KLEIN_THETAS + [monomial(8)]:
+            base = AmbientSpace.build(theta, 3)
+            rng = np.random.default_rng(0)
+            for k in (1, 2):
+                m = random_invariant_subspace(base, rng, num_vectors=k)
+                truth = subspace_models(base, m)
+                for cond in (10, 1e3, 1e5):
+                    d = theta.degree
+                    sim = haar_unitary(d, rng) * np.geomspace(1, cond, d) @ haar_unitary(d, rng)
+                    amb = AmbientSpace(base.model, 3, sim)
+                    conj = SubspaceFrame(amb, orthonormalize(copywise(sim, m.frame), m.dim))
+                    assert subspace_models(amb, conj) == truth
+                    dense = read_outcome(lambda: dense_restriction_model(amb, conj))
+                    if isinstance(dense, type):
+                        refused.add(cond)
+                    else:
+                        assert dense == truth[0]
+        assert refused == {1e5}
 
 
 class TestCanonicalSubspace:

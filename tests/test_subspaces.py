@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from c0ops.errors import AmbientMismatch
+from c0ops.errors import AmbientMismatch, IllConditioned
 from c0ops.inner import all_divisors, blaschke, divides, monomial, quotient
 from c0ops.model_space import build_model_space, functional_calculus
 from c0ops.subspaces import (
@@ -217,10 +217,20 @@ class TestGroupedLayout:
 
 
 class TestAmbient:
-    def test_block_of_wrong_shape_rejected(self):
+    def test_similarity_of_wrong_shape_or_condition_rejected(self):
         space = build_model_space(monomial(2))
         with pytest.raises(ValueError):
             AmbientSpace(space, 2, np.eye(3))
+        with pytest.raises(IllConditioned):
+            AmbientSpace(space, 2, np.diag([1.0, 1e-7]))
+        with pytest.raises(IllConditioned):
+            AmbientSpace(space, 2, np.zeros((2, 2)))
+        # z^2 annihilates the zero block, which is not similar to S(z^2): a
+        # block is no longer given, so Klein's rule never meets such a one
+        sim = np.diag([1.0, 1e5])
+        amb = AmbientSpace(space, 2, sim)
+        assert not amb.is_jordan and AmbientSpace(space, 2).is_jordan
+        assert np.allclose(amb.block, sim @ space.shift_matrix @ np.diag([1.0, 1e-5]))
 
 
 class TestSerialization:

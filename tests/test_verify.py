@@ -10,11 +10,11 @@ from c0ops.errors import IllConditioned
 from c0ops.exact_nilpotent import commutant_basis, direct_sum_nilpotent
 from c0ops.inner import blaschke, monomial
 from c0ops.jordan import JordanModel, canonical_subspace, random_invariant_subspace
+from c0ops.model_space import build_model_space
 from c0ops.quasiaffine import build_Y_main
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, image_closure, principal_distance
 from c0ops.verify import (
     Y_SCHEDULE,
-    conjugated_ambient,
     cordiag_demo,
     counterexample_search,
     decide_commutant_orbit,
@@ -213,7 +213,7 @@ class TestCordiagDemo:
 
     def test_conjugated_operator_repeats_conjugated_block(self):
         s = np.array([[1.0, 0.4], [0.1, 1.3]])
-        amb = conjugated_ambient(monomial(2), 3, s)
+        amb = AmbientSpace(build_model_space(monomial(2)), 3, s)
         block = s @ amb.model.shift_matrix @ np.linalg.inv(s)
         expected = np.kron(np.eye(3), block)
         assert np.abs(amb.apply(np.eye(amb.total_dim)) - expected).max() <= 1e-14
@@ -226,4 +226,4 @@ class TestCordiagDemo:
 
     def test_ill_conditioned_similarity_rejected(self):
         with pytest.raises(IllConditioned):
-            conjugated_ambient(monomial(2), 3, np.diag([1.0, 1e-9]))
+            AmbientSpace(build_model_space(monomial(2)), 3, np.diag([1.0, 1e-9]))
