@@ -10,7 +10,6 @@ from .errors import (
     IllConditioned,
     ModelTooLong,
     NotADivisor,
-    NotAnnihilated,
     NotInSubspace,
     NotInvariant,
     OutsideDisc,

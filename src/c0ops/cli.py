@@ -50,7 +50,7 @@ EXIT_CODES = {
         errors.ModelTooLong, errors.NotADivisor, errors.NotInSubspace, errors.OutsideDisc,
         errors.PreconditionViolated, errors.TruncationTooSmall,
     ),
-    Exit.NUMERICAL: (errors.IllConditioned, errors.NotAnnihilated, errors.SingularResolvent),
+    Exit.NUMERICAL: (errors.IllConditioned, errors.SingularResolvent),
 }
 
 # a converter of outside input returns its value or raises one of these

@@ -25,10 +25,6 @@ class NotInvariant(C0OpsError):
     """Subspace failed the invariance residual gate."""
 
 
-class NotAnnihilated(C0OpsError):
-    """Matrix is not annihilated by the supplied reference inner function."""
-
-
 class IllConditioned(C0OpsError):
     """A rank decision or supplied similarity lacks a usable singular gap."""
 

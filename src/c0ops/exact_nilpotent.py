@@ -6,21 +6,22 @@ vectors and a matrix is a list of rows.  The operator
 S(z^{d_0}) (+) S(z^{d_1}) (+) ... is a ``NilpotentSum``, which shifts a
 vector block by block and is never stored as a matrix.  The module builds
 orbit-closure subspaces, the Jordan models of their restrictions and
-compressions, integer nullspaces, the commutant of a nilpotent direct sum
-in closed form, and the grid and lattice subspaces the counterexample
-search enumerates, the lattice ones with their restriction models.
+compressions, and the grid and lattice subspaces the counterexample
+search enumerates, the lattice ones with their restriction models.  The
+search compares closed-form orbit types of these subspaces (``verify``),
+so nothing here builds the commutant.
 
 A Jordan model is read from the ranks of images: rank (T|M)^k = dim T^k M,
 and the compression to M^perp, similar to T on Q^n / M, has
 rank = dim(T^k Q^n + M) - dim M.  Each basis vector is scaled to integers
 once, and one fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
-forms no fraction: its forward pass gives the ranks, Krylov pivots and the
-determinant certificate over Z[t_0, ...], and the reduced forms behind
-nullspaces and the tests' span keys add a back pass.  The rational
-restriction and compression matrices are the tests' reference for these
-models, which cross-check the floating pipeline.  ``exact_subspace_models``
-alone takes and returns symbolic matrices, and it imports their package
-when it runs.
+forms no fraction: its forward pass gives the ranks and the Krylov pivots,
+and the reduced forms of ``rref`` add a back pass.  The elimination works
+over any ring with exact division; the tests' commutant oracle runs it
+over Z[t_0, ...] for its determinant certificate.  The rational
+restriction matrices are the tests' reference for these models, which
+cross-check the floating pipeline.  ``exact_subspace_models`` alone takes
+and returns symbolic matrices, and it imports their package when it runs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, product
 from math import lcm
-from operator import add, mul, sub
+from operator import mul
 
 from .inner import monomial
 from .jordan import JordanModel, chain_lengths
@@ -94,7 +95,7 @@ def _echelon(rows: list[list]) -> tuple[list[list], list[int]]:
         if tops:
             prev = tops[-1][pivots[-1]]
             rest = [r[:c] + zero + [(p * x - r[c] * y) // prev for x, y in zip(r[c + 1 :], tail)] for r in rest]
-        else:  # the first step divides by 1, and Polynomial has no // 1
+        else:  # the first step divides by 1, which a polynomial ring may not define
             rest = [r[:c] + zero + [p * x - r[c] * y for x, y in zip(r[c + 1 :], tail)] for r in rest]
         tops.append(top)
         pivots.append(c)
@@ -127,102 +128,6 @@ def rref(rows: list[list]) -> tuple[list[list[Fraction]], tuple[int, ...]]:
     """
     reduced, den, pivots = _rref_den(rows)
     return [[Fraction(x, den) for x in r] for r in reduced], pivots
-
-
-def _nullspace_den(rows: list[list], ncols: int) -> tuple[list[list[int]], int]:
-    """Integer basis of {x : rows x = 0}, with ncols the length of x, and its scale den.
-
-    One vector per free column: den there and minus the integer reduced
-    entries at the pivot columns, so each is den times a vector of
-    ``nullspace``.
-    """
-    reduced, den, pivots = _rref_den(rows)
-    basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = [0] * ncols
-        vec[free] = den
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[free]
-        basis.append(vec)
-    return basis, den
-
-
-def nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : rows x = 0} in sympy's convention: 1 at a free column, 0 at the others."""
-    basis, den = _nullspace_den(rows, ncols)
-    return [[Fraction(x, den) for x in vec] for vec in basis]
-
-
-class Polynomial(dict):
-    """A polynomial over Z as {exponent tuple: nonzero coefficient}; {} is 0."""
-
-    __slots__ = ()
-
-    def __mul__(self, other: Polynomial) -> Polynomial:
-        out = {}
-        for e, a in self.items():
-            for f, b in other.items():
-                g = tuple(map(add, e, f))
-                out[g] = out.get(g, 0) + a * b
-        return Polynomial({g: c for g, c in out.items() if c})
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        out = Polynomial(self)
-        for e, b in other.items():
-            c = out.get(e, 0) - b
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-        return out
-
-    def __floordiv__(self, other: Polynomial) -> Polynomial:
-        """The quotient by a divisor of self.
-
-        Each step divides the lexicographically leading terms; when other
-        divides self these quotients are integer monomials, and any other
-        remainder raises ``ArithmeticError``.
-        """
-        lead = max(other)
-        lead_coeff = other[lead]
-        rest, out = Polynomial(self), Polynomial()
-        while rest:
-            e = max(rest)
-            q, r = divmod(rest[e], lead_coeff)
-            g = tuple(map(sub, e, lead))
-            if r or min(g) < 0:
-                raise ArithmeticError("polynomial division with a remainder")
-            out[g] = q
-            for f, b in other.items():
-                h = tuple(map(add, g, f))
-                c = rest.get(h, 0) - q * b
-                if c:
-                    rest[h] = c
-                else:
-                    del rest[h]
-        return out
-
-
-def linear_forms(vectors: list[list[int]]) -> list[Polynomial]:
-    """The entries of sum_j t_j x_j over Z[t_0, ..., t_{p-1}] for integer vectors x_0, ..., x_{p-1}."""
-    p = len(vectors)
-    units = [tuple(int(i == j) for i in range(p)) for j in range(p)]
-    return [Polynomial({u: x for u, x in zip(units, col) if x}) for col in zip(*vectors)]
-
-
-def commutant_basis(t_op: NilpotentSum) -> list[list[tuple[int, int]]]:
-    """Basis of {X : XT = TX}, each element the (row, column) positions of its ones.
-
-    Hom(S(z^q) -> S(z^p)) is the min(p, q)-dimensional Toeplitz space
-    spanned by z^k -> z^{k+s} truncated at z^p, for max(p - q, 0) <= s < p.
-    """
-    starts = list(accumulate(t_op.block_degrees, initial=0))
-    return [
-        [(row0 + k + s, col0 + k) for k in range(p - s)]
-        for p, row0 in zip(t_op.block_degrees, starts)
-        for q, col0 in zip(t_op.block_degrees, starts)
-        for s in range(max(p - q, 0), p)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +164,6 @@ def restriction_on_basis(t_op: NilpotentSum, basis: list[list]) -> list[list[Fra
     images = [t_op.apply(b) for b in basis]
     normal = [[_dot(a, b) for b in basis] + [_dot(a, tb) for tb in images] for a in basis]
     return [row[k:] for row in rref(normal)[0]]
-
-
-def complement_basis(basis: list[list], n: int) -> list[list[int]]:
-    """Integer basis of the orthogonal complement of span(basis) in Q^n."""
-    return _nullspace_den(basis, n)[0]
-
-
-def compression_on_complement(t_op: NilpotentSum, basis: list[list]) -> list[list[Fraction]]:
-    """Matrix of P_{M^perp} T | M^perp in an integer complement basis."""
-    return restriction_on_basis(t_op, complement_basis(basis, t_op.n))
 
 
 def _image_model(apply, vectors: list[list[int]], max_power: int, modulo: list | tuple = ()) -> JordanModel:

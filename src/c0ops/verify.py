@@ -2,9 +2,12 @@
 
 The float verdict and the diagonal demo run on numpy.  The exact search
 runs on ``exact_nilpotent``: it knows each subspace's restriction model
-from its construction and enumerates each span once, its orbit decisions
-are integer eliminations, and only its grid vectors and bases hold
-fractions.
+from its construction and enumerates each span once.  It compares
+closed-form orbit types read off each basis, so it builds no commutant:
+the order ideals of Dutta & Prasad (J. Combin. Theory A 118, 2011) for
+cyclic closures, Krull-Schmidt for pickets (Ringel & Schmidmeier,
+J. reine angew. Math. 614, 2008) for lattice elements.  Only its grid
+vectors and bases hold fractions.
 
 At each N of its sweep the verdict maps the per-copy canonical frame of
 (phi, psi) by the orbit map Y, whose all-theta rows are per-copy weights,
@@ -14,9 +17,10 @@ and measures the gap back to that frame one copy group at a time; no
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,19 +28,11 @@ from . import inner
 from .errors import HypothesisViolated
 from .exact_nilpotent import (
     NilpotentSum,
-    Polynomial,
     _basis_strings,
-    _dot,
-    _echelon,
     _grid_vectors,
-    _integral,
     _lattice_elements,
-    _nullspace_den,
-    commutant_basis,
-    complement_basis,
     compression_model,
     direct_sum_nilpotent,
-    linear_forms,
     orbit_closure,
 )
 from .inner import InnerFunction
@@ -190,67 +186,29 @@ def _enumerated_subspaces(t_op: NilpotentSum, grid_step: Fraction) -> list[tuple
     return [((len(basis),), basis) for basis in grid] + [(key, basis) for key, basis in lattice if len(key) > 1]
 
 
-def _support(vec: list) -> list[tuple[int, object]]:
-    return [(i, x) for i, x in enumerate(vec) if x]
+def _orbit_type(block_degrees: tuple[int, ...], key: tuple, basis: list[list]) -> set | Counter:
+    """The orbit of an enumerated subspace under the invertible commutant, in closed form.
 
-
-@cache
-def _sample_weights(count: int) -> tuple[tuple[int, ...], ...]:
-    """Four fixed integer weight vectors of the given length, for sampling a family."""
-    rng = np.random.default_rng(12345)
-    return tuple(tuple(int(w) for w in rng.integers(-5, 6, size=count)) for _ in range(4))
-
-
-def decide_commutant_orbit(comm_basis: list, b1: list[list], b2: list[list]) -> bool:
-    """Exact decision: does an invertible commutant element map M1 onto M2?
-
-    At these dimensions a quasiaffinity is invertible, so membership in
-    the orbit reduces to solving linear mapping constraints inside the
-    commutant and testing whether the solution family contains an
-    invertible element (determinant not identically zero). X = sum y_i C_i
-    maps M1 into M2 iff L^T X B1 = 0, where the columns of L span the
-    orthogonal complement of M2. The C_i of ``commutant_basis`` are 0/1
-    matrices with disjoint supports, so X holds y_i wherever C_i has a
-    one, and entry (a, b) of L^T C_i B1 sums L[r, a] B1[c, b] over those
-    positions (r, c). Everything is in integers: the columns of B1 are
-    scaled to integers, L and the parameter vectors y that span the
-    family are integer nullspaces, and a few fixed integer combinations
-    of them are tried before the determinant certificate.
+    - A cyclic closure (key of length 1) is C[T]v for its grid vector
+      v = basis[0], and two closures share an orbit iff their vectors do.
+      Each block i where v is nonzero gives the pair (e_i, d_i): the offset
+      of v's first nonzero entry there and the block's degree.  An
+      automorphism can carry (e, d) to (e', d') iff e' >= e and
+      d' - e' <= d - e, so the orbit is fixed by the pairs that no other
+      pair of v dominates: the order ideals of Dutta & Prasad, J. Combin.
+      Theory A 118 (2011), carried over to C[t]/(t^d) modules.
+    - A lattice element (+)_i z^{k_i}H^2 (-) z^{d_i}H^2 is a sum of pickets,
+      and their category has Krull-Schmidt (Ringel & Schmidmeier,
+      J. reine angew. Math. 614, 2008), so the orbit is the multiset of
+      (d_i, d_i - k_i), d_i - k_i the number of its unit basis vectors in
+      block i.
     """
-    if len(b1) != len(b2):
-        return False
-    if not b1:
-        return True  # the zero subspace is its own orbit
-    n = len(b1[0])
-    slot = [[None] * n for _ in range(n)]  # slot[r][c] = i where C_i has a one at (r, c)
-    for i, ones in enumerate(comm_basis):
-        for r, c in ones:
-            slot[r][c] = i
-    b1_supports = [_support(_integral(b)) for b in b1]
-    constraints = []
-    for left in map(_support, complement_basis(b2, n)):
-        for right in b1_supports:
-            row = [0] * len(comm_basis)
-            for r, x in left:
-                for c, y in right:
-                    if slot[r][c] is not None:
-                        row[slot[r][c]] += x * y
-            constraints.append(row)
-    params = _nullspace_den(constraints, len(comm_basis))[0]
-    if not params:
-        return False
-
-    def member(coeffs, zero=0):
-        """sum_i coeffs[i] C_i as an n x n matrix."""
-        return [[zero if i is None else coeffs[i] for i in row] for row in slot]
-
-    # fast path: integer samples usually certify invertibility (full rank)
-    for w in _sample_weights(len(params)):
-        if len(_echelon(member([_dot(w, col) for col in zip(*params)]))[1]) == n:
-            return True
-    # exact certificate that no invertible element exists: det(sum t_j X_j) over Z[t_0, ...],
-    # X_j the member of the j-th parameter vector
-    return len(_echelon(member(linear_forms(params), Polynomial()))[1]) == n
+    blocks = [(d, slice(start, start + d)) for d, start in zip(block_degrees, accumulate(block_degrees, initial=0))]
+    if len(key) > 1:
+        return Counter((d, sum(any(col[part]) for col in basis)) for d, part in blocks)
+    v = basis[0]
+    pairs = {(next(e for e, x in enumerate(v[part]) if x), d) for d, part in blocks if any(v[part])}
+    return {(e, d) for e, d in pairs if not any((f, c) != (e, d) and f <= e and d - e <= c - f for f, c in pairs)}
 
 
 @dataclass
@@ -286,13 +244,15 @@ def counterexample_search(
 
     Enumerates orbit closures of grid vectors plus the exact lattice
     elements and groups subspaces by the Jordan model of the restriction,
-    which each subspace is built with. Same orbit is an equivalence
-    relation (the invertible commutant elements form a group), so each
-    group decides its first member against every later one and stops at
-    the first witness. The first failing pair of the group in combination
-    order always holds the first member, so this is the witness a
-    pair-by-pair search finds. A witness comes with the compression models
-    of both subspaces.
+    which each subspace is built with.  Two subspaces share an orbit iff
+    their closed-form orbit types agree (``_orbit_type``), so each group
+    compares its first member's type with every later member's and stops
+    at the first that differs; ``pairs_checked`` counts these comparisons
+    and ``budget`` bounds them.  Sharing an orbit is an equivalence
+    relation, so the first pair of the group in combination order that
+    lies in two orbits always holds the first member: this is the witness
+    a pair-by-pair search finds.  A witness comes with the compression
+    models of both subspaces.
     """
     t_op = direct_sum_nilpotent(block_degrees)
     subspaces = _enumerated_subspaces(t_op, grid_step)
@@ -301,19 +261,21 @@ def counterexample_search(
         if len(basis) not in (0, t_op.n):
             groups.setdefault(key, []).append(basis)
 
-    comm = commutant_basis(t_op)
     pairs_checked = 0
     budget_exhausted = False
     witness = None
     compression_models = None
     for key in sorted(groups, key=lambda k: sum(k)):
         b1, *others = groups[key]
+        first = None  # b1's type, read at the group's first comparison
         for b2 in others:
             if pairs_checked >= budget:
                 budget_exhausted = True
                 break
             pairs_checked += 1
-            if not decide_commutant_orbit(comm, b1, b2):
+            if first is None:
+                first = _orbit_type(t_op.block_degrees, key, b1)
+            if _orbit_type(t_op.block_degrees, key, b2) != first:
                 witness = {
                     "restriction_model_degrees": list(key),
                     "m1_basis": _basis_strings(b1),

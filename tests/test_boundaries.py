@@ -26,9 +26,13 @@ def _boundaries():
     return tracer.BOUNDARIES
 
 
-# Boundaries whose function the package no longer has: the search enumerates
-# each span once and keys none, so the tracer lists this one as missing.
-RETIRED = {("verify.signature", "c0ops.verify", "_subspace_signature")}
+# Boundaries whose function the package no longer has, so the tracer lists
+# them as missing: the search enumerates each span once and keys none, and it
+# compares closed-form orbit types, so no pair is decided in the commutant.
+RETIRED = {
+    ("verify.signature", "c0ops.verify", "_subspace_signature"),
+    ("verify.decide", "c0ops.verify", "decide_commutant_orbit"),
+}
 
 
 @pytest.mark.parametrize("layer, module, attr", [b for b in _boundaries() if b not in RETIRED], ids=str)

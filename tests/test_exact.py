@@ -14,20 +14,14 @@ from sympy.polys.matrices import DomainMatrix
 
 from c0ops import exact_nilpotent, verify
 from c0ops.exact_nilpotent import (
-    Polynomial,
     _echelon,
     _integral,
     _lattice_elements,
     _rref_den,
-    commutant_basis,
-    complement_basis,
     compression_model,
-    compression_on_complement,
     direct_sum_nilpotent,
     exact_subspace_models,
-    linear_forms,
     nilpotent_jordan_model,
-    nullspace,
     orbit_closure,
     restriction_model,
     restriction_on_basis,
@@ -36,7 +30,17 @@ from c0ops.exact_nilpotent import (
 from c0ops.inner import monomial
 from c0ops.jordan import subspace_models
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, orthonormalize
-from c0ops.verify import _enumerated_subspaces, counterexample_search, decide_commutant_orbit
+from c0ops.verify import _enumerated_subspaces, counterexample_search
+import commutant_oracle
+from commutant_oracle import (
+    Polynomial,
+    commutant_basis,
+    complement_basis,
+    compression_on_complement,
+    decide_commutant_orbit,
+    linear_forms,
+    nullspace,
+)
 
 RNG = np.random.default_rng(90210)
 
@@ -141,13 +145,21 @@ def test_enumeration_runs_no_elimination(monkeypatch, blocks, step):
         calls.append(rows)
         return _echelon(rows)
 
-    for module in (exact_nilpotent, verify):
-        monkeypatch.setattr(module, "_echelon", counting_echelon)
+    monkeypatch.setattr(exact_nilpotent, "_echelon", counting_echelon)
     assert _enumerated_subspaces(direct_sum_nilpotent(blocks), step)
     assert calls == []
     # several vectors do run one, so the count is live
     orbit_closure(direct_sum_nilpotent(blocks), [[1] + [0] * (sum(blocks) - 1)] * 2)
     assert calls
+
+
+def test_exhausted_search_runs_no_elimination(monkeypatch):
+    # the search compares closed-form orbit types; only a witness's compression models eliminate
+    calls = []
+    monkeypatch.setattr(exact_nilpotent, "_echelon", lambda rows: calls.append(rows))
+    for blocks in ([2, 2, 2], [3, 3, 3]):
+        assert counterexample_search(blocks, Fraction(1, 2)).exhausted
+    assert calls == []
 
 
 def test_exact_jordan_of_shift_restriction():
@@ -271,7 +283,7 @@ def test_orbit_decisions_run_in_integers(monkeypatch):
     decisions = [decision for search in searches for decision in search_decisions(*search)]
     # the grid vectors hold Fractions, so the bases do too
     assert any(isinstance(x, Fraction) for _, _, b2 in decisions for col in b2 for x in col)
-    for module in (exact_nilpotent, verify):
+    for module in (exact_nilpotent, verify, commutant_oracle):
         monkeypatch.setattr(module, "Fraction", counting_fraction)
     assert all(decide_commutant_orbit(*decision) for decision in decisions)
     for blocks, denominator in searches:

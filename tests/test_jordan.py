@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from c0ops.errors import (
+    C0OpsError,
     IllConditioned,
     ModelTooLong,
-    NotAnnihilated,
     NotInvariant,
     SingularResolvent,
 )
@@ -39,6 +39,10 @@ from c0ops.subspaces import (
 
 RNG = np.random.default_rng(555)
 ANNIHILATION_TOL = 1e-8
+
+
+class NotAnnihilated(C0OpsError):
+    """Matrix is not annihilated by the supplied reference inner function."""
 
 
 def jordan_model_of(a_mat, theta_ref):

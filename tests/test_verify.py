@@ -1,13 +1,16 @@
 """Orbit verdicts, the witness search, and the conjugated-ambient demo."""
 
+import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from c0ops.errors import IllConditioned
-from c0ops.exact_nilpotent import commutant_basis, direct_sum_nilpotent
+from c0ops.exact_nilpotent import direct_sum_nilpotent
 from c0ops.inner import blaschke, monomial
 from c0ops.jordan import JordanModel, canonical_subspace, random_invariant_subspace
 from c0ops.model_space import build_model_space
@@ -15,13 +18,21 @@ from c0ops.quasiaffine import build_Y_main
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, image_closure, principal_distance
 from c0ops.verify import (
     Y_SCHEDULE,
+    _enumerated_subspaces,
+    _orbit_type,
     cordiag_demo,
     counterexample_search,
-    decide_commutant_orbit,
     verify_orbit,
 )
+import commutant_oracle
+from commutant_oracle import commutant_basis, decide_commutant_orbit
 
 RNG = np.random.default_rng(1618)
+# (blocks, grid denominator) of the grids whose every same-model pair the oracle decides
+ORACLE_GRIDS = [
+    ([2, 1], 2), ([2, 2], 1), ([3, 1], 1), ([3, 2], 1), ([3, 2, 1], 1),
+    ([2, 2, 1], 1), ([4, 2], 1), ([4, 1, 1], 1), ([5, 3], 1),
+]
 WITNESS_2_1 = {
     "restriction_model_degrees": [1],
     "m1_basis": [["0", "1", "0"]],
@@ -173,9 +184,9 @@ class TestCounterexample:
         assert rep.exhausted and not rep.budget_exhausted
         assert (rep.subspace_count, rep.pairs_checked) == (subspaces, decisions)
 
-    def test_witness_decided_by_certificate_at_n7(self):
-        # the one decision of [3,2,2]@1/2 fails every random sample, so the
-        # determinant certificate over Q[t_0, ...] decides it at n = 7
+    def test_witness_decided_by_certificate_at_n7(self, monkeypatch):
+        # the oracle's decision of the one pair of [3,2,2]@1/2 fails every random
+        # sample, so its determinant certificate over Q[t_0, ...] decides it at n = 7
         rep = counterexample_search([3, 2, 2], grid_step=Fraction(1, 2))
         assert (rep.subspace_count, rep.pairs_checked) == (131, 1)
         assert rep.witness["m1_basis"] == [["0", "0", "1", "0", "0", "0", "0"]]
@@ -183,6 +194,44 @@ class TestCounterexample:
         m1, m2 = rep.witness_compression_models
         assert [p.degree for p in m1.parts] == [2, 2, 2]
         assert [p.degree for p in m2.parts] == [3, 2, 1]
+        forms, linear_forms = [], commutant_oracle.linear_forms
+
+        def counting_forms(params):
+            forms.append(params)
+            return linear_forms(params)
+
+        monkeypatch.setattr(commutant_oracle, "linear_forms", counting_forms)
+        b1, b2 = ([[Fraction(x) for x in col] for col in rep.witness[m]] for m in ("m1_basis", "m2_basis"))
+        assert decide_commutant_orbit(commutant_basis(direct_sum_nilpotent([3, 2, 2])), b1, b2) is False
+        assert len(forms) == 1
+
+    def test_orbit_types_match_the_commutant_oracle(self):
+        # every same-model pair, not only first members, of nine small grids
+        start = time.perf_counter()
+        no_orbit = Counter()
+        for blocks, denominator in ORACLE_GRIDS:
+            t = direct_sum_nilpotent(blocks)
+            comm = commutant_basis(t)
+            groups = {}
+            for key, basis in _enumerated_subspaces(t, Fraction(1, denominator)):
+                if 0 < len(basis) < t.n:
+                    groups.setdefault(key, []).append(basis)
+            for key, members in groups.items():
+                for b1, b2 in combinations(members, 2):
+                    same = _orbit_type(t.block_degrees, key, b1) == _orbit_type(t.block_degrees, key, b2)
+                    assert decide_commutant_orbit(comm, b1, b2) is same, (blocks, b1, b2)
+                    no_orbit["lattice" if len(key) > 1 else "cyclic"] += not same
+                    no_orbit["pairs"] += 1
+        assert no_orbit == {"pairs": 659, "cyclic": 227, "lattice": 24}
+        assert time.perf_counter() - start <= 2.0
+
+    def test_full_two_block_search_at_degree_32(self):
+        # 3136 subspaces and no budget: each comparison reads two closed-form types
+        start = time.perf_counter()
+        rep = counterexample_search([32, 32], Fraction(1))
+        assert (rep.subspace_count, rep.pairs_checked) == (3136, 2576)
+        assert rep.exhausted and not rep.budget_exhausted
+        assert time.perf_counter() - start <= 2.0
 
     def test_uniform_negative_control(self):
         rep = counterexample_search([1, 1], grid_step=Fraction(1, 4))
