@@ -5,11 +5,10 @@ Everything here is plain Python rationals, ``fractions.Fraction`` and
 vectors and a matrix is a list of rows.  The operator
 S(z^{d_0}) (+) S(z^{d_1}) (+) ... is a ``NilpotentSum``, which shifts a
 vector block by block and is never stored as a matrix.  The module builds
-orbit-closure subspaces, the Jordan models of their restrictions and
-compressions, and the grid and lattice subspaces the counterexample
-search enumerates, the lattice ones with their restriction models.  The
-search compares closed-form orbit types of these subspaces (``verify``),
-so nothing here builds the commutant.
+orbit-closure subspaces and the Jordan models of their restrictions and
+compressions.  The counterexample search (``verify``) carries the model
+and orbit type of each subspace it enumerates and closes a grid vector
+here only for a witness, so nothing here builds the commutant.
 
 A Jordan model is read from the ranks of images: rank (T|M)^k = dim T^k M,
 and the compression to M^perp, similar to T on Q^n / M, has
@@ -27,7 +26,6 @@ and returns symbolic matrices, and it imports their package when it runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, product
 from math import lcm
 from operator import mul
 
@@ -230,64 +228,3 @@ def exact_subspace_models(d: int, copies: int, vectors: list):
     basis = orbit_closure(t_op, [[exact(x) for x in v] for v in vectors])
     rest, comp = restriction_model(t_op, basis), compression_model(t_op, basis)
     return rest, comp, sp.Matrix(t_op.n, len(basis), lambda i, j: basis[j][i])
-
-
-# ---------------------------------------------------------------------------
-# Inputs and witness strings of the counterexample search
-# ---------------------------------------------------------------------------
-
-
-def _lattice_elements(block_degrees: list[int]) -> list[tuple[tuple[int, ...], list[list[int]]]]:
-    """Products of per-block divisor subspaces z^k H^2 (-) z^d H^2, each with its restriction model.
-
-    T restricted to z^k H^2 (-) z^d H^2 is S(z^{d-k}), so a product has the
-    parts d_i - k_i > 0; the model is their degrees in descending order.
-    """
-    n = sum(block_degrees)
-    per_block = [
-        [list(range(start + k, start + d)) for k in range(d + 1)]
-        for d, start in zip(block_degrees, accumulate(block_degrees, initial=0))
-    ]
-    return [
-        (
-            tuple(sorted((len(block) for block in combo if block), reverse=True)),
-            [[int(i == c) for i in range(n)] for block in combo for c in block],
-        )
-        for combo in product(*per_block)
-    ]
-
-
-def _grid_vectors(block_degrees: list[int], step: Fraction) -> list[list]:
-    """e_i and e_i + t e_j for grid values t, one vector per distinct orbit closure, in grid order.
-
-    - Units: the orbit closure of e_i is the tail of its block from i, so
-      the n units span n distinct closures.
-    - One block: e_i + t e_j is (1 + c T^|i-j|) e_min(i,j) times a scalar,
-      c = t or 1/t, and 1 + c T^|i-j| is invertible, so it spans the
-      chain of a unit and is left out.
-    - Two blocks: the closure of v = e_i + t e_j meets both blocks, so it
-      is no unit's.  A w with the same closure is sum_k p_k T^k v with
-      p_0 != 0, which reads p_0, p_1, ... down the block of i from i and
-      t p_0, t p_1, ... down that of j from j; a support of exactly two
-      entries leaves w = p_0 v.  So the one repeat is e_i + t e_j, i > j,
-      with 1/t on the grid: it is t (e_j + (1/t) e_i), met earlier.
-    """
-    reach = int(1 / step) if step <= 1 else 1
-    vals = [k * step for k in range(-reach, reach + 1) if k != 0]
-    on_grid = set(vals)
-    block = [b for b, d in enumerate(block_degrees) for _ in range(d)]
-    units = _units(len(block))
-    vectors = [list(e) for e in units]
-    for i, j in product(range(len(block)), repeat=2):
-        if block[i] != block[j]:
-            for t in vals:
-                if i < j or 1 / t not in on_grid:
-                    vec = list(units[i])
-                    vec[j] = t
-                    vectors.append(vec)
-    return vectors
-
-
-def _basis_strings(basis: list[list]) -> list[list[str]]:
-    """Columns of a rational basis as number strings."""
-    return [[str(x) for x in col] for col in basis]

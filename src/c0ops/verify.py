@@ -1,13 +1,11 @@
 """Harness logic: orbit verification, counterexample search, diagonal demo.
 
 The float verdict and the diagonal demo run on numpy.  The exact search
-runs on ``exact_nilpotent``: it knows each subspace's restriction model
-from its construction and enumerates each span once.  It compares
-closed-form orbit types read off each basis, so it builds no commutant:
-the order ideals of Dutta & Prasad (J. Combin. Theory A 118, 2011) for
-cyclic closures, Krull-Schmidt for pickets (Ringel & Schmidmeier,
-J. reine angew. Math. 614, 2008) for lattice elements.  Only its grid
-vectors and bases hold fractions.
+runs on ``exact_nilpotent``.  It carries each subspace's restriction
+model and closed-form orbit type from its construction
+(``_subspace_records``), enumerates each span once and builds no
+commutant, and no basis but a witness's two.  Grid values are integer
+indices; only a witness's grid vector holds a fraction.
 
 At each N of its sweep the verdict maps the per-copy canonical frame of
 (phi, psi) by the orbit map Y, whose all-theta rows are per-copy weights,
@@ -17,10 +15,9 @@ and measures the gap back to that frame one copy group at a time; no
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -28,9 +25,6 @@ from . import inner
 from .errors import HypothesisViolated
 from .exact_nilpotent import (
     NilpotentSum,
-    _basis_strings,
-    _grid_vectors,
-    _lattice_elements,
     compression_model,
     direct_sum_nilpotent,
     orbit_closure,
@@ -170,45 +164,90 @@ def verify_orbit(
 # ---------------------------------------------------------------------------
 
 
-def _enumerated_subspaces(t_op: NilpotentSum, grid_step: Fraction) -> list[tuple[tuple, list[list]]]:
-    """(restriction model degrees, basis) of the distinct grid orbit closures, then lattice elements.
+def _undominated(pairs: set) -> frozenset:
+    """The pairs (e, d) that no other pair (f, c) with f <= e and d - e <= c - f dominates."""
+    return frozenset(
+        (e, d) for e, d in pairs if not any((f, c) != (e, d) and f <= e and d - e <= c - f for f, c in pairs)
+    )
 
-    Each model is known from the construction: the orbit closure of one
-    vector is a single Krylov chain, so its model is (len(basis),), and
-    ``_lattice_elements`` gives the parts of a lattice element.  Each span
-    comes once: ``_grid_vectors`` gives one vector per distinct closure, a
-    lattice element with one nonempty block is a unit's chain and is left
-    out, and one with two or more is not cyclic, so it is no grid span,
-    and distinct coordinate sets span distinct subspaces.
+
+def _subspace_records(block_degrees: tuple[int, ...], step: Fraction) -> list[tuple[tuple, frozenset | tuple, tuple]]:
+    """(restriction model degrees, orbit type, recipe) of each subspace the search enumerates, in order.
+
+    The subspaces are the orbit closures of the grid vectors, one per
+    distinct closure, then the lattice elements with two or more nonempty
+    blocks; both model and type are known from the construction, so no
+    basis is built here (``_record_basis`` builds one from its recipe).
+
+    Two subspaces share an orbit under the invertible commutant iff their
+    types agree.  A cyclic closure C[T]v has as type the pairs (e_i, d_i)
+    of the blocks where v is nonzero (the offset of v's first nonzero
+    entry there, the block's degree) that no other pair dominates: an
+    automorphism can carry (e, d) to (e', d') iff e' >= e and
+    d' - e' <= d - e, so these fix the orbit (the order ideals of Dutta &
+    Prasad, J. Combin. Theory A 118 (2011), carried over to C[t]/(t^d)
+    modules).  A lattice element is a sum of pickets, and their category
+    has Krull-Schmidt (Ringel & Schmidmeier, J. reine angew. Math. 614,
+    2008), so its type is the multiset of (d_i, d_i - k_i).
+
+    - The unit e_i, at offset e in a block of degree d, closes to the tail
+      of its block: model (d - e,), type {(e, d)}.
+    - e_i + t e_j for blocks of i and j that differ closes to one Krylov
+      chain as long as the longer tail, and its type is the undominated
+      pairs of {(e_i, d_i), (e_j, d_j)}: both depend on (i, j) alone.  The
+      closure of w = sum_k p_k T^k v is v's iff p_0 != 0, which reads p_0,
+      p_1, ... down the block of i from i and t p_0, t p_1, ... down that
+      of j, so a support of two entries leaves w = p_0 v: the one repeat
+      is e_i + t e_j, i > j, with 1/t on the grid, met earlier as
+      t (e_j + (1/t) e_i).  With t = k p/q, 1/t is on the grid iff
+      q^2 / (k p^2) is an integer k' with |k'| <= reach.  Within one block
+      e_i + t e_j is (1 + c T^|i-j|) e_min(i,j) times a scalar, c = t or
+      1/t, so it spans a unit's chain and is left out.
+    - The lattice element (+)_i z^{k_i}H^2 (-) z^{d_i}H^2 restricts to the
+      S(z^{p_i}), p_i = d_i - k_i, so its model is the nonzero p_i in
+      descending order and its type the multiset of (d_i, p_i), kept as
+      the sorted tuple of the pairs.  One with a single nonempty block is
+      a unit's chain, and one with two or more is not cyclic, so no grid
+      span; distinct parts span distinct subspaces.
+
+    Recipes: (i,) for e_i, (i, j, k) for e_i + (k step) e_j, the parts
+    (p_0, p_1, ...) for a lattice element.
     """
-    grid = (orbit_closure(t_op, [vec]) for vec in _grid_vectors(t_op.block_degrees, grid_step))
-    lattice = _lattice_elements(t_op.block_degrees)
-    return [((len(basis),), basis) for basis in grid] + [(key, basis) for key, basis in lattice if len(key) > 1]
+    p, q = step.numerator, step.denominator
+    reach = max(q // p, 1)
+    forward = [k for k in range(-reach, reach + 1) if k]
+    backward = [k for k in forward if q * q % (k * p * p) or abs(q * q // (k * p * p)) > reach]
+    places = [(b, e, d) for b, d in enumerate(block_degrees) for e in range(d)]
+    records = [((d - e,), frozenset({(e, d)}), (i,)) for i, (_, e, d) in enumerate(places)]
+    for (i, (bi, ei, di)), (j, (bj, ej, dj)) in product(enumerate(places), repeat=2):
+        if bi != bj:
+            key, kind = (max(di - ei, dj - ej),), _undominated({(ei, di), (ej, dj)})
+            records += [(key, kind, (i, j, k)) for k in (forward if i < j else backward)]
+    for parts in product(*(range(d, -1, -1) for d in block_degrees)):
+        nonempty = len(parts) - parts.count(0)
+        if nonempty > 1:
+            key = tuple(sorted(parts, reverse=True)[:nonempty])
+            records.append((key, tuple(sorted(zip(block_degrees, parts))), parts))
+    return records
 
 
-def _orbit_type(block_degrees: tuple[int, ...], key: tuple, basis: list[list]) -> set | Counter:
-    """The orbit of an enumerated subspace under the invertible commutant, in closed form.
-
-    - A cyclic closure (key of length 1) is C[T]v for its grid vector
-      v = basis[0], and two closures share an orbit iff their vectors do.
-      Each block i where v is nonzero gives the pair (e_i, d_i): the offset
-      of v's first nonzero entry there and the block's degree.  An
-      automorphism can carry (e, d) to (e', d') iff e' >= e and
-      d' - e' <= d - e, so the orbit is fixed by the pairs that no other
-      pair of v dominates: the order ideals of Dutta & Prasad, J. Combin.
-      Theory A 118 (2011), carried over to C[t]/(t^d) modules.
-    - A lattice element (+)_i z^{k_i}H^2 (-) z^{d_i}H^2 is a sum of pickets,
-      and their category has Krull-Schmidt (Ringel & Schmidmeier,
-      J. reine angew. Math. 614, 2008), so the orbit is the multiset of
-      (d_i, d_i - k_i), d_i - k_i the number of its unit basis vectors in
-      block i.
-    """
-    blocks = [(d, slice(start, start + d)) for d, start in zip(block_degrees, accumulate(block_degrees, initial=0))]
+def _record_basis(t_op: NilpotentSum, step: Fraction, key: tuple, recipe: tuple) -> list[list]:
+    """Basis of an enumerated subspace from its recipe: a Krylov chain or a lattice element's units."""
+    n = t_op.n
     if len(key) > 1:
-        return Counter((d, sum(any(col[part]) for col in basis)) for d, part in blocks)
-    v = basis[0]
-    pairs = {(next(e for e, x in enumerate(v[part]) if x), d) for d, part in blocks if any(v[part])}
-    return {(e, d) for e, d in pairs if not any((f, c) != (e, d) and f <= e and d - e <= c - f for f, c in pairs)}
+        ends = accumulate(t_op.block_degrees)
+        return [[int(c == row) for c in range(n)] for end, x in zip(ends, recipe) for row in range(end - x, end)]
+    i, *cross = recipe
+    vec = [int(c == i) for c in range(n)]
+    if cross:
+        j, k = cross
+        vec[j] = Fraction(k * step.numerator, step.denominator)
+    return orbit_closure(t_op, [vec])
+
+
+def _basis_strings(basis: list[list]) -> list[list[str]]:
+    """Columns of a rational basis as number strings."""
+    return [[str(x) for x in col] for col in basis]
 
 
 @dataclass
@@ -243,39 +282,50 @@ def counterexample_search(
     """Search for equal restriction models outside a common commutant orbit.
 
     Enumerates orbit closures of grid vectors plus the exact lattice
-    elements and groups subspaces by the Jordan model of the restriction,
-    which each subspace is built with.  Two subspaces share an orbit iff
-    their closed-form orbit types agree (``_orbit_type``), so each group
-    compares its first member's type with every later member's and stops
-    at the first that differs; ``pairs_checked`` counts these comparisons
-    and ``budget`` bounds them.  Sharing an orbit is an equivalence
-    relation, so the first pair of the group in combination order that
-    lies in two orbits always holds the first member: this is the witness
-    a pair-by-pair search finds.  A witness comes with the compression
-    models of both subspaces.
+    elements, each with the Jordan model of its restriction and its orbit
+    type under the invertible commutant (``_subspace_records``), and
+    groups them by the model; two subspaces share an orbit iff their
+    types agree.
+
+    Each group compares its first member's type with every later member's
+    and stops at the first that differs; ``pairs_checked`` counts these
+    comparisons and ``budget`` bounds them.  Sharing an orbit is an
+    equivalence relation, so the first pair of the group in combination
+    order that lies in two orbits always holds the first member: this is
+    the witness a pair-by-pair search finds.  Only a witness's two bases
+    are built, and it comes with the compression models of both.
     """
+    if isinstance(grid_step, bool) or not isinstance(grid_step, (int, Fraction)):
+        raise TypeError(f"grid_step must be an int or a Fraction, not {grid_step!r}")
+    if grid_step <= 0:
+        raise ValueError(f"grid_step must be positive, not {grid_step}")
+    for d in block_degrees:
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise TypeError(f"block degrees must be integers, not {d!r}")
+        if d < 1:
+            raise ValueError(f"block degrees must be at least 1, not {d}")
+    step = Fraction(grid_step)
     t_op = direct_sum_nilpotent(block_degrees)
-    subspaces = _enumerated_subspaces(t_op, grid_step)
-    groups: dict[tuple, list[list[list]]] = {}
-    for key, basis in subspaces:
-        if len(basis) not in (0, t_op.n):
-            groups.setdefault(key, []).append(basis)
+    records = _subspace_records(t_op.block_degrees, step)
+    groups: dict[tuple, list[tuple]] = {}
+    for record in records:
+        groups.setdefault(record[0], []).append(record)
 
     pairs_checked = 0
     budget_exhausted = False
     witness = None
     compression_models = None
-    for key in sorted(groups, key=lambda k: sum(k)):
-        b1, *others = groups[key]
-        first = None  # b1's type, read at the group's first comparison
-        for b2 in others:
+    for key in sorted(groups, key=sum):
+        if sum(key) == t_op.n:  # the whole space; only proper subspaces are compared
+            continue
+        (_, first, r1), *others = groups[key]
+        for _, kind, r2 in others:
             if pairs_checked >= budget:
                 budget_exhausted = True
                 break
             pairs_checked += 1
-            if first is None:
-                first = _orbit_type(t_op.block_degrees, key, b1)
-            if _orbit_type(t_op.block_degrees, key, b2) != first:
+            if kind != first:
+                b1, b2 = (_record_basis(t_op, step, key, r) for r in (r1, r2))
                 witness = {
                     "restriction_model_degrees": list(key),
                     "m1_basis": _basis_strings(b1),
@@ -287,7 +337,7 @@ def counterexample_search(
             break
     return CounterexampleReport(
         tuple(block_degrees),
-        len(subspaces),
+        len(records),
         pairs_checked,
         witness,
         exhausted=not budget_exhausted and witness is None,

@@ -1,6 +1,7 @@
 """The commutant decision: the tests' oracle for the closed-form orbit types.
 
-``counterexample_search`` compares the orbit types of ``verify._orbit_type``.
+``counterexample_search`` compares the orbit types ``verify`` carries, and
+``basis_reference._orbit_type`` reads them off a basis.
 This module decides the same question from first principles: it builds the
 commutant of a nilpotent direct sum, solves the mapping constraints in
 integers and certifies invertibility by a determinant over Z[t_0, ...],

@@ -16,7 +16,6 @@ from c0ops import exact_nilpotent, verify
 from c0ops.exact_nilpotent import (
     _echelon,
     _integral,
-    _lattice_elements,
     _rref_den,
     compression_model,
     direct_sum_nilpotent,
@@ -30,7 +29,8 @@ from c0ops.exact_nilpotent import (
 from c0ops.inner import monomial
 from c0ops.jordan import subspace_models
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, orthonormalize
-from c0ops.verify import _enumerated_subspaces, counterexample_search
+from c0ops.verify import _record_basis, _subspace_records, counterexample_search
+from basis_reference import _lattice_elements, _orbit_type
 import commutant_oracle
 from commutant_oracle import (
     Polynomial,
@@ -107,6 +107,11 @@ def keyed_enumeration(t, step):
     return list(seen.values())
 
 
+def record_bases(t, step):
+    """(model key, basis) of every subspace the search enumerates, each basis built from its record's recipe."""
+    return [(key, _record_basis(t, step, key, r)) for key, _, r in _subspace_records(t.block_degrees, step)]
+
+
 def partitions(n, top=None):
     """Block shapes of total degree n, blocks in descending order."""
     if n == 0:
@@ -117,15 +122,34 @@ def partitions(n, top=None):
             yield [k, *rest]
 
 
+# every block shape of total degree up to 6, and two shapes out of descending order
+SHAPES = [p for n in range(1, 7) for p in partitions(n)] + [[1, 2], [1, 3, 2]]
+STEPS = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2))
+
+
 def test_enumeration_matches_the_keyed_grid():
     start = time.perf_counter()
-    shapes = [p for n in range(1, 7) for p in partitions(n)] + [[1, 2], [1, 3, 2]]
-    for blocks in shapes:
+    for blocks in SHAPES:
         t = direct_sum_nilpotent(blocks)
-        for step in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2)):
+        for step in STEPS:
             # same model keys and first-seen bases, in the same order
-            assert _enumerated_subspaces(t, step) == keyed_enumeration(t, step)
-    assert len(shapes) == 31
+            assert record_bases(t, step) == keyed_enumeration(t, step)
+    assert len(SHAPES) == 31
+    assert time.perf_counter() - start <= 2.0
+
+
+def test_records_carry_the_types_read_off_their_bases():
+    start = time.perf_counter()
+    count = 0
+    for blocks in SHAPES:
+        t = direct_sum_nilpotent(blocks)
+        for step in STEPS:
+            for key, kind, recipe in _subspace_records(t.block_degrees, step):
+                read = _orbit_type(t.block_degrees, key, _record_basis(t, step, key, recipe))
+                # a lattice type is carried as the sorted tuple of its multiset
+                assert kind == (read if len(key) == 1 else tuple(sorted(read.elements())))
+                count += 1
+    assert count == 7389
     assert time.perf_counter() - start <= 2.0
 
 
@@ -146,7 +170,8 @@ def test_enumeration_runs_no_elimination(monkeypatch, blocks, step):
         return _echelon(rows)
 
     monkeypatch.setattr(exact_nilpotent, "_echelon", counting_echelon)
-    assert _enumerated_subspaces(direct_sum_nilpotent(blocks), step)
+    # the records build nothing, and every basis built from one closes a single vector
+    assert record_bases(direct_sum_nilpotent(blocks), step)
     assert calls == []
     # several vectors do run one, so the count is live
     orbit_closure(direct_sum_nilpotent(blocks), [[1] + [0] * (sum(blocks) - 1)] * 2)
@@ -160,6 +185,29 @@ def test_exhausted_search_runs_no_elimination(monkeypatch):
     for blocks in ([2, 2, 2], [3, 3, 3]):
         assert counterexample_search(blocks, Fraction(1, 2)).exhausted
     assert calls == []
+
+
+def test_only_a_witness_builds_bases(monkeypatch):
+    # each record carries its model and type, so an exhausted search builds no basis
+    closures, built = [], []
+
+    def counting_closure(t_op, vectors):
+        closures.append(vectors)
+        return orbit_closure(t_op, vectors)
+
+    def recording_basis(*args):
+        built.append(_record_basis(*args))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "orbit_closure", counting_closure)
+    monkeypatch.setattr(verify, "_record_basis", recording_basis)
+    for blocks, step in [([2, 2], Fraction(1)), ([3, 3, 3], Fraction(1, 2)), ([32, 32], Fraction(1))]:
+        assert counterexample_search(blocks, step).exhausted
+    assert closures == [] and built == []
+    # a witness builds its two members' bases and no other
+    rep = counterexample_search([2, 1], Fraction(1, 16))
+    assert len(closures) == 2
+    assert [verify._basis_strings(b) for b in built] == [rep.witness["m1_basis"], rep.witness["m2_basis"]]
 
 
 def test_exact_jordan_of_shift_restriction():
@@ -207,7 +255,7 @@ def searched_subspaces():
     """(T, basis) for every subspace the SEARCHES enumerate, each span once."""
     for blocks, denominator in SEARCHES:
         t = direct_sum_nilpotent(blocks)
-        for _, basis in _enumerated_subspaces(t, Fraction(1, denominator)):
+        for _, basis in record_bases(t, Fraction(1, denominator)):
             yield t, basis
 
 
@@ -228,7 +276,7 @@ def test_uniform_compression_model_is_the_rectangle_complement():
     count = 0
     for blocks, step in [([2, 2, 2], Fraction(1)), ([3, 3], Fraction(1, 2)), ([4, 4], Fraction(1))]:
         t = direct_sum_nilpotent(blocks)
-        for _, basis in _enumerated_subspaces(t, step):
+        for _, basis in record_bases(t, step):
             rest = restriction_model(t, basis)
             assert compression_model(t, basis) == rest.complement(monomial(blocks[0]), len(blocks))
             count += 1
@@ -244,7 +292,7 @@ def test_carried_models_and_krylov_bases_match_their_reads():
     for blocks, denominator in KEYED_SEARCHES:
         t = direct_sum_nilpotent(blocks)
         step = Fraction(1, denominator)
-        for key, basis in _enumerated_subspaces(t, step):
+        for key, basis in record_bases(t, step):
             assert key == tuple(degrees(restriction_model(t, basis)))
             count += 1
         reach = int(1 / step)
@@ -265,7 +313,7 @@ def search_decisions(blocks, denominator):
     """(commutant basis, M1, M2) of every decision an exhausted search makes."""
     t = direct_sum_nilpotent(blocks)
     groups = {}
-    for key, basis in _enumerated_subspaces(t, Fraction(1, denominator)):
+    for key, basis in record_bases(t, Fraction(1, denominator)):
         if 0 < len(basis) < t.n:
             groups.setdefault(key, []).append(basis)
     comm = commutant_basis(t)
@@ -281,19 +329,23 @@ def test_orbit_decisions_run_in_integers(monkeypatch):
 
     searches = [([2, 2], 1), ([3, 3], 2)]
     decisions = [decision for search in searches for decision in search_decisions(*search)]
+    # built before the patch: a grid vector's recipe makes its Fraction
+    bases = [
+        (direct_sum_nilpotent(blocks), basis)
+        for blocks, denominator in searches
+        for _, basis in record_bases(direct_sum_nilpotent(blocks), Fraction(1, denominator))
+    ]
     # the grid vectors hold Fractions, so the bases do too
     assert any(isinstance(x, Fraction) for _, _, b2 in decisions for col in b2 for x in col)
     for module in (exact_nilpotent, verify, commutant_oracle):
         monkeypatch.setattr(module, "Fraction", counting_fraction)
     assert all(decide_commutant_orbit(*decision) for decision in decisions)
-    for blocks, denominator in searches:
-        t = direct_sum_nilpotent(blocks)
-        for _, basis in _enumerated_subspaces(t, Fraction(1, denominator)):
-            complement = complement_basis(basis, t.n)
-            assert len(complement) == t.n - len(basis)
-            assert all(type(x) is int for vec in complement for x in vec)
-            assert all(sum(x * y for x, y in zip(b, vec)) == 0 for b in basis for vec in complement)
-            assert len(_echelon(complement + [_integral(b) for b in basis])[1]) == t.n
+    for t, basis in bases:
+        complement = complement_basis(basis, t.n)
+        assert len(complement) == t.n - len(basis)
+        assert all(type(x) is int for vec in complement for x in vec)
+        assert all(sum(x * y for x, y in zip(b, vec)) == 0 for b in basis for vec in complement)
+        assert len(_echelon(complement + [_integral(b) for b in basis])[1]) == t.n
     assert calls == []
     # the rational nullspace does build them, so the count is live
     nullspace([[1, 2]], 2)

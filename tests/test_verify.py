@@ -18,12 +18,13 @@ from c0ops.quasiaffine import build_Y_main
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, image_closure, principal_distance
 from c0ops.verify import (
     Y_SCHEDULE,
-    _enumerated_subspaces,
-    _orbit_type,
+    _record_basis,
+    _subspace_records,
     cordiag_demo,
     counterexample_search,
     verify_orbit,
 )
+from basis_reference import _orbit_type
 import commutant_oracle
 from commutant_oracle import commutant_basis, decide_commutant_orbit
 
@@ -213,9 +214,10 @@ class TestCounterexample:
             t = direct_sum_nilpotent(blocks)
             comm = commutant_basis(t)
             groups = {}
-            for key, basis in _enumerated_subspaces(t, Fraction(1, denominator)):
-                if 0 < len(basis) < t.n:
-                    groups.setdefault(key, []).append(basis)
+            step = Fraction(1, denominator)
+            for key, _, recipe in _subspace_records(t.block_degrees, step):
+                if sum(key) < t.n:
+                    groups.setdefault(key, []).append(_record_basis(t, step, key, recipe))
             for key, members in groups.items():
                 for b1, b2 in combinations(members, 2):
                     same = _orbit_type(t.block_degrees, key, b1) == _orbit_type(t.block_degrees, key, b2)
@@ -232,6 +234,63 @@ class TestCounterexample:
         assert (rep.subspace_count, rep.pairs_checked) == (3136, 2576)
         assert rep.exhausted and not rep.budget_exhausted
         assert time.perf_counter() - start <= 2.0
+
+    def test_full_four_block_search_at_degree_16(self):
+        # 86592 subspaces, 83456 of them lattice elements: each carries its type, no basis is built
+        start = time.perf_counter()
+        rep = counterexample_search([16, 16, 16, 16], Fraction(1))
+        assert (rep.subspace_count, rep.pairs_checked) == (86592, 81748)
+        assert rep.exhausted and not rep.budget_exhausted
+        assert time.perf_counter() - start <= 2.0
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 5, 50])
+    @pytest.mark.parametrize(
+        "blocks, denominator, subspaces", [([3, 3, 3], 2, 225), ([4, 4], 2, 120)], ids=["3-3-3@1/2", "4-4@1/2"]
+    )
+    def test_budget_stops_a_uniform_search(self, blocks, denominator, subspaces, budget):
+        rep = counterexample_search(blocks, Fraction(1, denominator), budget)
+        assert rep.to_dict() == {
+            "block_degrees": blocks,
+            "subspace_count": subspaces,
+            "pairs_checked": budget,
+            "witness": None,
+            "witness_compression_models": None,
+            "exhausted": False,
+            "budget_exhausted": True,
+        }
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 5, 50])
+    def test_budget_against_a_witness_at_the_second_comparison(self, budget):
+        rep = counterexample_search([2, 2, 1], Fraction(1, 3), budget)
+        found = budget >= 2
+        models = [JordanModel(tuple(map(monomial, parts))).to_dict() for parts in ([2, 1, 1], [2, 2])]
+        assert rep.to_dict() == {
+            "block_degrees": [2, 2, 1],
+            "subspace_count": 97,
+            "pairs_checked": min(budget, 2),
+            "witness": {
+                "restriction_model_degrees": [1],
+                "m1_basis": [["0", "1", "0", "0", "0"]],
+                "m2_basis": [["0", "0", "0", "0", "1"]],
+            } if found else None,
+            "witness_compression_models": models if found else None,
+            "exhausted": False,
+            "budget_exhausted": not found,
+        }
+
+    @pytest.mark.parametrize(
+        "blocks, step, error",
+        [
+            ([2, 1], Fraction(0), ValueError),
+            ([2, 1], Fraction(-1, 4), ValueError),
+            ([2, 1], 0.25, TypeError),
+            ([2, 0], Fraction(1, 4), ValueError),
+        ],
+        ids=["zero-step", "negative-step", "float-step", "zero-degree"],
+    )
+    def test_search_refuses_bad_input(self, blocks, step, error):
+        with pytest.raises(error):
+            counterexample_search(blocks, step)
 
     def test_uniform_negative_control(self):
         rep = counterexample_search([1, 1], grid_step=Fraction(1, 4))
