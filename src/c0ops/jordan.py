@@ -9,6 +9,9 @@ copy is S(theta), b_a(T_N)^k is a partial isometry whose kernel is known
 in closed form (``ModelSpace.kernel_frames``). For an invariant M the
 singular values of b_a(T|M)^k are the sines of the principal angles
 between M and that kernel, read one distinct copy group of M at a time.
+The kernels are nested in k, so a group of c copies with frame Q takes
+one triangular factor per side of ck = dim Q and reads every k from a
+leading block of it.
 An ambient conjugated by C is read the same way after M is mapped back
 by I (x) C^{-1}, which makes T|M a similar restriction of the Jordan
 ambient's T_N.
@@ -123,7 +126,12 @@ def _model(theta_ref: InnerFunction, ranks: list[list[int]]) -> JordanModel:
     Part n holds the n-th chain of every zero that has one, and the chains
     must fill the dimension ranks[i][0].
     """
-    per_zero = [[(a, s) for s in chain_lengths(r)] for (a, _), r in zip(theta_ref.zeros, ranks)]
+    per_zero = []
+    for (a, _), r in zip(theta_ref.zeros, ranks):
+        try:
+            per_zero.append([(a, s) for s in chain_lengths(r)])
+        except IllConditioned as exc:
+            raise IllConditioned(f"chains at a = {a:.6g}: {exc}") from exc
     model = JordanModel(tuple(InnerFunction(tuple(filter(None, row))) for row in zip_longest(*per_zero)))
     n = ranks[0][0]
     if model.total_degree != n:
@@ -131,65 +139,105 @@ def _model(theta_ref: InnerFunction, ranks: list[list[int]]) -> JordanModel:
     return model
 
 
-def _kernel_sines(q: np.ndarray, copies: int, bases: np.ndarray, k: int) -> np.ndarray:
-    """Singular values of (I_copies (x) b_a(S)^k) Q, one row per stacked kernel basis of b_a(S).
+def _kernel_factor(q: np.ndarray, copies: int, kernels: np.ndarray) -> np.ndarray:
+    """R of (I - QQ^H)(I_c (x) F[:, :n // c]) for each zero's kernel frame F, columns ordered by power.
 
-    The first k columns of a basis span ker b_a(S)^k and, when ck > n =
-    dim Q, the rest its complement. The operator is a partial isometry
-    with kernel K = I_copies (x) basis[:, :k], so its singular values on Q
-    are n - ck ones and the sines of the principal angles between span Q
-    and K, those of (I - QQ^H) K, when ck <= n; else those of
-    K_perp^H Q, padded with zeros to n.
+    Column j of F on every copy comes before column j + 1, so the leading
+    ck columns are (I - QQ^H) K for K = I_c (x) F[:, :k], for every k with
+    ck <= n = dim Q.
     """
-    count, d, _ = bases.shape
+    count, d, _ = kernels.shape
     n = q.shape[1]
-    q_copies = q.reshape(copies, d, n)
+    kernels = kernels[:, :, : n // copies]
+    coords = q.reshape(copies, d, n).conj().swapaxes(1, 2) @ kernels[:, None]  # Q_c^H F, (count, copies, n, k)
+    inside = q @ coords.transpose(0, 2, 3, 1).reshape(count, n, -1)  # QQ^H (I (x) F), columns by power
+    blocks = inside.reshape(count, copies, d, -1, copies)
+    blocks[:, range(copies), :, :, range(copies)] -= kernels  # -(I - QQ^H)(I (x) F)
+    return np.linalg.qr(inside, mode="r")
+
+
+def _complement_factor(q: np.ndarray, copies: int, unitaries: np.ndarray) -> np.ndarray:
+    """R of B^H, B = (I_c (x) U')^H Q for each zero's [F | C] reversed into U', rows ordered by power.
+
+    Row j of U'^H Q on every copy comes before row j + 1, and U'[:, :d - k]
+    spans the complement of ker b_a(S)^k, so the leading c (d - k) rows of
+    B are K_perp^H Q, for every k with ck > n = dim Q.
+    """
+    count, d, _ = unitaries.shape
+    n = q.shape[1]
+    perp = unitaries[:, :, : n // copies : -1]
+    coords = perp[:, None].conj().swapaxes(-1, -2) @ q.reshape(copies, d, n)  # (count, copies, d - 1 - n // c, n)
+    return np.linalg.qr(coords.swapaxes(1, 2).reshape(count, -1, n).conj().swapaxes(1, 2), mode="r")
+
+
+def _leading_sines(r: np.ndarray, n: int, copies: int, d: int, k: int) -> np.ndarray:
+    """The n singular values of (I_c (x) b_a(S)^k) Q, c = copies, from a leading block of each factor r.
+
+    The operator is a partial isometry with kernel K = I_c (x) F[:, :k], so
+    its singular values on Q are n - ck ones and the sines of the principal
+    angles between span Q and K, those of R[:ck, :ck] of the kernel factor,
+    when ck <= n; else those of K_perp^H Q, of R[:min(n, s), :s] of the
+    complement factor with s = c (d - k), padded with zeros to n. Either
+    block has at most n rows.
+    """
     if copies * k <= n:
-        kernels = bases[:, :, :k]
-        coords = q_copies.conj().swapaxes(1, 2) @ kernels[:, None]  # Q_c^H K, (count, copies, n, k)
-        inside = q @ coords.swapaxes(1, 2).reshape(count, n, copies * k)  # QQ^H K
-        blocks = inside.reshape(count, copies, d, copies, k)
-        blocks[:, range(copies), :, range(copies), :] -= kernels  # -(I - QQ^H) K
-        sines = np.linalg.svd(inside, compute_uv=False)
-        return np.concatenate((np.ones((count, n - copies * k)), sines), axis=1)
-    coords = bases[:, None, :, k:].conj().swapaxes(-1, -2) @ q_copies  # K_perp^H Q, (count, copies, d - k, n)
-    sines = np.linalg.svd(coords.reshape(count, -1, n), compute_uv=False)
-    return np.concatenate((sines, np.zeros((count, n - sines.shape[1]))), axis=1)
+        ck = copies * k
+        sines = np.linalg.svd(r[:, :ck, :ck], compute_uv=False)
+        return np.concatenate((np.ones((len(r), n - ck)), sines), axis=1)
+    s = copies * (d - k)
+    sines = np.linalg.svd(r[:, : min(n, s), :s], compute_uv=False)
+    return np.concatenate((sines, np.zeros((len(r), n - sines.shape[1]))), axis=1)
 
 
 def _jordan_restriction_model(ambient: AmbientSpace, m_frame: SubspaceFrame) -> JordanModel:
     """Model of T|M on the Jordan ambient, from M's angles to the kernels of b_a(T_N)^k.
 
     M is invariant, so b_a(T_N)^k Q = Q b_a(A)^k for A = T|M: the singular
-    values of b_a(A)^k are those of b_a(T_N)^k Q (``_kernel_sines``), with no
-    solve, power or dim M-square SVD. A direct sum of groups has the union
-    of their singular values, so each distinct group is read once, and at
-    each k every zero of multiplicity >= k is read in one batch.
+    values of b_a(A)^k are those of b_a(T_N)^k Q, with no solve, power or
+    dim M-square SVD. The kernels of the powers are nested, so each
+    distinct group of c copies takes one QR per side of ck = dim Q over all
+    zeros at once (``_kernel_factor``, ``_complement_factor``), and every k
+    is read from the leading triangular blocks of one of them
+    (``_leading_sines``; Bjorck and Golub, Math. Comp. 27, 1973). A direct
+    sum of groups has the union of their singular values, and at each k
+    every zero of multiplicity >= k is read in one batch.
     """
     n = m_frame.dim
     if n == 0:
         return JordanModel()
     space, zeros = ambient.model, ambient.theta.zeros
     mults = [m for _, m in zeros]
+    top = max(mults)
     groups = m_frame.distinct_groups()
     # one basis per zero: its kernel frame, then the complement if a group reads it
-    wide = any(copies * max(mults) > q.shape[1] for copies, q, _ in groups)
-    bases = np.zeros((len(zeros), space.dim, space.dim if wide else max(mults)), dtype=complex)
+    wide = any(copies * top > q.shape[1] for copies, q, _ in groups)
+    bases = np.zeros((len(zeros), space.dim, space.dim if wide else top), dtype=complex)
     for i, frame in enumerate(space.kernel_frames):
         bases[i, :, : frame.shape[1]] = frame
         if wide:
             bases[i, :, frame.shape[1] :] = space.kernel_complements[i]
+    factors = [{} for _ in groups]  # a group's factor on each side of ck = n, made when first read
     ranks = [[n] for _ in zeros]
-    for k in range(1, max(mults) + 1):
+    for k in range(1, top + 1):
         # a zero at rank 0 stays there: its kernels only grow
         live = [i for i, m in enumerate(mults) if m >= k and ranks[i][-1]]
         if not live:
             break
-        batch = bases if len(live) == len(zeros) else bases[live]
-        parts = [part for copies, q, repeats in groups for part in [_kernel_sines(q, copies, batch, k)] * repeats]
+        parts = []
+        for (copies, q, repeats), made in zip(groups, factors):
+            narrow = copies * k <= q.shape[1]
+            if narrow not in made:
+                made[narrow] = (
+                    _kernel_factor(q, copies, bases[:, :, :top]) if narrow else _complement_factor(q, copies, bases)
+                )
+            r = made[narrow] if len(live) == len(zeros) else made[narrow][live]
+            parts += [_leading_sines(r, q.shape[1], copies, space.dim, k)] * repeats
         sines = parts[0] if len(parts) == 1 else -np.sort(-np.concatenate(parts, axis=1), axis=1)
         for i, s in zip(live, sines):
-            ranks[i].append(_rank(s))
+            try:
+                ranks[i].append(_rank(s))
+            except IllConditioned as exc:
+                raise IllConditioned(f"rank of b_a(T|M)^k at a = {zeros[i][0]:.6g}, k = {k}: {exc}") from exc
     for i, m in enumerate(mults):
         ranks[i] += [0] * (m + 1 - len(ranks[i]))
     return _model(ambient.theta, ranks)

@@ -1,6 +1,8 @@
 """Jordan models of restrictions and compressions, and the canonical
 block-diagonal subspace attached to a model pair."""
 
+import json
+import re
 import time
 import tracemalloc
 from itertools import product
@@ -8,6 +10,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+import c0ops.jordan as jordan
+from c0ops.cli import main
 from c0ops.errors import (
     C0OpsError,
     IllConditioned,
@@ -26,7 +30,7 @@ from c0ops.jordan import (
     random_invariant_subspace,
     subspace_models,
 )
-from c0ops.model_space import blaschke_of_matrix, build_model_space
+from c0ops.model_space import blaschke_of_matrix, build_model_space, functional_calculus
 from c0ops.subspaces import (
     AmbientSpace,
     SubspaceFrame,
@@ -332,6 +336,76 @@ def scan_family(name, d, rng):
     return InnerFunction(tuple((a, 1) for a in zeros))
 
 
+def per_k_kernel_sines(q, copies, bases, k):
+    """Singular values of (I_copies (x) b_a(S)^k) Q, one row per stacked kernel basis of b_a(S).
+
+    The first k columns of a basis span ker b_a(S)^k and, when ck > n =
+    dim Q, the rest its complement. The operator is a partial isometry
+    with kernel K = I_copies (x) basis[:, :k], so its singular values on Q
+    are n - ck ones and the sines of the principal angles between span Q
+    and K, those of (I - QQ^H) K, when ck <= n; else those of
+    K_perp^H Q, padded with zeros to n.
+    """
+    count, d, _ = bases.shape
+    n = q.shape[1]
+    q_copies = q.reshape(copies, d, n)
+    if copies * k <= n:
+        kernels = bases[:, :, :k]
+        coords = q_copies.conj().swapaxes(1, 2) @ kernels[:, None]  # Q_c^H K, (count, copies, n, k)
+        inside = q @ coords.swapaxes(1, 2).reshape(count, n, copies * k)  # QQ^H K
+        blocks = inside.reshape(count, copies, d, copies, k)
+        blocks[:, range(copies), :, range(copies), :] -= kernels  # -(I - QQ^H) K
+        sines = np.linalg.svd(inside, compute_uv=False)
+        return np.concatenate((np.ones((count, n - copies * k)), sines), axis=1)
+    coords = bases[:, None, :, k:].conj().swapaxes(-1, -2) @ q_copies  # K_perp^H Q, (count, copies, d - k, n)
+    sines = np.linalg.svd(coords.reshape(count, -1, n), compute_uv=False)
+    return np.concatenate((sines, np.zeros((count, n - sines.shape[1]))), axis=1)
+
+
+def per_k_restriction_model(ambient, m_frame):
+    """The reference angle read: the model of T|M on the Jordan ambient with one (N d)-row SVD per power k.
+
+    It reads the same singular values as subspace_models, each k from its
+    own matrix (I - QQ^H) K or K_perp^H Q instead of a leading block of a
+    triangular factor, under the same rank rule, chain check and stop at
+    rank 0.
+    """
+    n = m_frame.dim
+    if n == 0:
+        return JordanModel()
+    space, zeros = ambient.model, ambient.theta.zeros
+    mults = [m for _, m in zeros]
+    groups = m_frame.distinct_groups()
+    wide = any(copies * max(mults) > q.shape[1] for copies, q, _ in groups)
+    bases = np.zeros((len(zeros), space.dim, space.dim if wide else max(mults)), dtype=complex)
+    for i, frame in enumerate(space.kernel_frames):
+        bases[i, :, : frame.shape[1]] = frame
+        if wide:
+            bases[i, :, frame.shape[1] :] = space.kernel_complements[i]
+    ranks = [[n] for _ in zeros]
+    for k in range(1, max(mults) + 1):
+        live = [i for i, m in enumerate(mults) if m >= k and ranks[i][-1]]
+        if not live:
+            break
+        batch = bases if len(live) == len(zeros) else bases[live]
+        parts = [part for copies, q, repeats in groups for part in [per_k_kernel_sines(q, copies, batch, k)] * repeats]
+        sines = parts[0] if len(parts) == 1 else -np.sort(-np.concatenate(parts, axis=1), axis=1)
+        for i, s in zip(live, sines):
+            ranks[i].append(_rank(s))
+    for i, m in enumerate(mults):
+        ranks[i] += [0] * (m + 1 - len(ranks[i]))
+    return _model(ambient.theta, ranks)
+
+
+def factor_and_per_k_reads(amb, m):
+    """subspace_models' restriction model and the per-k reference's, or the error types they refuse with."""
+    factor = read_outcome(lambda: subspace_models(amb, m)[0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jordan, "_jordan_restriction_model", per_k_restriction_model)
+        per_k = read_outcome(lambda: subspace_models(amb, m)[0])
+    return factor, per_k
+
+
 class TestKernelRead:
     """subspace_models on the Jordan ambient against the dense read of T|M."""
 
@@ -436,6 +510,169 @@ class TestKernelRead:
                     else:
                         assert dense == truth[0]
         assert refused == {1e5}
+
+
+def requested_svds(monkeypatch):
+    """The shapes of the matrices passed to numpy.linalg.svd from now on."""
+    shapes = []
+    plain = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return plain(a, *args, **kwargs)
+
+    monkeypatch.setattr("numpy.linalg.svd", recorded)
+    return shapes
+
+
+SCAN_CASES = [
+    (family, d, 2 + (fi + di) % 3, 1 + (2 * fi + di) % 3)
+    for fi, family in enumerate(("monomial", "spread", "clustered", "random"))
+    for di, d in enumerate((8, 16, 32, 64))
+]
+
+
+class TestTriangularFactorRead:
+    """subspace_models, every k from leading blocks of one factor, against the per-k reference read."""
+
+    def test_cases_cover_every_copy_and_generator_count(self):
+        assert {(copies, gens) for _, _, copies, gens in SCAN_CASES} == set(product((2, 3, 4), (1, 2, 3)))
+
+    @pytest.mark.parametrize("family, d, copies, gens", SCAN_CASES, ids=str)
+    def test_scan_families(self, family, d, copies, gens):
+        rng = np.random.default_rng(100 * d + 10 * copies + gens)
+        amb = AmbientSpace.build(scan_family(family, d, rng), copies)
+        m = random_invariant_subspace(amb, rng, num_vectors=gens)
+        factor, per_k = factor_and_per_k_reads(amb, m)
+        assert factor == per_k
+        assert isinstance(factor, JordanModel) and factor.total_degree == m.dim
+
+    def test_conjugated_ambients(self):
+        rng = np.random.default_rng(21)
+        for theta in KLEIN_THETAS + [monomial(8)]:
+            base = AmbientSpace.build(theta, 3)
+            for k in (1, 2):
+                m = random_invariant_subspace(base, rng, num_vectors=k)
+                for cond in (10, 1e3, 1e5):
+                    d = theta.degree
+                    sim = haar_unitary(d, rng) * np.geomspace(1, cond, d) @ haar_unitary(d, rng)
+                    amb = AmbientSpace(base.model, 3, sim)
+                    conj = SubspaceFrame(amb, orthonormalize(copywise(sim, m.frame), m.dim))
+                    factor, per_k = factor_and_per_k_reads(amb, conj)
+                    assert factor == per_k == subspace_models(base, m)[0]
+
+    def test_grouped_frames_of_different_widths(self):
+        # a 2-copy group, a repeated 1-copy block and a 3-copy group: each
+        # group has its own dim and reads k on its own side of ck = dim
+        rng = np.random.default_rng(8)
+        for theta in KLEIN_THETAS[2:]:
+            amb = AmbientSpace.build(theta, 7)
+            blocks = [invariant_subspace_of_block(amb.model, g).frame for g in all_divisors(theta) if g != theta]
+            sides = set()
+            for _ in range(6):
+                pair = random_invariant_subspace(AmbientSpace(amb.model, 2), rng).frame
+                triple = random_invariant_subspace(AmbientSpace(amb.model, 3), rng, num_vectors=2).frame
+                block = blocks[rng.integers(len(blocks))]
+                m = SubspaceFrame(amb, groups=[((0, 1), pair), ((2,), block), ((5,), block), ((3, 4, 6), triple)])
+                assert [(c, r) for c, _, r in m.distinct_groups()] == [(2, 1), (1, 2), (3, 1)]
+                for copies, q, _ in m.distinct_groups():
+                    sides |= {copies * k > q.shape[1] for _, mult in theta.zeros for k in range(1, mult + 1)}
+                factor, per_k = factor_and_per_k_reads(amb, m)
+                assert factor == per_k == dense_restriction_model(amb, m)
+            assert sides == {True, False}
+
+    def test_trapezoidal_block(self, monkeypatch):
+        # 4 copies of z^2 and dim M = 2: at k = 1 the complement block is
+        # 2 x 4, wider than it is tall
+        amb = AmbientSpace.build(monomial(2), 4)
+        rng = np.random.default_rng(4)
+        cyclic = random_invariant_subspace(amb, rng)
+        kernel = np.zeros((8, 2), dtype=complex)
+        kernel[1::2] = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))  # in ker T_N
+        in_kernel = SubspaceFrame(amb, orthonormalize(kernel))
+        for m, model in ((cyclic, JordanModel((monomial(2),))), (in_kernel, JordanModel((monomial(1),) * 2))):
+            assert m.dim == 2
+            assert factor_and_per_k_reads(amb, m) == (model, model)
+            shapes = requested_svds(monkeypatch)
+            subspace_models(amb, m)
+            monkeypatch.undo()
+            assert (1, 2, 4) in shapes
+
+    @pytest.mark.parametrize("name", ("clustered-64x4", "z64x3"))
+    def test_degree_cap_beyond_two_copies(self, name, monkeypatch):
+        # clustered-64: M = v (x) (theta/phi_4) H(phi_4) + w (x) (theta/phi_2) H(phi_2)
+        # for orthonormal v, w in C^4 and phi_j the product of b_a^j over the
+        # four zeros, so dim M = 24 and the ranks stay positive for k > 24 / 4
+        rng = np.random.default_rng(64)
+        if name == "z64x3":
+            amb = AmbientSpace.build(monomial(64), 3)
+            m, model = random_invariant_subspace(amb, rng), JordanModel((monomial(64),))
+        else:
+            theta = scan_family("clustered", 64, rng)
+            amb = AmbientSpace.build(theta, 4)
+            model = JordanModel(tuple(InnerFunction(tuple((a, j) for a, _ in theta.zeros)) for j in (4, 2)))
+            blocks = [invariant_subspace_of_block(amb.model, quotient(theta, phi)).frame for phi in model.parts]
+            v, w = haar_unitary(4, rng)[:, :2].T
+            m = SubspaceFrame(amb, np.hstack((np.kron(v[:, None], blocks[0]), np.kron(w[:, None], blocks[1]))))
+        assert m.dim == model.total_degree
+        shapes = requested_svds(monkeypatch)
+        start = time.perf_counter()
+        factor = subspace_models(amb, m)[0]
+        assert time.perf_counter() - start <= 0.5
+        assert factor == model
+        assert any(rows < cols for *_, rows, cols in shapes)  # a trapezoidal complement block
+        monkeypatch.undo()
+        assert factor_and_per_k_reads(amb, m) == (model, model)
+
+    def test_svds_have_at_most_dim_m_rows(self, monkeypatch):
+        # z^64 in 2 copies reads every k; the 8-dimensional M = z^56 H^2 in
+        # one copy stops at rank 0 at k = 8
+        amb = AmbientSpace.build(monomial(64), 2)
+        short = invariant_subspace_of_block(amb.model, monomial(56)).frame
+        frames = [
+            (random_invariant_subspace(amb, np.random.default_rng(2)), 64),
+            (SubspaceFrame.per_copy(amb, [short, np.zeros((64, 0), dtype=complex)]), 8),
+        ]
+        for m, reads in frames:
+            ranks = []
+            monkeypatch.setattr(jordan, "_rank", lambda s, plain=_rank: ranks.append(plain(s)) or ranks[-1])
+            shapes = requested_svds(monkeypatch)
+            rest, _ = subspace_models(amb, m)
+            monkeypatch.undo()
+            assert rest == JordanModel((monomial(reads),))
+            assert ranks == list(range(reads - 1, -1, -1))
+            assert shapes and all(shape[-2] <= m.dim for shape in shapes)
+
+    def test_refusals_name_the_zero_and_the_power(self, tmp_path, capsys):
+        # the orbit closure of x and y in 4 copies of H(b_0.3^3 b_-0.2), F the
+        # kernel frame at 0.3: x = F_1 in one copy and eps F_2 in another, so
+        # it is x, b x and b^2 x ~ F_0, and b(T|M) has the singular value eps;
+        # eps = 5e-8 for x and 5e-9 for y straddle the threshold 1e-8
+        theta = blaschke(0.3, 3) * blaschke(-0.2)
+        amb = AmbientSpace.build(theta, 4)
+        kernels = amb.model.kernel_frames[[a for a, _ in theta.zeros].index(0.3)]
+        b = functional_calculus(amb.model, blaschke(0.3))
+        zero = np.zeros(amb.model.dim)
+        cols = []
+        for top, low, eps in ((1, 0, 5e-8), (3, 2, 5e-9)):
+            x = [kernels[:, 1] if c == top else eps * kernels[:, 2] if c == low else zero for c in range(4)]
+            cols += [np.concatenate(x), np.concatenate([b @ v for v in x])]
+            cols.append(np.concatenate([kernels[:, 0] if c == low else zero for c in range(4)]))
+        q = np.column_stack(cols)
+        m = SubspaceFrame(amb, q / np.linalg.norm(q, axis=0))
+        assert factor_and_per_k_reads(amb, m) == (IllConditioned, IllConditioned)
+        where = r"rank of b_a\(T\|M\)\^k at a = 0\.3\+0j, k = 1: singular values 5\.000e-08 / 5\.000e-09 bracket"
+        with pytest.raises(IllConditioned, match=where):
+            subspace_models(amb, m)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(m.to_dict()))
+        assert main(["jordan-model", "--input", str(path)]) == 6
+        assert re.search(where, capsys.readouterr().err)
+        # three generators in 3 copies of H(z^16) lose a Krylov direction
+        rng = np.random.default_rng(1633)
+        amb = AmbientSpace.build(monomial(16), 3)
+        with pytest.raises(IllConditioned, match=r"chains at a = 0\+0j: ranks \[47, 44, .*\] fit no nilpotent"):
+            subspace_models(amb, random_invariant_subspace(amb, rng, num_vectors=3))
 
 
 class TestCanonicalSubspace:
