@@ -10,8 +10,11 @@ in closed form (``ModelSpace.kernel_frames``). For an invariant M the
 singular values of b_a(T|M)^k are the sines of the principal angles
 between M and that kernel, read one distinct copy group of M at a time.
 The kernels are nested in k, so a group of c copies with frame Q takes
-one triangular factor per side of ck = dim Q and reads every k from a
-leading block of it.
+one triangular factor per side of ck = dim Q and reads each k from a
+leading block of it. The drops in rank from one k to the next never
+increase, so a zero reads only the k whose rank the ranks known so far
+leave open (``_next_power``): a plateau ends the read, and a linear run
+is confirmed by one read at its far end.
 An ambient conjugated by C is read the same way after M is mapped back
 by I (x) C^{-1}, which makes T|M a similar restriction of the Jordan
 ambient's T_N.
@@ -189,6 +192,44 @@ def _leading_sines(r: np.ndarray, n: int, copies: int, d: int, k: int) -> np.nda
     return np.concatenate((sines, np.zeros((len(r), n - sines.shape[1]))), axis=1)
 
 
+def _next_power(ranks: list[int], ahead: dict[int, int], mult: int) -> int | None:
+    """The next power k at a zero of multiplicity mult whose rank the ranks known so far leave open.
+
+    ranks holds the ranks of b_a^0, ..., b_a^k0 and ahead the ranks read
+    past k0. The ranks these force are moved or filled into ranks, and
+    None means every rank up to mult is known. The drops r_{k-1} - r_k
+    never increase (chain_lengths refuses ranks whose drops do), so with
+    delta the last drop, r_{k0+j} >= r_{k0} - j delta:
+    - delta = 0 or r_{k0} = 0 (a plateau): every later rank is r_{k0};
+    - else a run is read at k1 = min(mult, k0 + max(1, floor(r_{k0} / delta))),
+      the last power where it can still be linear, and a rank there of
+      r_{k0} - (k1 - k0) delta, or of r_{k0}, forces every rank in between;
+    - else the interval is bisected.
+    When the ranks fit a nilpotent, each k asked for is one that the read
+    of every k up to the first rank 0 also takes (a run cannot reach 0
+    before k0 + ceil(r_{k0} / delta)), and the forced ranks are the ones
+    that read finds there.
+    """
+    while len(ranks) <= mult:
+        k0, r = len(ranks) - 1, ranks[-1]
+        drop = ranks[-2] - r if k0 else r + 1  # no drop is known before k = 1: ask for k = 1
+        if not (drop and r):
+            ranks += [ahead.get(k, r) for k in range(k0 + 1, mult + 1)]
+            return None
+        if not ahead:
+            return min(mult, k0 + max(1, r // drop))
+        target = min(ahead)
+        span, read = target - k0, ahead.pop(target)
+        if span == 1:
+            ranks.append(read)
+        elif read == r or read == r - span * drop:
+            ranks += [r - j * (r - read) // span for j in range(1, span + 1)]
+        else:
+            ahead[target] = read
+            return (k0 + target) // 2
+    return None
+
+
 def _jordan_restriction_model(ambient: AmbientSpace, m_frame: SubspaceFrame) -> JordanModel:
     """Model of T|M on the Jordan ambient, from M's angles to the kernels of b_a(T_N)^k.
 
@@ -196,11 +237,16 @@ def _jordan_restriction_model(ambient: AmbientSpace, m_frame: SubspaceFrame) -> 
     values of b_a(A)^k are those of b_a(T_N)^k Q, with no solve, power or
     dim M-square SVD. The kernels of the powers are nested, so each
     distinct group of c copies takes one QR per side of ck = dim Q over all
-    zeros at once (``_kernel_factor``, ``_complement_factor``), and every k
+    zeros at once (``_kernel_factor``, ``_complement_factor``), and each k
     is read from the leading triangular blocks of one of them
     (``_leading_sines``; Bjorck and Golub, Math. Comp. 27, 1973). A direct
-    sum of groups has the union of their singular values, and at each k
-    every zero of multiplicity >= k is read in one batch.
+    sum of groups has the union of their singular values. Each zero reads
+    only the powers whose rank the ranks known so far leave open
+    (``_next_power``), and the zeros that ask for the same k are read in
+    one batch. When theta = b_a^d, b_a(S)^d = 0 kills every copy, so at
+    k = d with ck > n the block is empty and the rank 0 needs no factor.
+    The trade: inside a run of forced ranks no read is made, so reads
+    there can no longer contradict each other.
     """
     n = m_frame.dim
     if n == 0:
@@ -209,23 +255,25 @@ def _jordan_restriction_model(ambient: AmbientSpace, m_frame: SubspaceFrame) -> 
     mults = [m for _, m in zeros]
     top = max(mults)
     groups = m_frame.distinct_groups()
-    # one basis per zero: its kernel frame, then the complement if a group reads it
-    wide = any(copies * top > q.shape[1] for copies, q, _ in groups)
+    # one basis per zero: its kernel frame, then the complement if a group may read it (none when theta = b_a^d)
+    wide = top < space.dim and any(copies * top > q.shape[1] for copies, q, _ in groups)
     bases = np.zeros((len(zeros), space.dim, space.dim if wide else top), dtype=complex)
     for i, frame in enumerate(space.kernel_frames):
         bases[i, :, : frame.shape[1]] = frame
         if wide:
             bases[i, :, frame.shape[1] :] = space.kernel_complements[i]
     factors = [{} for _ in groups]  # a group's factor on each side of ck = n, made when first read
-    ranks = [[n] for _ in zeros]
-    for k in range(1, top + 1):
-        # a zero at rank 0 stays there: its kernels only grow
-        live = [i for i, m in enumerate(mults) if m >= k and ranks[i][-1]]
-        if not live:
-            break
+    ranks, ahead = [[n] for _ in zeros], [{} for _ in zeros]
+    asks = {1: list(range(len(zeros)))}  # power k -> the zeros that ask for it
+    while asks:
+        k = min(asks)
+        live = asks.pop(k)
         parts = []
         for (copies, q, repeats), made in zip(groups, factors):
             narrow = copies * k <= q.shape[1]
+            if not narrow and k == space.dim:
+                parts += [np.zeros((len(live), q.shape[1]))] * repeats
+                continue
             if narrow not in made:
                 made[narrow] = (
                     _kernel_factor(q, copies, bases[:, :, :top]) if narrow else _complement_factor(q, copies, bases)
@@ -235,11 +283,12 @@ def _jordan_restriction_model(ambient: AmbientSpace, m_frame: SubspaceFrame) -> 
         sines = parts[0] if len(parts) == 1 else -np.sort(-np.concatenate(parts, axis=1), axis=1)
         for i, s in zip(live, sines):
             try:
-                ranks[i].append(_rank(s))
+                ahead[i][k] = _rank(s)
             except IllConditioned as exc:
                 raise IllConditioned(f"rank of b_a(T|M)^k at a = {zeros[i][0]:.6g}, k = {k}: {exc}") from exc
-    for i, m in enumerate(mults):
-        ranks[i] += [0] * (m + 1 - len(ranks[i]))
+            later = _next_power(ranks[i], ahead[i], mults[i])
+            if later is not None:
+                asks.setdefault(later, []).append(i)
     return _model(ambient.theta, ranks)
 
 

@@ -166,7 +166,12 @@ def build_model_space(theta: InnerFunction) -> ModelSpace:
 
 
 def blaschke_of_matrix(u: InnerFunction, a_mat: np.ndarray) -> np.ndarray:
-    """u(A) for a finite Blaschke product u and a square matrix A."""
+    """u(A) for a finite Blaschke product u and a square matrix A.
+
+    A zero of multiplicity m > 2 takes its factor to the m-th power in
+    about 2 log2(m) products (``numpy.linalg.matrix_power``); for m <= 2
+    the factor multiplies the product once per copy.
+    """
     a_mat = np.asarray(a_mat, dtype=complex)
     eye = np.eye(a_mat.shape[0], dtype=complex)
     out = None
@@ -175,6 +180,8 @@ def blaschke_of_matrix(u: InnerFunction, a_mat: np.ndarray) -> np.ndarray:
             factor = np.linalg.solve(eye - a.conjugate() * a_mat, a_mat - a * eye)
         except np.linalg.LinAlgError as exc:  # cannot occur for contractions
             raise SingularResolvent(str(exc)) from exc
+        if m > 2:
+            factor, m = np.linalg.matrix_power(factor, m), 1
         for _ in range(m):
             out = factor if out is None else out @ factor
     return eye if out is None else out

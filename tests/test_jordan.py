@@ -525,6 +525,39 @@ def requested_svds(monkeypatch):
     return shapes
 
 
+def requested_reads(monkeypatch):
+    """The (zero index, k) pairs subspace_models reads from now on.
+
+    Every zero asks for k = 1 first, in zero order, so the order in which
+    _next_power first sees a zero's rank list is the zero's index.
+    """
+    reads, seen = set(), {}
+    plain = jordan._next_power
+
+    def recorded(ranks, ahead, mult):
+        i = seen.setdefault(id(ranks), len(seen))
+        reads.update((i, k) for k in ahead)
+        return plain(ranks, ahead, mult)
+
+    monkeypatch.setattr(jordan, "_next_power", recorded)
+    return reads
+
+
+def per_k_reads(theta, model, n):
+    """The (zero index, k) pairs the per-k reference reads for a frame of dim n with restriction model ``model``.
+
+    It reads every k up to the multiplicity m of a zero while the rank of
+    b_a^{k-1} is positive; r_k = n - sum over the chains at a of min(length, k).
+    """
+    chains = [[dict(part.zeros).get(a, 0) for part in model.parts] for a, _ in theta.zeros]
+    return {
+        (i, k)
+        for i, (_, m) in enumerate(theta.zeros)
+        for k in range(1, m + 1)
+        if n - sum(min(c, k - 1) for c in chains[i]) > 0
+    }
+
+
 SCAN_CASES = [
     (family, d, 2 + (fi + di) % 3, 1 + (2 * fi + di) % 3)
     for fi, family in enumerate(("monomial", "spread", "clustered", "random"))
@@ -533,19 +566,23 @@ SCAN_CASES = [
 
 
 class TestTriangularFactorRead:
-    """subspace_models, every k from leading blocks of one factor, against the per-k reference read."""
+    """subspace_models, each k it reads from leading blocks of one factor, against the per-k reference read."""
 
     def test_cases_cover_every_copy_and_generator_count(self):
         assert {(copies, gens) for _, _, copies, gens in SCAN_CASES} == set(product((2, 3, 4), (1, 2, 3)))
 
     @pytest.mark.parametrize("family, d, copies, gens", SCAN_CASES, ids=str)
-    def test_scan_families(self, family, d, copies, gens):
+    def test_scan_families(self, family, d, copies, gens, monkeypatch):
         rng = np.random.default_rng(100 * d + 10 * copies + gens)
         amb = AmbientSpace.build(scan_family(family, d, rng), copies)
         m = random_invariant_subspace(amb, rng, num_vectors=gens)
+        reads = requested_reads(monkeypatch)
         factor, per_k = factor_and_per_k_reads(amb, m)
+        monkeypatch.undo()
         assert factor == per_k
         assert isinstance(factor, JordanModel) and factor.total_degree == m.dim
+        # every (zero, k) read is one the per-k reference reads too
+        assert reads and reads <= per_k_reads(amb.theta, factor, m.dim)
 
     def test_conjugated_ambients(self):
         rng = np.random.default_rng(21)
@@ -600,20 +637,24 @@ class TestTriangularFactorRead:
 
     @pytest.mark.parametrize("name", ("clustered-64x4", "z64x3"))
     def test_degree_cap_beyond_two_copies(self, name, monkeypatch):
-        # clustered-64: M = v (x) (theta/phi_4) H(phi_4) + w (x) (theta/phi_2) H(phi_2)
-        # for orthonormal v, w in C^4 and phi_j the product of b_a^j over the
-        # four zeros, so dim M = 24 and the ranks stay positive for k > 24 / 4
+        # M = v (x) (theta/phi_0) H(phi_0) + w (x) (theta/phi_1) H(phi_1) for
+        # orthonormal v, w. clustered-64 in 4 copies: phi_j the product of
+        # b_a^(4, 2)[j] over the four zeros, so dim M = 24 and the ranks stay
+        # positive for k > 24 / 4. z^64 in 3 copies: chains 40 and 8, dim 48,
+        # so the ranks drop by 2 up to k = 8 and by 1 after: the run from
+        # k = 1 is not linear, and it is read at k = 24 > 48 / 3, whose
+        # complement block has 3 (64 - 24) > 48 columns
         rng = np.random.default_rng(64)
         if name == "z64x3":
-            amb = AmbientSpace.build(monomial(64), 3)
-            m, model = random_invariant_subspace(amb, rng), JordanModel((monomial(64),))
+            theta, copies = monomial(64), 3
+            model = JordanModel((monomial(40), monomial(8)))
         else:
-            theta = scan_family("clustered", 64, rng)
-            amb = AmbientSpace.build(theta, 4)
+            theta, copies = scan_family("clustered", 64, rng), 4
             model = JordanModel(tuple(InnerFunction(tuple((a, j) for a, _ in theta.zeros)) for j in (4, 2)))
-            blocks = [invariant_subspace_of_block(amb.model, quotient(theta, phi)).frame for phi in model.parts]
-            v, w = haar_unitary(4, rng)[:, :2].T
-            m = SubspaceFrame(amb, np.hstack((np.kron(v[:, None], blocks[0]), np.kron(w[:, None], blocks[1]))))
+        amb = AmbientSpace.build(theta, copies)
+        blocks = [invariant_subspace_of_block(amb.model, quotient(theta, phi)).frame for phi in model.parts]
+        v, w = haar_unitary(copies, rng)[:, :2].T
+        m = SubspaceFrame(amb, np.hstack((np.kron(v[:, None], blocks[0]), np.kron(w[:, None], blocks[1]))))
         assert m.dim == model.total_degree
         shapes = requested_svds(monkeypatch)
         start = time.perf_counter()
@@ -625,8 +666,10 @@ class TestTriangularFactorRead:
         assert factor_and_per_k_reads(amb, m) == (model, model)
 
     def test_svds_have_at_most_dim_m_rows(self, monkeypatch):
-        # z^64 in 2 copies reads every k; the 8-dimensional M = z^56 H^2 in
-        # one copy stops at rank 0 at k = 8
+        # z^64 in 2 copies reads k = 1 (rank 63, a drop of 1) and then
+        # k = 64, which ends the run at rank 0; the 8-dimensional
+        # M = z^56 H^2 in one copy reads k = 1 and k = 8. At k = 64 = d every
+        # copy is killed: the block is empty and no complement is made
         amb = AmbientSpace.build(monomial(64), 2)
         short = invariant_subspace_of_block(amb.model, monomial(56)).frame
         frames = [
@@ -634,14 +677,37 @@ class TestTriangularFactorRead:
             (SubspaceFrame.per_copy(amb, [short, np.zeros((64, 0), dtype=complex)]), 8),
         ]
         for m, reads in frames:
-            ranks = []
+            ranks, complements = [], []
             monkeypatch.setattr(jordan, "_rank", lambda s, plain=_rank: ranks.append(plain(s)) or ranks[-1])
+            made = jordan._complement_factor
+            monkeypatch.setattr(jordan, "_complement_factor", lambda *args: complements.append(args) or made(*args))
             shapes = requested_svds(monkeypatch)
             rest, _ = subspace_models(amb, m)
             monkeypatch.undo()
             assert rest == JordanModel((monomial(reads),))
-            assert ranks == list(range(reads - 1, -1, -1))
+            assert ranks == [reads - 1, 0]
             assert shapes and all(shape[-2] <= m.dim for shape in shapes)
+            assert not complements
+        assert "kernel_complements" not in vars(amb.model)
+
+    def test_plateau_frames_read_their_model(self):
+        # clustered-64 in 4 copies, M = v (x) (theta/phi) H(phi) with phi =
+        # b_a^16 on one, two or three of the zeros: at a zero that phi leaves
+        # out every b_a(T|M)^k is invertible, and its rank 16, 32 or 48 at
+        # k = 1 fixes the rest. The read of every k refuses these frames at
+        # such a zero, where the smallest singular value of b_a(T|M)^k falls
+        # below the threshold without a clear gap
+        rng = np.random.default_rng(64)
+        theta = scan_family("clustered", 64, rng)
+        amb = AmbientSpace.build(theta, 4)
+        v = haar_unitary(4, rng)[:, 0]
+        for count in (1, 2, 3):
+            phi = InnerFunction(tuple((a, 16) for a, _ in theta.zeros[:count]))
+            block = invariant_subspace_of_block(amb.model, quotient(theta, phi)).frame
+            m = SubspaceFrame(amb, np.kron(v[:, None], block))
+            factor, per_k = factor_and_per_k_reads(amb, m)
+            assert factor == JordanModel((phi,))
+            assert per_k is IllConditioned
 
     def test_refusals_name_the_zero_and_the_power(self, tmp_path, capsys):
         # the orbit closure of x and y in 4 copies of H(b_0.3^3 b_-0.2), F the
