@@ -16,6 +16,13 @@ S(theta) is lower triangular in closed form (Garcia, Mashreghi, Ross,
 For theta = z^d the TMW basis is the monomial basis {1, z, ..., z^{d-1}}
 and the matrix is exactly the nilpotent lower Jordan block.
 
+The functional calculus u(S) multiplies one factor per zero of u, and two
+simple zeros a, b next to each other in u's zero list share one LU solve
+for ((I - conj(a) S)(I - conj(b) S))^{-1} (S - a)(S - b). Since S is lower
+triangular, the numerator has exact zeros on its diagonal wherever a_k is
+a or b, so the near-zero diagonal of the denominator for zeros near the
+unit circle does not amplify the rounding error.
+
 The kernels of b_a(S)^k, k up to the multiplicity m of a zero a, come in
 closed form too. ker b_a(S)^k = (theta/b_a^k) H(b_a^k), which is the span
 of the last k TMW vectors of any zero list that puts the copies of a last.
@@ -157,27 +164,43 @@ def build_model_space(theta: InnerFunction) -> ModelSpace:
         raise ValueError("degree of theta must be >= 1")
     a = _zero_list(theta)
     c = np.sqrt(1.0 - np.abs(a) ** 2)
-    shift = np.diag(a)
-    for j in range(d - 1):
-        # prod_{j<l<i} (-conj(a_l)) for i = j+1, ..., d-1
-        chain = np.cumprod(np.concatenate(([1.0], -a[j + 1 : -1].conj())))
-        shift[j + 1 :, j] = c[j + 1 :] * c[j] * chain
+    i = np.arange(d)
+    # row i carries -conj(a_{i-1}) below the subdiagonal, so the column
+    # products are chain[i, j] = prod_{j<l<i} (-conj(a_l)) for i > j
+    steps = np.where(i[:, None] >= i + 2, np.concatenate(([1.0], -a[:-1].conj()))[:, None], 1.0)
+    shift = np.tril(c[:, None] * c * np.cumprod(steps, axis=0), -1)
+    shift[i, i] = a
     return ModelSpace(theta, d, shift)
 
 
 def blaschke_of_matrix(u: InnerFunction, a_mat: np.ndarray) -> np.ndarray:
     """u(A) for a finite Blaschke product u and a square matrix A.
 
-    A zero of multiplicity m > 2 takes its factor to the m-th power in
-    about 2 log2(m) products (``numpy.linalg.matrix_power``); for m <= 2
-    the factor multiplies the product once per copy.
+    Two simple zeros a, b next to each other in ``u.zeros`` share one
+    solve, ((I - conj(a) A)(I - conj(b) A))^{-1} (A - a)(A - b), with both
+    products formed factor by factor. For the lower-triangular S(theta)
+    the numerator keeps exact zeros on its diagonal wherever a_k is a or
+    b, so the small diagonal (1 - conj(a) a_k)(1 - conj(b) a_k) of the
+    denominator at zeros near the circle does not amplify the error; the
+    monomial form A^2 - (a + b) A + ab loses those zeros. Any other zero
+    has a solve of its own. A zero of multiplicity m > 2 takes its factor
+    to the m-th power in about 2 log2(m) products
+    (``numpy.linalg.matrix_power``); for m <= 2 the factor multiplies the
+    product once per copy.
     """
     a_mat = np.asarray(a_mat, dtype=complex)
     eye = np.eye(a_mat.shape[0], dtype=complex)
-    out = None
-    for a, m in u.zeros:
+    zeros, out, q = u.zeros, None, 0
+    while q < len(zeros):
+        a, m = zeros[q]
+        paired = m == 1 and q + 1 < len(zeros) and zeros[q + 1][1] == 1
+        num, den = a_mat - a * eye, eye - a.conjugate() * a_mat
+        if paired:
+            b = zeros[q + 1][0]
+            num, den = num @ (a_mat - b * eye), den @ (eye - b.conjugate() * a_mat)
+        q += 1 + paired
         try:
-            factor = np.linalg.solve(eye - a.conjugate() * a_mat, a_mat - a * eye)
+            factor = np.linalg.solve(den, num)
         except np.linalg.LinAlgError as exc:  # cannot occur for contractions
             raise SingularResolvent(str(exc)) from exc
         if m > 2:

@@ -281,12 +281,14 @@ def density_sweep(
     # the head slot of a preimage lands in the target head unscaled, so it
     # can carry the part of G already in psi1 H^2 (-) theta H^2 exactly
     psi1_frame = invariant_subspace_of_block(space, psi1).frame
-    g_work = target_g.coords - psi1_frame @ (psi1_frame.conj().T @ target_g.coords)
-    rows = []
+    g_res = target_g.coords - psi1_frame @ (psi1_frame.conj().T @ target_g.coords)
+    # g_res and s_m^2 carry their sums over n < m from one m to the next,
+    # adding term m - 1 in the order a per-m recompute adds it
+    s_sq, rows = 0.0, []
     for m in range(1, copies):
-        g_res = g_work.copy()
-        for n in range(m):
-            g_res -= omega_op[omegas[n]] @ target_f[n].coords / ((n + 1) * schedule.value(n))
+        weight = m * schedule.value(m - 1)
+        g_res -= omega_op[omegas[m - 1]] @ target_f[m - 1].coords / weight
+        s_sq += 1.0 / weight**2
         # h_m solves omega_m(S) h = (m+1) g_res as solve_norm_preserving does,
         # on the frames and omega_m(S) built once above
         g_m = ModelVector(space, (m + 1) * g_res)
@@ -298,10 +300,7 @@ def density_sweep(
         )
         tail = sum(v * v for v in f_norms[m + 1 :])
         residual = math.sqrt(defect**2 + tail)
-        s_m = math.sqrt(
-            sum(1.0 / ((n + 1) * schedule.value(n)) ** 2 for n in range(m))
-        )
-        bound = (m + 1) * schedule.value(m) * (target_g.norm + f_total * s_m)
+        bound = (m + 1) * schedule.value(m) * (target_g.norm + f_total * math.sqrt(s_sq))
         bound += math.sqrt(sum(v * v for v in f_norms[m:]))
         rows.append(
             DensityRow(m, float(residual), float(bound), x_rec.sigma_min, x_rec.intertwining_residual)

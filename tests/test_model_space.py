@@ -9,6 +9,7 @@ from c0ops.inner import ONE, InnerFunction, blaschke, monomial, quotient
 from c0ops.jordan import random_invariant_subspace, subspace_models
 from c0ops.model_space import (
     ModelVector,
+    blaschke_of_matrix,
     build_model_space,
     functional_calculus,
 )
@@ -242,3 +243,103 @@ def test_kernel_frames_are_cached_per_space():
     space = build_model_space(_clustered(8))
     assert space.kernel_frames is space.kernel_frames
     assert build_model_space(_clustered(8)).kernel_frames is not space.kernel_frames
+
+
+# --- references: the per-column shift build and the one-solve-per-zero calculus ---
+
+
+def shift_per_column(theta):
+    """S(theta) from one cumprod per column of the closed form."""
+    a = np.array([z for z, m in theta.zeros for _ in range(m)], dtype=complex)
+    c = np.sqrt(1.0 - np.abs(a) ** 2)
+    shift = np.diag(a)
+    for j in range(theta.degree - 1):
+        chain = np.cumprod(np.concatenate(([1.0], -a[j + 1 : -1].conj())))
+        shift[j + 1 :, j] = c[j + 1 :] * c[j] * chain
+    return shift
+
+
+def calculus_per_zero(u, a_mat):
+    """u(A) with one solve per distinct zero."""
+    eye = np.eye(a_mat.shape[0], dtype=complex)
+    out = None
+    for a, m in u.zeros:
+        factor = np.linalg.solve(eye - a.conjugate() * a_mat, a_mat - a * eye)
+        if m > 2:
+            factor, m = np.linalg.matrix_power(factor, m), 1
+        for _ in range(m):
+            out = factor if out is None else out @ factor
+    return eye if out is None else out
+
+
+def _random_simple(d, seed):
+    rng = np.random.default_rng(seed)
+    zeros = []
+    while len(zeros) < d:
+        a = 0.6 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        if all(abs(a - b) >= 0.05 for b in zeros):
+            zeros.append(a)
+    return InnerFunction(tuple((a, 1) for a in zeros))
+
+
+ORBIT_THETA = InnerFunction(((0.3, 2), (-0.25, 2), (0.2 + 0.35j, 2), (-0.1 - 0.4j, 2)))
+
+
+@pytest.mark.parametrize("d", [8, 16, 32, 64])
+def test_shift_matches_per_column_build(d):
+    for theta in (monomial(d), _spread(d), _clustered(d), _random_simple(d, d)):
+        assert np.array_equal(build_model_space(theta).shift_matrix, shift_per_column(theta))
+
+
+UNPAIRED = [
+    *[pytest.param(monomial(m), id=f"z^{m}") for m in (1, 2, 8, 64)],
+    pytest.param(_clustered(64), id="clustered64"),
+    pytest.param(ORBIT_THETA, id="orbit-theta"),
+    pytest.param(monomial(2) * blaschke(0.3), id="z^2*b0.3"),
+]
+
+
+@pytest.mark.parametrize("u", UNPAIRED)
+def test_calculus_without_adjacent_simple_zeros_is_per_zero(u):
+    # every zero keeps a solve of its own, so the bits do not change
+    space = build_model_space(u)
+    assert np.array_equal(functional_calculus(space, u), calculus_per_zero(u, space.shift_matrix))
+    other = build_model_space(_random_simple(16, 1))
+    assert np.array_equal(functional_calculus(other, u), calculus_per_zero(u, other.shift_matrix))
+
+
+def test_adjacent_simple_zeros_share_one_solve(monkeypatch):
+    space = build_model_space(_spread(64))
+    solve, solves = np.linalg.solve, []
+
+    def counted(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    assert np.linalg.norm(functional_calculus(space, space.theta), 2) <= 1e-12
+    assert len(solves) == 32
+    # the run -0.3, -0.2, -0.1 is a pair and a single, and z^2 keeps its own solve
+    solves.clear()
+    u = blaschke(-0.3) * blaschke(-0.2) * blaschke(-0.1) * monomial(2)
+    value = blaschke_of_matrix(u, space.shift_matrix)
+    assert len(solves) == 3
+    assert np.allclose(value, calculus_per_zero(u, space.shift_matrix), rtol=0, atol=1e-13)
+
+
+def _arc(d, radius, width):
+    return InnerFunction(tuple((radius * np.exp(2j * np.pi * width * k / d), 1) for k in range(d)))
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        pytest.param(_arc(64, 1 - 1e-6, 0.02), id="arc-1e-6"),
+        pytest.param(_arc(64, 0.999, 1.0), id="ring-0.999"),
+    ],
+)
+def test_paired_calculus_near_the_circle(theta):
+    # the numerator's exact diagonal zeros keep theta(S) at rounding level
+    # where 1 - conj(a) a_k is tiny
+    space = build_model_space(theta)
+    assert np.linalg.norm(functional_calculus(space, theta), 2) <= 1e-11

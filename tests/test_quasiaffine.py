@@ -257,6 +257,50 @@ class TestDensitySweep:
             )
 
 
+    @pytest.mark.parametrize("copies", [2, 12, 40])
+    def test_rows_equal_per_m_recompute(self, copies):
+        space, copies, phi_list, g, fs = self.make_fixture(seed=copies, copies=copies)
+        sched = WeightSchedule.factorial(copies + 1)
+        rows = density_sweep(space, copies, phi_list, monomial(2), monomial(1), g, fs, sched)
+        assert [(r.m, r.residual, r.bound) for r in rows] == density_rows_per_m(
+            space, copies, phi_list, monomial(2), monomial(1), g, fs, sched
+        )
+
+    def test_blaschke_rows_equal_per_m_recompute(self):
+        theta, psi2 = InnerFunction(((0.3, 2), (-0.2, 1))), InnerFunction(((0.3, 1), (-0.2, 1)))
+        space, copies = build_model_space(theta), 12
+        phi_list = [blaschke(0.3)] * copies
+        g, fs = random_density_targets(space, copies, phi_list, psi2, 7)
+        sched = WeightSchedule.factorial(copies + 1)
+        rows = density_sweep(space, copies, phi_list, theta, psi2, g, fs, sched)
+        assert [(r.m, r.residual, r.bound) for r in rows] == density_rows_per_m(
+            space, copies, phi_list, theta, psi2, g, fs, sched
+        )
+
+
+def density_rows_per_m(space, copies, phi_list, psi1, psi2, g, fs, sched):
+    """(m, residual, bound) of each density row, every sum over n < m recomputed for each m."""
+    theta = space.theta
+    omegas = [quotient(psi2, quotient(theta, phi)) for phi in phi_list]
+    psi1_frame = invariant_subspace_of_block(space, psi1).frame
+    g_work = g.coords - psi1_frame @ (psi1_frame.conj().T @ g.coords)
+    f_norms = [f.norm for f in fs]
+    f_total = math.sqrt(sum(v * v for v in f_norms))
+    rows = []
+    for m in range(1, copies):
+        g_res = g_work.copy()
+        for n in range(m):
+            g_res -= functional_calculus(space, omegas[n]) @ fs[n].coords / ((n + 1) * sched.value(n))
+        h_m = solve_norm_preserving(space, phi_list[m], psi2, ModelVector(space, (m + 1) * g_res))
+        defect = np.linalg.norm(fs[m].coords - sched.value(m) * h_m.coords)
+        residual = math.sqrt(defect**2 + sum(v * v for v in f_norms[m + 1 :]))
+        s_m = math.sqrt(sum(1.0 / ((n + 1) * sched.value(n)) ** 2 for n in range(m)))
+        bound = (m + 1) * sched.value(m) * (g.norm + f_total * s_m)
+        bound += math.sqrt(sum(v * v for v in f_norms[m:]))
+        rows.append((m, float(residual), float(bound)))
+    return rows
+
+
 class TestBuildY:
     def test_intertwines_and_maps_canonical_subspaces(self):
         a, b = 0.3, -0.4j
