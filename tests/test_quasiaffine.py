@@ -267,9 +267,11 @@ class TestDensitySweep:
         )
 
     def test_blaschke_rows_equal_per_m_recompute(self):
-        theta, psi2 = InnerFunction(((0.3, 2), (-0.2, 1))), InnerFunction(((0.3, 1), (-0.2, 1)))
+        # omega = psi2 / (theta/phi) = b_{-0.2}, so each term of g_res is a product, not a copy
+        theta = InnerFunction(((0.3, 2), (-0.2, 1), (0.5j, 1)))
+        psi2 = InnerFunction(((0.3, 2), (-0.2, 1)))
         space, copies = build_model_space(theta), 12
-        phi_list = [blaschke(0.3)] * copies
+        phi_list = [blaschke(-0.2) * blaschke(0.5j)] * copies
         g, fs = random_density_targets(space, copies, phi_list, psi2, 7)
         sched = WeightSchedule.factorial(copies + 1)
         rows = density_sweep(space, copies, phi_list, theta, psi2, g, fs, sched)
