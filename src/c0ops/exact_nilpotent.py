@@ -7,8 +7,10 @@ S(z^{d_0}) (+) S(z^{d_1}) (+) ... is a ``NilpotentSum``, which shifts a
 vector block by block and is never stored as a matrix.  The module builds
 orbit-closure subspaces and the Jordan models of their restrictions and
 compressions.  The counterexample search (``verify``) carries the model
-and orbit type of each subspace it enumerates and closes a grid vector
-here only for a witness, so nothing here builds the commutant.
+and orbit type of each subspace it enumerates, closes a grid vector here
+only for a witness and reads the witness's compression models from its
+type in closed form, so it runs no elimination of this module and
+nothing here builds the commutant.
 
 A Jordan model is read from the ranks of images: rank (T|M)^k = dim T^k M,
 and the compression to M^perp, similar to T on Q^n / M, has
@@ -19,7 +21,8 @@ and the reduced forms of ``rref`` add a back pass.  The elimination works
 over any ring with exact division; the tests' commutant oracle runs it
 over Z[t_0, ...] for its determinant certificate.  The rational
 restriction matrices are the tests' reference for these models, which
-cross-check the floating pipeline.  ``exact_subspace_models`` alone takes
+cross-check the floating pipeline and the search's closed-form
+compression models.  ``exact_subspace_models`` alone takes
 and returns symbolic matrices, and it imports their package when it runs.
 """
 

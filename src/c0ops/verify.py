@@ -4,8 +4,9 @@ The float verdict and the diagonal demo run on numpy.  The exact search
 runs on ``exact_nilpotent``.  It carries each subspace's restriction
 model and closed-form orbit type from its construction
 (``_subspace_records``), enumerates each span once and builds no
-commutant, and no basis but a witness's two.  Grid values are integer
-indices; only a witness's grid vector holds a fraction.
+commutant, and no basis but a witness's two, whose compression models
+it reads from their types in closed form (``_cotype``).  Grid values are
+integer indices; only a witness's grid vector holds a fraction.
 
 At each N of its sweep the verdict maps the per-copy canonical frame of
 (phi, psi) by the orbit map Y, whose all-theta rows are per-copy weights,
@@ -23,13 +24,8 @@ import numpy as np
 
 from . import inner
 from .errors import HypothesisViolated
-from .exact_nilpotent import (
-    NilpotentSum,
-    compression_model,
-    direct_sum_nilpotent,
-    orbit_closure,
-)
-from .inner import InnerFunction
+from .exact_nilpotent import NilpotentSum, direct_sum_nilpotent, orbit_closure
+from .inner import InnerFunction, monomial
 from .jordan import (
     JordanModel,
     canonical_subspace,
@@ -194,7 +190,8 @@ def _subspace_records(block_degrees: tuple[int, ...], step: Fraction) -> list[tu
       of its block: model (d - e,), type {(e, d)}.
     - e_i + t e_j for blocks of i and j that differ closes to one Krylov
       chain as long as the longer tail, and its type is the undominated
-      pairs of {(e_i, d_i), (e_j, d_j)}: both depend on (i, j) alone.  The
+      pairs of {(e_i, d_i), (e_j, d_j)}: both depend on {i, j} alone, so
+      each is computed once per unordered pair.  The
       closure of w = sum_k p_k T^k v is v's iff p_0 != 0, which reads p_0,
       p_1, ... down the block of i from i and t p_0, t p_1, ... down that
       of j, so a support of two entries leaves w = p_0 v: the one repeat
@@ -219,16 +216,52 @@ def _subspace_records(block_degrees: tuple[int, ...], step: Fraction) -> list[tu
     backward = [k for k in forward if q * q % (k * p * p) or abs(q * q // (k * p * p)) > reach]
     places = [(b, e, d) for b, d in enumerate(block_degrees) for e in range(d)]
     records = [((d - e,), frozenset({(e, d)}), (i,)) for i, (_, e, d) in enumerate(places)]
+    cross = {}  # (key, type) of a pair i < j, kept until the pair (j, i) comes
     for (i, (bi, ei, di)), (j, (bj, ej, dj)) in product(enumerate(places), repeat=2):
         if bi != bj:
-            key, kind = (max(di - ei, dj - ej),), _undominated({(ei, di), (ej, dj)})
-            records += [(key, kind, (i, j, k)) for k in (forward if i < j else backward)]
+            if i < j:
+                key, kind = cross[j, i] = (max(di - ei, dj - ej),), _undominated({(ei, di), (ej, dj)})
+                records += [(key, kind, (i, j, k)) for k in forward]
+            else:
+                key, kind = cross.pop((i, j))
+                records += [(key, kind, (i, j, k)) for k in backward]
     for parts in product(*(range(d, -1, -1) for d in block_degrees)):
         nonempty = len(parts) - parts.count(0)
         if nonempty > 1:
             key = tuple(sorted(parts, reverse=True)[:nonempty])
             records.append((key, tuple(sorted(zip(block_degrees, parts))), parts))
     return records
+
+
+def _cotype(block_degrees: tuple[int, ...], key: tuple, kind: frozenset | tuple) -> JordanModel:
+    """Compression model of T_{M^perp} for a record's M, read from its model degrees and orbit type.
+
+    The compression is T on Q^n / M, so its Jordan model is the cotype of
+    M, which the type fixes (T. Klein, J. London Math. Soc. 43, 1968).
+
+    - A lattice element, type the sorted (d_i, p_i): the quotient is
+      (+)_i C[t]/(t^(d_i - p_i)), so the parts are the nonzero d_i - p_i.
+    - A cyclic closure C[T]v, type the s undominated pairs (e_j, d_j),
+      whose d_j differ: an automorphism carries v to sum_j t^(e_j) u_j,
+      u_j the first unit of a block of degree d_j, one block per pair.
+      On those blocks the quotient is the cokernel of the relation matrix
+      with rows t^(d_j) u_j and sum_j t^(e_j) u_j.  Its nonzero k x k
+      minors have least degree Delta_k = min_c (e_c + the k - 1 smallest
+      d_j, j != c), Delta_0 = 0, and each nonzero Delta_k - Delta_(k-1) is
+      an invariant factor's degree.  A block that no pair uses adds its
+      whole degree d_i.
+    """
+    if len(key) > 1:
+        parts = [d - p for d, p in kind]
+    else:
+        parts = list(block_degrees)
+        for _, d in kind:
+            parts.remove(d)
+        delta = [0]
+        for k in range(1, len(kind) + 1):
+            delta.append(min(e + sum(sorted(d for _, d in kind if d != c)[: k - 1]) for e, c in kind))
+        parts += [b - a for a, b in zip(delta, delta[1:])]
+    return JordanModel(tuple(monomial(x) for x in sorted(parts, reverse=True) if x))
 
 
 def _record_basis(t_op: NilpotentSum, step: Fraction, key: tuple, recipe: tuple) -> list[list]:
@@ -293,7 +326,9 @@ def counterexample_search(
     equivalence relation, so the first pair of the group in combination
     order that lies in two orbits always holds the first member: this is
     the witness a pair-by-pair search finds.  Only a witness's two bases
-    are built, and it comes with the compression models of both.
+    are built, and it comes with the compression models of both, read
+    from their types in closed form (``_cotype``): no elimination runs in
+    the search.
     """
     if isinstance(grid_step, bool) or not isinstance(grid_step, (int, Fraction)):
         raise TypeError(f"grid_step must be an int or a Fraction, not {grid_step!r}")
@@ -331,7 +366,7 @@ def counterexample_search(
                     "m1_basis": _basis_strings(b1),
                     "m2_basis": _basis_strings(b2),
                 }
-                compression_models = (compression_model(t_op, b1), compression_model(t_op, b2))
+                compression_models = tuple(_cotype(t_op.block_degrees, key, k) for k in (first, kind))
                 break
         if witness or budget_exhausted:
             break

@@ -27,9 +27,9 @@ from c0ops.exact_nilpotent import (
     rref,
 )
 from c0ops.inner import monomial
-from c0ops.jordan import subspace_models
+from c0ops.jordan import JordanModel, subspace_models
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, orthonormalize
-from c0ops.verify import _record_basis, _subspace_records, counterexample_search
+from c0ops.verify import _cotype, _record_basis, _subspace_records, counterexample_search
 from basis_reference import _lattice_elements, _orbit_type
 import commutant_oracle
 from commutant_oracle import (
@@ -153,6 +153,60 @@ def test_records_carry_the_types_read_off_their_bases():
     assert time.perf_counter() - start <= 2.0
 
 
+def test_cotypes_match_the_bareiss_compression_reads():
+    # the closed form against one integer elimination per power, on every record
+    start = time.perf_counter()
+    count = 0
+    for blocks in SHAPES:
+        t = direct_sum_nilpotent(blocks)
+        for step in STEPS:
+            for key, kind, recipe in _subspace_records(t.block_degrees, step):
+                read = compression_model(t, _record_basis(t, step, key, recipe))
+                assert _cotype(t.block_degrees, key, kind) == read
+                count += 1
+    assert count == 7389
+    assert time.perf_counter() - start <= 2.0
+
+
+def z_powers(*ds):
+    return JordanModel(tuple(monomial(d) for d in ds))
+
+
+@pytest.mark.parametrize(
+    "blocks, step, models",
+    [
+        ([2, 1], Fraction(1), (z_powers(1, 1), z_powers(2))),
+        ([3, 2, 1], Fraction(1), (z_powers(2, 2, 1), z_powers(3, 1, 1))),
+        ([2, 1], Fraction(1, 16), (z_powers(1, 1), z_powers(2))),
+    ],
+    ids=["2-1@1", "3-2-1@1", "2-1@1/16"],
+)
+def test_witness_compression_models_run_no_elimination(monkeypatch, blocks, step, models):
+    def refuse(*args):
+        raise AssertionError("the search ran an elimination")
+
+    monkeypatch.setattr(exact_nilpotent, "_echelon", refuse)
+    monkeypatch.setattr(exact_nilpotent, "compression_model", refuse)
+    monkeypatch.setattr(verify, "compression_model", refuse, raising=False)
+    rep = counterexample_search(blocks, step)
+    assert rep.witness_compression_models == models
+    z = [[{"re": 0.0, "im": 0.0, "mult": d}] for d in range(4)]
+    assert rep.to_dict()["witness_compression_models"] == [
+        {"parts": [{"zeros": z[p.degree]} for p in m.parts]} for m in models
+    ]
+
+
+def test_lattice_pair_with_equal_models_and_cotypes_lies_in_two_orbits():
+    # parts (2,0,1) and (1,2,0) of [3,2,1]: the paper's two models agree, the orbits do not
+    t = direct_sum_nilpotent([3, 2, 1])
+    records = {r: (key, kind) for key, kind, r in _subspace_records(t.block_degrees, Fraction(1))}
+    (key1, kind1), (key2, kind2) = records[2, 0, 1], records[1, 2, 0]
+    assert key1 == key2 == (2, 1) and kind1 != kind2
+    assert _cotype(t.block_degrees, key1, kind1) == _cotype(t.block_degrees, key2, kind2) == z_powers(2, 1)
+    b1, b2 = (_record_basis(t, Fraction(1), key1, r) for r in ((2, 0, 1), (1, 2, 0)))
+    assert not decide_commutant_orbit(commutant_basis(t), b1, b2)
+
+
 def test_single_block_search_runs_at_the_degree_cap():
     start = time.perf_counter()
     rep = counterexample_search([64], Fraction(1), budget=1)
@@ -179,7 +233,7 @@ def test_enumeration_runs_no_elimination(monkeypatch, blocks, step):
 
 
 def test_exhausted_search_runs_no_elimination(monkeypatch):
-    # the search compares closed-form orbit types; only a witness's compression models eliminate
+    # the search compares closed-form orbit types
     calls = []
     monkeypatch.setattr(exact_nilpotent, "_echelon", lambda rows: calls.append(rows))
     for blocks in ([2, 2, 2], [3, 3, 3]):
