@@ -16,11 +16,11 @@ A Jordan model is read from the ranks of images: rank (T|M)^k = dim T^k M,
 and the compression to M^perp, similar to T on Q^n / M, has
 rank = dim(T^k Q^n + M) - dim M.  Each basis vector is scaled to integers
 once, and one fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
-forms no fraction: its forward pass gives the ranks and the Krylov pivots,
-and the reduced forms of ``rref`` add a back pass.  The elimination works
-over any ring with exact division; the tests' commutant oracle runs it
-over Z[t_0, ...] for its determinant certificate.  The rational
-restriction matrices are the tests' reference for these models, which
+forms no fraction: it gives the ranks and the Krylov pivots.  The
+elimination works over any ring with exact division; the tests'
+commutant oracle runs it over Z[t_0, ...] for its determinant
+certificate, and keeps the reduced forms and the rational restriction
+matrices that are the tests' reference for these models.  The models
 cross-check the floating pipeline and the search's closed-form
 compression models.  ``exact_subspace_models`` alone takes
 and returns symbolic matrices, and it imports their package when it runs.
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from .inner import monomial
 from .jordan import JordanModel, chain_lengths
@@ -57,11 +56,6 @@ class NilpotentSum:
         return out
 
 
-def direct_sum_nilpotent(block_degrees: list[int]) -> NilpotentSum:
-    """Exact operator S(z^{d_0}) (+) S(z^{d_1}) (+) ..."""
-    return NilpotentSum(block_degrees)
-
-
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
@@ -71,10 +65,6 @@ def _integral(vec: list) -> list[int]:
     """vec times the lcm of its denominators: integer entries spanning the same line."""
     scale = lcm(*(x.denominator for x in vec))
     return [x.numerator * (scale // x.denominator) for x in vec]
-
-
-def _dot(a: list, b: list):
-    return sum(map(mul, a, b))
 
 
 def _echelon(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -105,32 +95,6 @@ def _echelon(rows: list[list]) -> tuple[list[list], list[int]]:
     return tops, pivots
 
 
-def _rref_den(rows: list[list]) -> tuple[list[list[int]], int, tuple[int, ...]]:
-    """Fraction-free Gauss-Jordan: ``_echelon`` on the rows scaled to integers, then a back pass.
-
-    Returns (reduced, den, pivots): the nonzero rows of the reduced row
-    echelon form are the rows of ``reduced`` divided by ``den``.  At pivot
-    k the back pass multiplies each earlier row by p_k and divides it
-    exactly by p_{k-1}, so all pivots end equal to ``den``.
-    """
-    reduced, pivots = _echelon([_integral(r) for r in rows if any(r)])
-    den = 1
-    for k, c in enumerate(pivots):
-        top, p = reduced[k], reduced[k][c]
-        reduced[:k] = [[(p * x - r[c] * y) // den for x, y in zip(r, top)] for r in reduced[:k]]
-        den = p
-    return reduced, den, tuple(pivots)
-
-
-def rref(rows: list[list]) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-    """Gauss-Jordan: the nonzero rows of the reduced row echelon form and the pivot columns.
-
-    The pivot rows are Fractions, also on integer input.
-    """
-    reduced, den, pivots = _rref_den(rows)
-    return [[Fraction(x, den) for x in r] for r in reduced], pivots
-
-
 # ---------------------------------------------------------------------------
 # Subspaces, their restrictions and compressions, and their Jordan models
 # ---------------------------------------------------------------------------
@@ -156,31 +120,19 @@ def orbit_closure(t_op: NilpotentSum, vectors: list[list]) -> list[list]:
     return [cols[j] for j in _echelon(krylov)[1]]
 
 
-def restriction_on_basis(t_op: NilpotentSum, basis: list[list]) -> list[list[Fraction]]:
-    """Matrix of P_span T | span(basis) in that basis: X with (B^T B) X = B^T T B.
+def _image_model(t_op: NilpotentSum, vectors: list[list[int]], modulo: list | tuple = ()) -> JordanModel:
+    """Jordan model of T acting on the span of ``vectors`` modulo the span of ``modulo``.
 
-    On an invariant span this is T|M.
-    """
-    k = len(basis)
-    images = [t_op.apply(b) for b in basis]
-    normal = [[_dot(a, b) for b in basis] + [_dot(a, tb) for tb in images] for a in basis]
-    return [row[k:] for row in rref(normal)[0]]
-
-
-def _image_model(apply, vectors: list[list[int]], max_power: int, modulo: list | tuple = ()) -> JordanModel:
-    """Jordan model of a nilpotent N from the ranks of the images of its powers.
-
-    N acts on the span of ``vectors`` modulo the span of ``modulo``, whose
-    integer vectors are independent, and ``apply`` is N on an integer
-    vector.  rank N^k = rank(modulo + N^k vectors) - len(modulo) by
-    Bareiss elimination, for k = 0 up to max_power or the first rank 0.
+    The integer vectors of ``modulo`` are independent.  rank T^k =
+    rank(modulo + T^k vectors) - len(modulo) by Bareiss elimination, for
+    k = 0 up to the largest block degree or the first rank 0.
     """
     ranks = []
-    for _ in range(max_power + 1):
+    for _ in range(max(t_op.block_degrees) + 1):
         ranks.append(len(_echelon([*modulo, *vectors])[1]) - len(modulo))
         if not ranks[-1]:
             break
-        vectors = [w for w in map(apply, vectors) if any(w)]
+        vectors = [w for w in map(t_op.apply, vectors) if any(w)]
     return JordanModel(tuple(monomial(s) for s in chain_lengths(ranks)))
 
 
@@ -190,7 +142,7 @@ def _units(n: int) -> list[list[int]]:
 
 def restriction_model(t_op: NilpotentSum, basis: list[list]) -> JordanModel:
     """Jordan model of T|M for an invariant M = span(basis): rank (T|M)^k = dim T^k M."""
-    return _image_model(t_op.apply, [_integral(b) for b in basis], max(t_op.block_degrees))
+    return _image_model(t_op, [_integral(b) for b in basis])
 
 
 def compression_model(t_op: NilpotentSum, basis: list[list]) -> JordanModel:
@@ -200,15 +152,7 @@ def compression_model(t_op: NilpotentSum, basis: list[list]) -> JordanModel:
     the images of the unit vectors, so rank = dim(T^k Q^n + M) - dim M.
     """
     modulo = [_integral(b) for b in basis]
-    return _image_model(t_op.apply, _units(t_op.n), max(t_op.block_degrees), modulo)
-
-
-def nilpotent_jordan_model(a_mat: list[list], max_power: int) -> JordanModel:
-    """Jordan model of an exactly nilpotent rational matrix: rank A^k = dim A^k Q^n."""
-    n = len(a_mat)
-    flat = _integral([x for row in a_mat for x in row])  # one scale keeps every rank
-    a_int = [flat[i * n : (i + 1) * n] for i in range(n)]
-    return _image_model(lambda v: [_dot(row, v) for row in a_int], _units(n), max_power)
+    return _image_model(t_op, _units(t_op.n), modulo)
 
 
 def exact_subspace_models(d: int, copies: int, vectors: list):
@@ -227,7 +171,7 @@ def exact_subspace_models(d: int, copies: int, vectors: list):
             return Fraction(x)
         raise TypeError(f"exact_subspace_models takes rational entries, not {x!r}")
 
-    t_op = direct_sum_nilpotent([d] * copies)
+    t_op = NilpotentSum([d] * copies)
     basis = orbit_closure(t_op, [[exact(x) for x in v] for v in vectors])
     rest, comp = restriction_model(t_op, basis), compression_model(t_op, basis)
     return rest, comp, sp.Matrix(t_op.n, len(basis), lambda i, j: basis[j][i])

@@ -94,7 +94,8 @@ class WeightSchedule:
 class QuasiaffinityRecord:
     """A constructed intertwiner with its measured quality numbers.
 
-    ``operator`` is a dense matrix (X) or copy-row blocks (Y).
+    ``operator`` is a dense matrix (X) or copy-row blocks (Y); the blocks
+    are never expanded, and ``image_closure`` applies them row by row.
     """
 
     operator: np.ndarray | CopyBlocks = field(repr=False)
@@ -102,12 +103,6 @@ class QuasiaffinityRecord:
     sigma_min: float
     norm: float  # the 2-norm of the operator
     pairing: tuple[tuple[int, int, int], ...] = ()  # (copy, row, slot)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The operator as a dense matrix; copy-row blocks are expanded on each read."""
-        op = self.operator
-        return op.dense() if isinstance(op, CopyBlocks) else op
 
 
 def _symbol(theta: InnerFunction, phi: InnerFunction, psi: InnerFunction) -> InnerFunction:

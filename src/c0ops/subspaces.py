@@ -104,38 +104,13 @@ class CopyBlocks:
     order: a square block maps them together, and a weight row, a vector
     with one positive weight per listed copy, scales each copy by its
     weight. The lists are disjoint, and a copy in none of them passes
-    unchanged. ``X @ frame`` applies it row by row, so no
-    (copies*dim)-square matrix is formed unless ``dense`` is read.
+    unchanged. ``image_closure`` applies it row by row, so no
+    (copies*dim)-square matrix is formed.
     """
 
     copies: int
     dim: int
     rows: tuple[tuple[tuple[int, ...], np.ndarray], ...] = field(repr=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self.copies * self.dim
-        return n, n
-
-    def __matmul__(self, frame: np.ndarray) -> np.ndarray:
-        out = np.array(frame, dtype=complex)
-        for copy_list, block in self.rows:
-            idx = _rows(copy_list, self.dim)
-            if block.ndim == 1:
-                out[idx] *= np.repeat(block, self.dim)[:, None]
-            else:
-                out[idx] = block @ out[idx]
-        return out
-
-    def dense(self) -> np.ndarray:
-        out = np.eye(self.shape[0], dtype=complex)
-        for copy_list, block in self.rows:
-            idx = _rows(copy_list, self.dim)
-            if block.ndim == 1:
-                out[idx, idx] = np.repeat(block, self.dim)
-            else:
-                out[np.ix_(idx, idx)] = block
-        return out
 
 
 def orthonormalize(columns: np.ndarray, rank: int | None = None) -> np.ndarray:

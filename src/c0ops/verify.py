@@ -24,7 +24,7 @@ import numpy as np
 
 from . import inner
 from .errors import HypothesisViolated
-from .exact_nilpotent import NilpotentSum, direct_sum_nilpotent, orbit_closure
+from .exact_nilpotent import NilpotentSum, orbit_closure
 from .inner import InnerFunction, monomial
 from .jordan import (
     JordanModel,
@@ -340,7 +340,7 @@ def counterexample_search(
         if d < 1:
             raise ValueError(f"block degrees must be at least 1, not {d}")
     step = Fraction(grid_step)
-    t_op = direct_sum_nilpotent(block_degrees)
+    t_op = NilpotentSum(block_degrees)
     records = _subspace_records(t_op.block_degrees, step)
     groups: dict[tuple, list[tuple]] = {}
     for record in records:

@@ -6,8 +6,10 @@ This module decides the same question from first principles: it builds the
 commutant of a nilpotent direct sum, solves the mapping constraints in
 integers and certifies invertibility by a determinant over Z[t_0, ...],
 on the one Bareiss elimination of ``exact_nilpotent._echelon``.  It also
-holds the integer and rational nullspaces and the rational compression
-matrix that only the tests read.
+holds what only the tests read: the reduced row echelon form, the integer
+and rational nullspaces, the rational restriction and compression
+matrices, and the Jordan model of a nilpotent matrix from the ranks of its
+powers, the independent reference for the image-rank models.
 """
 
 from __future__ import annotations
@@ -15,11 +17,43 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from operator import add, sub
+from operator import add, mul, sub
 
 import numpy as np
 
-from c0ops.exact_nilpotent import NilpotentSum, _dot, _echelon, _integral, _rref_den, restriction_on_basis
+from c0ops.exact_nilpotent import NilpotentSum, _echelon, _integral, _units
+from c0ops.inner import monomial
+from c0ops.jordan import JordanModel, chain_lengths
+
+
+def _dot(a: list, b: list):
+    return sum(map(mul, a, b))
+
+
+def _rref_den(rows: list[list]) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan: ``_echelon`` on the rows scaled to integers, then a back pass.
+
+    Returns (reduced, den, pivots): the nonzero rows of the reduced row
+    echelon form are the rows of ``reduced`` divided by ``den``.  At pivot
+    k the back pass multiplies each earlier row by p_k and divides it
+    exactly by p_{k-1}, so all pivots end equal to ``den``.
+    """
+    reduced, pivots = _echelon([_integral(r) for r in rows if any(r)])
+    den = 1
+    for k, c in enumerate(pivots):
+        top, p = reduced[k], reduced[k][c]
+        reduced[:k] = [[(p * x - r[c] * y) // den for x, y in zip(r, top)] for r in reduced[:k]]
+        den = p
+    return reduced, den, tuple(pivots)
+
+
+def rref(rows: list[list]) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Gauss-Jordan: the nonzero rows of the reduced row echelon form and the pivot columns.
+
+    The pivot rows are Fractions, also on integer input.
+    """
+    reduced, den, pivots = _rref_den(rows)
+    return [[Fraction(x, den) for x in r] for r in reduced], pivots
 
 
 def _nullspace_den(rows: list[list], ncols: int) -> tuple[list[list[int]], int]:
@@ -51,9 +85,34 @@ def complement_basis(basis: list[list], n: int) -> list[list[int]]:
     return _nullspace_den(basis, n)[0]
 
 
+def restriction_on_basis(t_op: NilpotentSum, basis: list[list]) -> list[list[Fraction]]:
+    """Matrix of P_span T | span(basis) in that basis: X with (B^T B) X = B^T T B.
+
+    On an invariant span this is T|M.
+    """
+    k = len(basis)
+    images = [t_op.apply(b) for b in basis]
+    normal = [[_dot(a, b) for b in basis] + [_dot(a, tb) for tb in images] for a in basis]
+    return [row[k:] for row in rref(normal)[0]]
+
+
 def compression_on_complement(t_op: NilpotentSum, basis: list[list]) -> list[list[Fraction]]:
     """Matrix of P_{M^perp} T | M^perp in an integer complement basis."""
     return restriction_on_basis(t_op, complement_basis(basis, t_op.n))
+
+
+def nilpotent_jordan_model(a_mat: list[list], max_power: int) -> JordanModel:
+    """Jordan model of an exactly nilpotent rational matrix: rank A^k = dim A^k Q^n."""
+    n = len(a_mat)
+    flat = _integral([x for row in a_mat for x in row])  # one scale keeps every rank
+    a_int = [flat[i * n : (i + 1) * n] for i in range(n)]
+    ranks, vectors = [], _units(n)
+    for _ in range(max_power + 1):
+        ranks.append(len(_echelon(vectors)[1]))
+        if not ranks[-1]:
+            break
+        vectors = [w for w in ([_dot(row, v) for row in a_int] for v in vectors) if any(w)]
+    return JordanModel(tuple(monomial(s) for s in chain_lengths(ranks)))
 
 
 class Polynomial(dict):

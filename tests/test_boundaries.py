@@ -29,9 +29,13 @@ def _boundaries():
 # Boundaries whose function the package no longer has, so the tracer lists
 # them as missing: the search enumerates each span once and keys none, and it
 # compares closed-form orbit types, so no pair is decided in the commutant.
+# The rational restriction matrix and the Jordan model of a rational matrix
+# are the tests' references, kept in ``commutant_oracle``: no verb runs them.
 RETIRED = {
     ("verify.signature", "c0ops.verify", "_subspace_signature"),
     ("verify.decide", "c0ops.verify", "decide_commutant_orbit"),
+    ("exact_nilpotent.restriction", "c0ops.exact_nilpotent", "restriction_on_basis"),
+    ("exact_nilpotent.model", "c0ops.exact_nilpotent", "nilpotent_jordan_model"),
 }
 
 

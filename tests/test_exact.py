@@ -14,17 +14,13 @@ from sympy.polys.matrices import DomainMatrix
 
 from c0ops import exact_nilpotent, verify
 from c0ops.exact_nilpotent import (
+    NilpotentSum,
     _echelon,
     _integral,
-    _rref_den,
     compression_model,
-    direct_sum_nilpotent,
     exact_subspace_models,
-    nilpotent_jordan_model,
     orbit_closure,
     restriction_model,
-    restriction_on_basis,
-    rref,
 )
 from c0ops.inner import monomial
 from c0ops.jordan import JordanModel, subspace_models
@@ -34,12 +30,16 @@ from basis_reference import _lattice_elements, _orbit_type
 import commutant_oracle
 from commutant_oracle import (
     Polynomial,
+    _rref_den,
     commutant_basis,
     complement_basis,
     compression_on_complement,
     decide_commutant_orbit,
     linear_forms,
+    nilpotent_jordan_model,
     nullspace,
+    restriction_on_basis,
+    rref,
 )
 
 RNG = np.random.default_rng(90210)
@@ -52,12 +52,12 @@ def dense(t_op):
 
 
 def test_nilpotent_block_shape():
-    b = dense(direct_sum_nilpotent([3]))
+    b = dense(NilpotentSum([3]))
     assert b == sp.Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
 
 def test_orbit_closure_of_cyclic_vector():
-    t = direct_sum_nilpotent([3])
+    t = NilpotentSum([3])
     v = [1, 0, 0]
     basis = orbit_closure(t, [v])
     assert len(basis) == 3
@@ -130,7 +130,7 @@ STEPS = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2
 def test_enumeration_matches_the_keyed_grid():
     start = time.perf_counter()
     for blocks in SHAPES:
-        t = direct_sum_nilpotent(blocks)
+        t = NilpotentSum(blocks)
         for step in STEPS:
             # same model keys and first-seen bases, in the same order
             assert record_bases(t, step) == keyed_enumeration(t, step)
@@ -142,7 +142,7 @@ def test_records_carry_the_types_read_off_their_bases():
     start = time.perf_counter()
     count = 0
     for blocks in SHAPES:
-        t = direct_sum_nilpotent(blocks)
+        t = NilpotentSum(blocks)
         for step in STEPS:
             for key, kind, recipe in _subspace_records(t.block_degrees, step):
                 read = _orbit_type(t.block_degrees, key, _record_basis(t, step, key, recipe))
@@ -158,7 +158,7 @@ def test_cotypes_match_the_bareiss_compression_reads():
     start = time.perf_counter()
     count = 0
     for blocks in SHAPES:
-        t = direct_sum_nilpotent(blocks)
+        t = NilpotentSum(blocks)
         for step in STEPS:
             for key, kind, recipe in _subspace_records(t.block_degrees, step):
                 read = compression_model(t, _record_basis(t, step, key, recipe))
@@ -198,7 +198,7 @@ def test_witness_compression_models_run_no_elimination(monkeypatch, blocks, step
 
 def test_lattice_pair_with_equal_models_and_cotypes_lies_in_two_orbits():
     # parts (2,0,1) and (1,2,0) of [3,2,1]: the paper's two models agree, the orbits do not
-    t = direct_sum_nilpotent([3, 2, 1])
+    t = NilpotentSum([3, 2, 1])
     records = {r: (key, kind) for key, kind, r in _subspace_records(t.block_degrees, Fraction(1))}
     (key1, kind1), (key2, kind2) = records[2, 0, 1], records[1, 2, 0]
     assert key1 == key2 == (2, 1) and kind1 != kind2
@@ -225,10 +225,10 @@ def test_enumeration_runs_no_elimination(monkeypatch, blocks, step):
 
     monkeypatch.setattr(exact_nilpotent, "_echelon", counting_echelon)
     # the records build nothing, and every basis built from one closes a single vector
-    assert record_bases(direct_sum_nilpotent(blocks), step)
+    assert record_bases(NilpotentSum(blocks), step)
     assert calls == []
     # several vectors do run one, so the count is live
-    orbit_closure(direct_sum_nilpotent(blocks), [[1] + [0] * (sum(blocks) - 1)] * 2)
+    orbit_closure(NilpotentSum(blocks), [[1] + [0] * (sum(blocks) - 1)] * 2)
     assert calls
 
 
@@ -274,7 +274,7 @@ def test_exact_jordan_of_shift_restriction():
 
 
 def test_exact_complement_compression():
-    t = direct_sum_nilpotent([2])
+    t = NilpotentSum([2])
     basis = [[0, 1]]  # span{z} inside H(z^2), one column
     assert len(complement_basis(basis, 2)) == 1
     a = compression_on_complement(t, basis)
@@ -284,7 +284,7 @@ def test_exact_complement_compression():
 def test_exact_matches_float_on_random_integer_subspaces():
     for d, copies in [(2, 2), (3, 2), (2, 3), (4, 3)]:
         amb = AmbientSpace.build(monomial(d), copies)
-        t = direct_sum_nilpotent([d] * copies)
+        t = NilpotentSum([d] * copies)
         n = d * copies
         for _ in range(8):
             k = int(RNG.integers(1, 3))
@@ -308,7 +308,7 @@ SEARCHES = [([2, 2, 2], 2), ([3, 2, 1], 2), ([2, 1], 16), ([4, 4], 2), ([3, 1], 
 def searched_subspaces():
     """(T, basis) for every subspace the SEARCHES enumerate, each span once."""
     for blocks, denominator in SEARCHES:
-        t = direct_sum_nilpotent(blocks)
+        t = NilpotentSum(blocks)
         for _, basis in record_bases(t, Fraction(1, denominator)):
             yield t, basis
 
@@ -329,7 +329,7 @@ def test_uniform_compression_model_is_the_rectangle_complement():
     # two independent integer reads: Klein's rule, not the float code
     count = 0
     for blocks, step in [([2, 2, 2], Fraction(1)), ([3, 3], Fraction(1, 2)), ([4, 4], Fraction(1))]:
-        t = direct_sum_nilpotent(blocks)
+        t = NilpotentSum(blocks)
         for _, basis in record_bases(t, step):
             rest = restriction_model(t, basis)
             assert compression_model(t, basis) == rest.complement(monomial(blocks[0]), len(blocks))
@@ -344,7 +344,7 @@ KEYED_SEARCHES = [([2, 2], 1), ([2, 1], 16), ([3, 2, 1], 1), ([3, 3], 2), ([2, 2
 def test_carried_models_and_krylov_bases_match_their_reads():
     count = 0
     for blocks, denominator in KEYED_SEARCHES:
-        t = direct_sum_nilpotent(blocks)
+        t = NilpotentSum(blocks)
         step = Fraction(1, denominator)
         for key, basis in record_bases(t, step):
             assert key == tuple(degrees(restriction_model(t, basis)))
@@ -365,7 +365,7 @@ def test_carried_models_and_krylov_bases_match_their_reads():
 
 def search_decisions(blocks, denominator):
     """(commutant basis, M1, M2) of every decision an exhausted search makes."""
-    t = direct_sum_nilpotent(blocks)
+    t = NilpotentSum(blocks)
     groups = {}
     for key, basis in record_bases(t, Fraction(1, denominator)):
         if 0 < len(basis) < t.n:
@@ -385,9 +385,9 @@ def test_orbit_decisions_run_in_integers(monkeypatch):
     decisions = [decision for search in searches for decision in search_decisions(*search)]
     # built before the patch: a grid vector's recipe makes its Fraction
     bases = [
-        (direct_sum_nilpotent(blocks), basis)
+        (NilpotentSum(blocks), basis)
         for blocks, denominator in searches
-        for _, basis in record_bases(direct_sum_nilpotent(blocks), Fraction(1, denominator))
+        for _, basis in record_bases(NilpotentSum(blocks), Fraction(1, denominator))
     ]
     # the grid vectors hold Fractions, so the bases do too
     assert any(isinstance(x, Fraction) for _, _, b2 in decisions for col in b2 for x in col)
@@ -407,7 +407,7 @@ def test_orbit_decisions_run_in_integers(monkeypatch):
 
 
 def test_span_key_is_exact():
-    t = direct_sum_nilpotent([3, 2, 1])
+    t = NilpotentSum([3, 2, 1])
     # every orbit closure the search meets, repeated spans included
     bases = [orbit_closure(t, [v]) for v in full_grid(t.n, Fraction(1, 2), 2)]
     keys = [span_key(b) for b in bases]
@@ -430,7 +430,7 @@ def test_span_keys_and_model_reads_build_no_fraction(monkeypatch):
         return Fraction(*args)
 
     subspaces = list(searched_subspaces())
-    for module in (exact_nilpotent, verify):
+    for module in (exact_nilpotent, verify, commutant_oracle):
         monkeypatch.setattr(module, "Fraction", counting_fraction)
     for t, basis in subspaces:
         span_key(basis)

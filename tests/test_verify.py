@@ -10,7 +10,7 @@ import pytest
 import sympy as sp
 
 from c0ops.errors import IllConditioned
-from c0ops.exact_nilpotent import direct_sum_nilpotent
+from c0ops.exact_nilpotent import NilpotentSum
 from c0ops.inner import blaschke, monomial
 from c0ops.jordan import JordanModel, canonical_subspace, random_invariant_subspace
 from c0ops.model_space import build_model_space
@@ -25,6 +25,7 @@ from c0ops.verify import (
     verify_orbit,
 )
 from basis_reference import _orbit_type
+from dense_reference import dense
 import commutant_oracle
 from commutant_oracle import commutant_basis, decide_commutant_orbit
 
@@ -73,8 +74,8 @@ class TestVerifyOrbit:
             amb_n = AmbientSpace(amb.model, n)
             y = build_Y_main(amb_n, rest, comp, comp, Y_SCHEDULE)
             assert any(block.ndim == 2 for _, block in y.operator.rows)
-            dense = SubspaceFrame(amb_n, canonical_subspace(theta, rest, comp, n, amb_n).frame)
-            dense_dist = principal_distance(image_closure(y.matrix, dense), dense)
+            frame = SubspaceFrame(amb_n, canonical_subspace(theta, rest, comp, n, amb_n).frame)
+            dense_dist = principal_distance(image_closure(dense(y.operator), frame), frame)
             assert dist <= 1e-12
             assert abs(dist - dense_dist) <= 1e-12
 
@@ -115,7 +116,7 @@ class TestCounterexample:
         ids=lambda b: "-".join(map(str, b)),
     )
     def test_commutant_of_mixed_sum(self, blocks):
-        t_exact = direct_sum_nilpotent(blocks)
+        t_exact = NilpotentSum(blocks)
         n = t_exact.n
         t = sp.Matrix(n, n, lambda i, j: t_exact.apply([int(k == j) for k in range(n)])[i])
         basis = [sp.Matrix(n, n, lambda i, j: int((i, j) in ones)) for ones in commutant_basis(t_exact)]
@@ -127,7 +128,7 @@ class TestCounterexample:
         assert sp.Matrix.hstack(*[c.vec() for c in basis]).rank() == len(basis)
 
     def test_witness_pair_decided_false(self):
-        t = direct_sum_nilpotent([2, 1])
+        t = NilpotentSum([2, 1])
         comm = commutant_basis(t)
         b1 = [[0, 1, 0]]  # span{z} in the big block
         b2 = [[0, 0, 1]]  # the small block
@@ -136,7 +137,7 @@ class TestCounterexample:
 
     def test_graph_family_is_one_orbit(self):
         # span{1 + c z'} for c != 0 all map onto each other
-        t = direct_sum_nilpotent([2, 1])
+        t = NilpotentSum([2, 1])
         comm = commutant_basis(t)
         m_c = lambda c: [[1, 0, c], [0, 1, 0]]  # the columns of [[1, 0], [0, 1], [c, 0]]
         assert decide_commutant_orbit(comm, m_c(1), m_c(Fraction(1, 3))) is True
@@ -203,7 +204,7 @@ class TestCounterexample:
 
         monkeypatch.setattr(commutant_oracle, "linear_forms", counting_forms)
         b1, b2 = ([[Fraction(x) for x in col] for col in rep.witness[m]] for m in ("m1_basis", "m2_basis"))
-        assert decide_commutant_orbit(commutant_basis(direct_sum_nilpotent([3, 2, 2])), b1, b2) is False
+        assert decide_commutant_orbit(commutant_basis(NilpotentSum([3, 2, 2])), b1, b2) is False
         assert len(forms) == 1
 
     def test_orbit_types_match_the_commutant_oracle(self):
@@ -211,7 +212,7 @@ class TestCounterexample:
         start = time.perf_counter()
         no_orbit = Counter()
         for blocks, denominator in ORACLE_GRIDS:
-            t = direct_sum_nilpotent(blocks)
+            t = NilpotentSum(blocks)
             comm = commutant_basis(t)
             groups = {}
             step = Fraction(1, denominator)
