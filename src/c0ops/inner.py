@@ -35,7 +35,7 @@ class InnerFunction:
         for a, m in self.zeros:
             a = complex(a)
             m = int(m)
-            if abs(a) > MAX_RADIUS:
+            if not abs(a) <= MAX_RADIUS:  # also refuses a NaN zero
                 raise ValueError(f"zero {a} too close to the unit circle")
             if m < 1:
                 raise ValueError(f"multiplicity {m} < 1")

@@ -10,11 +10,12 @@ in closed form (``ModelSpace.kernel_frames``). For an invariant M the
 singular values of b_a(T|M)^k are the sines of the principal angles
 between M and that kernel, read one distinct copy group of M at a time.
 The kernels are nested in k, so a group of c copies with frame Q takes
-one triangular factor per side of ck = dim Q and reads each k from a
-leading block of it. The drops in rank from one k to the next never
-increase, so a zero reads only the k whose rank the ranks known so far
-leave open (``_next_power``): a plateau ends the read, and a linear run
-is confirmed by one read at its far end.
+one triangular factor and reads each k with ck <= dim Q from a leading
+block of it; a larger k is read from Q projected off the kernel. The
+drops in rank from one k to the next never increase, so a zero reads
+only the k whose rank the ranks known so far leave open
+(``_next_power``): a plateau ends the read, and a linear run is
+confirmed by one read at its far end.
 An ambient conjugated by C is read the same way after M is mapped back
 by I (x) C^{-1}, which makes T|M a similar restriction of the Jordan
 ambient's T_N.
@@ -159,37 +160,27 @@ def _kernel_factor(q: np.ndarray, copies: int, kernels: np.ndarray) -> np.ndarra
     return np.linalg.qr(inside, mode="r")
 
 
-def _complement_factor(q: np.ndarray, copies: int, unitaries: np.ndarray) -> np.ndarray:
-    """R of B^H, B = (I_c (x) U')^H Q for each zero's [F | C] reversed into U', rows ordered by power.
-
-    Row j of U'^H Q on every copy comes before row j + 1, and U'[:, :d - k]
-    spans the complement of ker b_a(S)^k, so the leading c (d - k) rows of
-    B are K_perp^H Q, for every k with ck > n = dim Q.
-    """
-    count, d, _ = unitaries.shape
-    n = q.shape[1]
-    perp = unitaries[:, :, : n // copies : -1]
-    coords = perp[:, None].conj().swapaxes(-1, -2) @ q.reshape(copies, d, n)  # (count, copies, d - 1 - n // c, n)
-    return np.linalg.qr(coords.swapaxes(1, 2).reshape(count, -1, n).conj().swapaxes(1, 2), mode="r")
-
-
-def _leading_sines(r: np.ndarray, n: int, copies: int, d: int, k: int) -> np.ndarray:
-    """The n singular values of (I_c (x) b_a(S)^k) Q, c = copies, from a leading block of each factor r.
+def _leading_sines(r: np.ndarray, n: int, ck: int) -> np.ndarray:
+    """The n singular values of (I_c (x) b_a(S)^k) Q for ck <= n = dim Q, from the leading block of each factor r.
 
     The operator is a partial isometry with kernel K = I_c (x) F[:, :k], so
     its singular values on Q are n - ck ones and the sines of the principal
-    angles between span Q and K, those of R[:ck, :ck] of the kernel factor,
-    when ck <= n; else those of K_perp^H Q, of R[:min(n, s), :s] of the
-    complement factor with s = c (d - k), padded with zeros to n. Either
-    block has at most n rows.
+    angles between span Q and K, those of R[:ck, :ck] of the kernel factor.
     """
-    if copies * k <= n:
-        ck = copies * k
-        sines = np.linalg.svd(r[:, :ck, :ck], compute_uv=False)
-        return np.concatenate((np.ones((len(r), n - ck)), sines), axis=1)
-    s = copies * (d - k)
-    sines = np.linalg.svd(r[:, : min(n, s), :s], compute_uv=False)
-    return np.concatenate((sines, np.zeros((len(r), n - sines.shape[1]))), axis=1)
+    sines = np.linalg.svd(r[:, :ck, :ck], compute_uv=False)
+    return np.concatenate((np.ones((len(r), n - ck)), sines), axis=1)
+
+
+def _projected_sines(q: np.ndarray, copies: int, kernels: np.ndarray) -> np.ndarray:
+    """The n singular values of (I_c (x) b_a(S)^k) Q, n = dim Q, for each zero's F[:, :k] in kernels.
+
+    With K the kernel of ``_leading_sines`` they are those of (I - KK^H) Q,
+    formed copy by copy, and of the n x n R of its QR.
+    """
+    n = q.shape[1]
+    f, q_copies = kernels[:, None], q.reshape(copies, -1, n)
+    outside = q_copies - f @ (f.conj().swapaxes(-1, -2) @ q_copies)  # (I - KK^H) Q, (count, copies, d, n)
+    return np.linalg.svd(np.linalg.qr(outside.reshape(len(kernels), -1, n), mode="r"), compute_uv=False)
 
 
 def _next_power(ranks: list[int], ahead: dict[int, int], mult: int) -> int | None:
@@ -236,15 +227,16 @@ def _jordan_restriction_model(ambient: AmbientSpace, m_frame: SubspaceFrame) -> 
     M is invariant, so b_a(T_N)^k Q = Q b_a(A)^k for A = T|M: the singular
     values of b_a(A)^k are those of b_a(T_N)^k Q, with no solve, power or
     dim M-square SVD. The kernels of the powers are nested, so each
-    distinct group of c copies takes one QR per side of ck = dim Q over all
-    zeros at once (``_kernel_factor``, ``_complement_factor``), and each k
-    is read from the leading triangular blocks of one of them
-    (``_leading_sines``; Bjorck and Golub, Math. Comp. 27, 1973). A direct
-    sum of groups has the union of their singular values. Each zero reads
-    only the powers whose rank the ranks known so far leave open
+    distinct group of c copies takes one QR over all zeros at once
+    (``_kernel_factor``) and reads each k with ck <= dim Q from a leading
+    triangular block of it (``_leading_sines``; Bjorck and Golub, Math.
+    Comp. 27, 1973), and each larger k from (I - KK^H) Q
+    (``_projected_sines``): every SVD has at most dim Q rows. A direct sum
+    of groups has the union of their singular values. Each zero reads only
+    the powers whose rank the ranks known so far leave open
     (``_next_power``), and the zeros that ask for the same k are read in
     one batch. When theta = b_a^d, b_a(S)^d = 0 kills every copy, so at
-    k = d with ck > n the block is empty and the rank 0 needs no factor.
+    k = d with ck > dim Q the rank 0 needs no read.
     The trade: inside a run of forced ranks no read is made, so reads
     there can no longer contradict each other.
     """
@@ -253,33 +245,29 @@ def _jordan_restriction_model(ambient: AmbientSpace, m_frame: SubspaceFrame) -> 
         return JordanModel()
     space, zeros = ambient.model, ambient.theta.zeros
     mults = [m for _, m in zeros]
-    top = max(mults)
-    groups = m_frame.distinct_groups()
-    # one basis per zero: its kernel frame, then the complement if a group may read it (none when theta = b_a^d)
-    wide = top < space.dim and any(copies * top > q.shape[1] for copies, q, _ in groups)
-    bases = np.zeros((len(zeros), space.dim, space.dim if wide else top), dtype=complex)
+    kernels = np.zeros((len(zeros), space.dim, max(mults)), dtype=complex)
     for i, frame in enumerate(space.kernel_frames):
-        bases[i, :, : frame.shape[1]] = frame
-        if wide:
-            bases[i, :, frame.shape[1] :] = space.kernel_complements[i]
-    factors = [{} for _ in groups]  # a group's factor on each side of ck = n, made when first read
+        kernels[i, :, : frame.shape[1]] = frame
+    groups = m_frame.distinct_groups()
+    factors = [None] * len(groups)  # a group's kernel factor, made when first read
     ranks, ahead = [[n] for _ in zeros], [{} for _ in zeros]
     asks = {1: list(range(len(zeros)))}  # power k -> the zeros that ask for it
     while asks:
         k = min(asks)
         live = asks.pop(k)
         parts = []
-        for (copies, q, repeats), made in zip(groups, factors):
-            narrow = copies * k <= q.shape[1]
-            if not narrow and k == space.dim:
-                parts += [np.zeros((len(live), q.shape[1]))] * repeats
-                continue
-            if narrow not in made:
-                made[narrow] = (
-                    _kernel_factor(q, copies, bases[:, :, :top]) if narrow else _complement_factor(q, copies, bases)
-                )
-            r = made[narrow] if len(live) == len(zeros) else made[narrow][live]
-            parts += [_leading_sines(r, q.shape[1], copies, space.dim, k)] * repeats
+        for g, (copies, q, repeats) in enumerate(groups):
+            dim = q.shape[1]
+            if copies * k <= dim:
+                if factors[g] is None:
+                    factors[g] = _kernel_factor(q, copies, kernels)
+                r = factors[g] if len(live) == len(zeros) else factors[g][live]
+                part = _leading_sines(r, dim, copies * k)
+            elif k == space.dim:
+                part = np.zeros((len(live), dim))
+            else:
+                part = _projected_sines(q, copies, kernels[live, :, :k])
+            parts += [part] * repeats
         sines = parts[0] if len(parts) == 1 else -np.sort(-np.concatenate(parts, axis=1), axis=1)
         for i, s in zip(live, sines):
             try:

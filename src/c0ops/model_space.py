@@ -84,20 +84,6 @@ class ModelSpace:
             frames.append(frame)
         return tuple(frames)
 
-    @cached_property
-    def kernel_complements(self) -> tuple[np.ndarray, ...]:
-        """Orthonormal frames of the complements of ker b_a(S)^m, one per zero (a, m) of theta.
-
-        With the kernel frame F, [F[:, k:], complement] spans the
-        complement of ker b_a(S)^k. Householder QR of F gives it.
-        """
-        out = []
-        for frame in self.kernel_frames:
-            comp = np.linalg.qr(frame, mode="complete").Q[:, frame.shape[1] :]
-            comp.setflags(write=False)
-            out.append(comp)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class ModelVector:

@@ -56,8 +56,8 @@ class WeightSchedule:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.values or any(c <= 0 for c in self.values):
-            raise ValueError("weights must be positive")
+        if not self.values or not all(0 < c < math.inf for c in self.values):
+            raise ValueError("weights must be positive and finite")
 
     @classmethod
     def factorial(cls, length: int) -> "WeightSchedule":

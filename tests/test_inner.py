@@ -91,6 +91,8 @@ def test_zero_outside_disc_rejected():
         blaschke(1.0)
     with pytest.raises(ValueError):
         blaschke(1 - 1e-12)
+    with pytest.raises(ValueError):
+        InnerFunction(((complex(float("nan"), 0), 1),))
 
 
 def test_evaluate_blaschke_factor():

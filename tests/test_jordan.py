@@ -366,9 +366,9 @@ def per_k_restriction_model(ambient, m_frame):
     """The reference angle read: the model of T|M on the Jordan ambient with one (N d)-row SVD per power k.
 
     It reads the same singular values as subspace_models, each k from its
-    own matrix (I - QQ^H) K or K_perp^H Q instead of a leading block of a
-    triangular factor, under the same rank rule, chain check and stop at
-    rank 0.
+    own matrix (I - QQ^H) K or K_perp^H Q, with K_perp from a complete QR
+    of the kernel frame, instead of from triangular factors, under the
+    same rank rule, chain check and stop at rank 0.
     """
     n = m_frame.dim
     if n == 0:
@@ -381,7 +381,7 @@ def per_k_restriction_model(ambient, m_frame):
     for i, frame in enumerate(space.kernel_frames):
         bases[i, :, : frame.shape[1]] = frame
         if wide:
-            bases[i, :, frame.shape[1] :] = space.kernel_complements[i]
+            bases[i, :, frame.shape[1] :] = np.linalg.qr(frame, mode="complete").Q[:, frame.shape[1] :]
     ranks = [[n] for _ in zeros]
     for k in range(1, max(mults) + 1):
         live = [i for i, m in enumerate(mults) if m >= k and ranks[i][-1]]
@@ -618,9 +618,9 @@ class TestTriangularFactorRead:
                 assert factor == per_k == dense_restriction_model(amb, m)
             assert sides == {True, False}
 
-    def test_trapezoidal_block(self, monkeypatch):
-        # 4 copies of z^2 and dim M = 2: at k = 1 the complement block is
-        # 2 x 4, wider than it is tall
+    def test_two_dimensional_frame_in_four_copies(self, monkeypatch):
+        # 4 copies of z^2 and dim M = 2: k = 1 has ck = 4 > dim M, so it is
+        # read from M projected off the kernel, in an SVD of dim M rows
         amb = AmbientSpace.build(monomial(2), 4)
         rng = np.random.default_rng(4)
         cyclic = random_invariant_subspace(amb, rng)
@@ -630,65 +630,71 @@ class TestTriangularFactorRead:
         for m, model in ((cyclic, JordanModel((monomial(2),))), (in_kernel, JordanModel((monomial(1),) * 2))):
             assert m.dim == 2
             assert factor_and_per_k_reads(amb, m) == (model, model)
-            shapes = requested_svds(monkeypatch)
+            reads, shapes = requested_reads(monkeypatch), requested_svds(monkeypatch)
             subspace_models(amb, m)
             monkeypatch.undo()
-            assert (1, 2, 4) in shapes
+            assert any(amb.copies * k > m.dim for _, k in reads)
+            assert shapes and all(shape[-2] <= m.dim for shape in shapes)
 
-    @pytest.mark.parametrize("name", ("clustered-64x4", "z64x3"))
+    @pytest.mark.parametrize("name", ("clustered-64x4", "z64x3", "z64x4-dim4", "clustered-64x4-dim8"))
     def test_degree_cap_beyond_two_copies(self, name, monkeypatch):
-        # M = v (x) (theta/phi_0) H(phi_0) + w (x) (theta/phi_1) H(phi_1) for
-        # orthonormal v, w. clustered-64 in 4 copies: phi_j the product of
-        # b_a^(4, 2)[j] over the four zeros, so dim M = 24 and the ranks stay
-        # positive for k > 24 / 4. z^64 in 3 copies: chains 40 and 8, dim 48,
-        # so the ranks drop by 2 up to k = 8 and by 1 after: the run from
-        # k = 1 is not linear, and it is read at k = 24 > 48 / 3, whose
-        # complement block has 3 (64 - 24) > 48 columns
+        # M = v_0 (x) (theta/phi_0) H(phi_0) + v_1 (x) (theta/phi_1) H(phi_1)
+        # + ... for orthonormal v_j. clustered-64 in 4 copies: phi_j the
+        # product of b_a^(4, 2)[j] over the four zeros, so dim M = 24 and the
+        # ranks stay positive for k > 24 / 4. z^64 in 3 copies: chains 40 and
+        # 8, dim 48, so the ranks drop by 2 up to k = 8 and by 1 after: the
+        # run from k = 1 is not linear, and it is read at k = 24 > 48 / 3.
+        # The widest reads, one chain in 4 copies: z^4 in z^64, dim 4, reads
+        # k = 4 > 4 / 4, and b_a^8 at one zero of clustered-64, dim 8, reads
+        # k = 8 > 8 / 4, each with the rank 0 that ends the run
         rng = np.random.default_rng(64)
-        if name == "z64x3":
-            theta, copies = monomial(64), 3
-            model = JordanModel((monomial(40), monomial(8)))
+        if name.startswith("z64"):
+            theta, copies = monomial(64), int(name[4])
+            model = JordanModel((monomial(40), monomial(8)) if copies == 3 else (monomial(4),))
         else:
             theta, copies = scan_family("clustered", 64, rng), 4
-            model = JordanModel(tuple(InnerFunction(tuple((a, j) for a, _ in theta.zeros)) for j in (4, 2)))
+            if name.endswith("dim8"):
+                model = JordanModel((InnerFunction(((theta.zeros[0][0], 8),)),))
+            else:
+                model = JordanModel(tuple(InnerFunction(tuple((a, j) for a, _ in theta.zeros)) for j in (4, 2)))
         amb = AmbientSpace.build(theta, copies)
         blocks = [invariant_subspace_of_block(amb.model, quotient(theta, phi)).frame for phi in model.parts]
-        v, w = haar_unitary(copies, rng)[:, :2].T
-        m = SubspaceFrame(amb, np.hstack((np.kron(v[:, None], blocks[0]), np.kron(w[:, None], blocks[1]))))
+        vs = haar_unitary(copies, rng)[:, : len(blocks)].T
+        m = SubspaceFrame(amb, np.hstack([np.kron(v[:, None], block) for v, block in zip(vs, blocks)]))
         assert m.dim == model.total_degree
-        shapes = requested_svds(monkeypatch)
+        reads, shapes = requested_reads(monkeypatch), requested_svds(monkeypatch)
         start = time.perf_counter()
         factor = subspace_models(amb, m)[0]
         assert time.perf_counter() - start <= 0.5
         assert factor == model
-        assert any(rows < cols for *_, rows, cols in shapes)  # a trapezoidal complement block
+        assert any(copies * k > m.dim for _, k in reads)
+        assert shapes and all(shape[-2] <= m.dim for shape in shapes)
         monkeypatch.undo()
         assert factor_and_per_k_reads(amb, m) == (model, model)
 
     def test_svds_have_at_most_dim_m_rows(self, monkeypatch):
         # z^64 in 2 copies reads k = 1 (rank 63, a drop of 1) and then
         # k = 64, which ends the run at rank 0; the 8-dimensional
-        # M = z^56 H^2 in one copy reads k = 1 and k = 8. At k = 64 = d every
-        # copy is killed: the block is empty and no complement is made
+        # M = z^56 H^2 in one copy reads k = 1 and k = 8, each from a leading
+        # block. At k = 64 = d every copy is killed: the rank 0 needs no SVD
         amb = AmbientSpace.build(monomial(64), 2)
         short = invariant_subspace_of_block(amb.model, monomial(56)).frame
         frames = [
-            (random_invariant_subspace(amb, np.random.default_rng(2)), 64),
-            (SubspaceFrame.per_copy(amb, [short, np.zeros((64, 0), dtype=complex)]), 8),
+            (random_invariant_subspace(amb, np.random.default_rng(2)), 64, [1, 1]),
+            (SubspaceFrame.per_copy(amb, [short, np.zeros((64, 0), dtype=complex)]), 8, [1, 2]),
         ]
-        for m, reads in frames:
-            ranks, complements = [], []
-            monkeypatch.setattr(jordan, "_rank", lambda s, plain=_rank: ranks.append(plain(s)) or ranks[-1])
-            made = jordan._complement_factor
-            monkeypatch.setattr(jordan, "_complement_factor", lambda *args: complements.append(args) or made(*args))
+        for m, reads, svds_so_far in frames:
+            ranks, svds = [], []
             shapes = requested_svds(monkeypatch)
+            monkeypatch.setattr(
+                jordan, "_rank", lambda s, plain=_rank: ranks.append(plain(s)) or svds.append(len(shapes)) or ranks[-1]
+            )
             rest, _ = subspace_models(amb, m)
             monkeypatch.undo()
             assert rest == JordanModel((monomial(reads),))
             assert ranks == [reads - 1, 0]
-            assert shapes and all(shape[-2] <= m.dim for shape in shapes)
-            assert not complements
-        assert "kernel_complements" not in vars(amb.model)
+            assert svds == svds_so_far  # the SVDs made up to each rank read: none for k = 64
+            assert all(shape[-2] <= m.dim for shape in shapes)
 
     def test_plateau_frames_read_their_model(self):
         # clustered-64 in 4 copies, M = v (x) (theta/phi) H(phi) with phi =

@@ -177,8 +177,9 @@ class TestSchedule:
         assert sched.looks_divergent()
 
     def test_positive_weights_required(self):
-        with pytest.raises(ValueError):
-            WeightSchedule.custom([1.0, 0.0])
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                WeightSchedule.custom([1.0, bad])
 
 
 class TestDensitySweep:
