@@ -2,21 +2,7 @@
 invariant subspaces of truncated uniform Jordan operators, and the
 quasiaffinity constructions relating them."""
 
-from .errors import (
-    AmbientMismatch,
-    C0OpsError,
-    DivisibilityFailure,
-    HypothesisViolated,
-    IllConditioned,
-    ModelTooLong,
-    NotADivisor,
-    NotInSubspace,
-    NotInvariant,
-    OutsideDisc,
-    PreconditionViolated,
-    SingularResolvent,
-    TruncationTooSmall,
-)
+from .errors import C0OpsError, HypothesisViolated, IllConditioned, NotInvariant
 from .inner import ONE, InnerFunction, all_divisors, blaschke, divides, gcd, lcm, monomial, quotient
 from .jordan import (
     JordanModel,

@@ -3,9 +3,10 @@
 Verbs: jordan-model, verify-orbit, density-sweep, counterexample,
 cordiag-demo. Each takes only the flags it reads, and ``read_config``
 refuses any config key its verb does not read (``CONFIG_KEYS``). Exit
-codes (``EXIT_CODES``): 0 ok, 2 parse error, 3 invariance failure,
-4 hypothesis violation, 5 budget exhausted, 6 numerical refusal. Every
-failure message goes to stderr.
+codes: 0 ok, 2 parse error, 3 invariance failure, 4 hypothesis
+violation, 5 budget exhausted, 6 numerical refusal. Codes 2, 3, 4 and 6
+each report one error type (``EXIT_CODES``), whose message names the
+condition that failed. Every failure message goes to stderr.
 """
 
 from __future__ import annotations
@@ -41,16 +42,12 @@ class ParseFailure(errors.C0OpsError):
     """Malformed command line, input file or config."""
 
 
-# exit code -> the error types it reports; every C0OpsError type is listed
+# exit code -> the one error type it reports
 EXIT_CODES = {
-    Exit.PARSE: (ParseFailure,),
-    Exit.INVARIANCE: (errors.NotInvariant,),
-    Exit.HYPOTHESIS: (
-        errors.AmbientMismatch, errors.DivisibilityFailure, errors.HypothesisViolated,
-        errors.ModelTooLong, errors.NotADivisor, errors.NotInSubspace, errors.OutsideDisc,
-        errors.PreconditionViolated, errors.TruncationTooSmall,
-    ),
-    Exit.NUMERICAL: (errors.IllConditioned, errors.SingularResolvent),
+    Exit.PARSE: ParseFailure,
+    Exit.INVARIANCE: errors.NotInvariant,
+    Exit.HYPOTHESIS: errors.HypothesisViolated,
+    Exit.NUMERICAL: errors.IllConditioned,
 }
 
 # a converter of outside input returns its value or raises one of these
@@ -342,7 +339,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except errors.C0OpsError as exc:
-        code = next(code for code, types in EXIT_CODES.items() if isinstance(exc, types))
+        code = next(code for code, kind in EXIT_CODES.items() if isinstance(exc, kind))
         print(f"{code.name.lower()} error: {exc}", file=sys.stderr)
         return code
 

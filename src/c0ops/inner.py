@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotADivisor, OutsideDisc
+from .errors import HypothesisViolated
 
 # Two zero points at distance <= MATCH_TOL are the same zero; constructors
 # reject distinct zeros closer than AMBIGUITY_TOL so matching is decidable.
@@ -148,7 +148,7 @@ def lcm(u: InnerFunction, v: InnerFunction) -> InnerFunction:
 def quotient(v: InnerFunction, u: InnerFunction) -> InnerFunction:
     """v/u as a multiset difference; requires u | v."""
     if not divides(u, v):
-        raise NotADivisor(f"{u!r} does not divide {v!r}")
+        raise HypothesisViolated(f"{u!r} does not divide {v!r}")
     zeros = tuple((a, mv - mu) for a, mu, mv in _match(u, v) if mv - mu > 0)
     return InnerFunction(zeros)
 
@@ -157,7 +157,7 @@ def evaluate(u: InnerFunction, w: complex) -> complex:
     """Value of the Blaschke product at a point of the open disc."""
     w = complex(w)
     if abs(w) >= 1.0:
-        raise OutsideDisc(f"|{w}| >= 1")
+        raise HypothesisViolated(f"|{w}| >= 1")
     out = 1.0 + 0j
     for a, m in u.zeros:
         out *= ((w - a) / (1.0 - a.conjugate() * w)) ** m

@@ -29,7 +29,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import inner
-from .errors import IllConditioned, ModelTooLong, NotInvariant
+from .errors import HypothesisViolated, IllConditioned, NotInvariant
 from .inner import InnerFunction, ONE, quotient
 from .subspaces import (
     AmbientSpace,
@@ -315,9 +315,7 @@ def interleaved_divisors(
     """
     interleave = 2 * max(len(restriction_model), len(compression_model))
     if interleave > copies:
-        raise ModelTooLong(
-            f"need at least {interleave} copies, ambient has {copies}"
-        )
+        raise HypothesisViolated(f"need at least {interleave} copies, ambient has {copies}")
     gammas = []
     for n in range(copies):
         if n >= interleave:
@@ -350,14 +348,10 @@ def canonical_subspace(
     Past the interleave length gamma_n = theta, and those copies share one
     empty block.
     """
-    if restriction_model.parts and not inner.divides(
-        restriction_model.parts[0], theta
-    ):
-        raise ValueError("phi_0 must divide theta")
-    if compression_model.parts and not inner.divides(
-        compression_model.parts[0], theta
-    ):
-        raise ValueError("psi_0 must divide theta")
+    if restriction_model.parts and not inner.divides(restriction_model.parts[0], theta):
+        raise HypothesisViolated("phi_0 must divide theta")
+    if compression_model.parts and not inner.divides(compression_model.parts[0], theta):
+        raise HypothesisViolated("psi_0 must divide theta")
     if ambient is None:
         ambient = AmbientSpace.build(theta, copies)
     gammas = interleaved_divisors(theta, restriction_model, compression_model, copies)

@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularResolvent
+from .errors import IllConditioned
 from .inner import InnerFunction
 
 
@@ -188,7 +188,7 @@ def blaschke_of_matrix(u: InnerFunction, a_mat: np.ndarray) -> np.ndarray:
         try:
             factor = np.linalg.solve(den, num)
         except np.linalg.LinAlgError as exc:  # cannot occur for contractions
-            raise SingularResolvent(str(exc)) from exc
+            raise IllConditioned(str(exc)) from exc
         if m > 2:
             factor, m = np.linalg.matrix_power(factor, m), 1
         for _ in range(m):

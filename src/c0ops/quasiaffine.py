@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inner
-from .errors import (
-    HypothesisViolated,
-    NotInSubspace,
-    DivisibilityFailure,
-    PreconditionViolated,
-    TruncationTooSmall,
-)
+from .errors import HypothesisViolated
 from .inner import InnerFunction, quotient
 from .jordan import JordanModel
 from .model_space import ModelSpace, ModelVector, functional_calculus
@@ -102,7 +96,6 @@ class QuasiaffinityRecord:
     intertwining_residual: float
     sigma_min: float
     norm: float  # the 2-norm of the operator
-    pairing: tuple[tuple[int, int, int], ...] = ()  # (copy, row, slot)
 
 
 def _symbol(theta: InnerFunction, phi: InnerFunction, psi: InnerFunction) -> InnerFunction:
@@ -119,7 +112,7 @@ def _symbol(theta: InnerFunction, phi: InnerFunction, psi: InnerFunction) -> Inn
 def _require_member(frame: np.ndarray, v: ModelVector, message: str) -> None:
     """Refuse v unless it lies in the span of the orthonormal frame; a non-finite v never does."""
     if not np.linalg.norm(v.coords - frame @ (frame.conj().T @ v.coords)) <= SOLVER_TOL * max(1.0, v.norm):
-        raise NotInSubspace(message)
+        raise HypothesisViolated(message)
 
 
 def _solve(
@@ -181,7 +174,7 @@ def build_X(
     symbol theta there is no functional calculus and no SVD.
     """
     if copies < 1:
-        raise TruncationTooSmall("need at least one summand")
+        raise HypothesisViolated("need at least one summand")
     if len(omega_list) != copies:
         raise HypothesisViolated("omega list length must equal copies")
     theta = space.theta
@@ -247,7 +240,7 @@ def density_sweep(
     """
     theta = space.theta
     if copies < 2:
-        raise TruncationTooSmall("need copies >= 2 for a sweep")
+        raise HypothesisViolated("need copies >= 2 for a sweep")
     if len(phi_list) != copies or len(target_f) != copies:
         raise HypothesisViolated("phi list and targets must match copies")
     if not inner.divides(psi2, psi1):
@@ -364,8 +357,9 @@ def build_Y_main(
     Odd copy 2r+1 heads row r; the Cantor pairing hands the row the even
     copies of its slots 0..k-1. Row r is build_X over these copies divided
     by its 2-norm, recorded on the copy list (2r+1, then the paired
-    copies); a row whose symbols are all theta is X = diag(1, c_0, ...)
-    copy by copy and is recorded as those weights over the norm. Copies
+    copies in slot order), so ``operator.rows`` holds the pairing; a row
+    whose symbols are all theta is X = diag(1, c_0, ...) copy by copy and
+    is recorded as those weights over the norm. Copies
     no row uses keep the identity, and no (N d)-square matrix is formed. Defined for the Jordan ambient, whose T_N repeats
     S(theta) on every copy, so sigma_min(Y) and the residual of
     Y T_N - T_N Y are extremes over rows.
@@ -378,14 +372,12 @@ def build_Y_main(
     chain_len = max(len(psi_model), len(tau_model))
     for n in range(chain_len):
         if not inner.divides(tau_model.part(n), psi_model.part(n)):
-            raise DivisibilityFailure(
-                f"tau_{n} does not divide psi_{n}"
-            )
+            raise HypothesisViolated(f"tau_{n} does not divide psi_{n}")
     for model in (restriction_model, psi_model, tau_model):
         if model.parts and not inner.divides(model.parts[0], theta):
             raise HypothesisViolated("leading model part must divide theta")
     if n_copies < 2:
-        raise TruncationTooSmall("need at least two copies")
+        raise HypothesisViolated("need at least two copies")
 
     n_heads = n_copies // 2  # odd copies 1, 3, ..., one head per row
     # j = w(w+1)/2 + slot grows with the slot: rows[r][slot] is its copy
@@ -396,7 +388,6 @@ def build_Y_main(
             rows[row].append(2 * j)
 
     blocks: list[tuple[tuple[int, ...], np.ndarray]] = []
-    pairing_log: list[tuple[int, int, int]] = []
     sigma_min, residual = 1.0, 0.0  # the numbers of an identity copy
     symbols: dict[tuple[InnerFunction, InnerFunction], InnerFunction] = {}
     for row, paired in enumerate(rows):
@@ -404,7 +395,7 @@ def build_Y_main(
             continue
         tau_n = tau_model.part(row)
         omegas = []
-        for slot, copy in enumerate(paired):
+        for slot in range(len(paired)):
             phi_part = restriction_model.part(slot)
             # a padded slot or padded row has a zero canonical summand, so
             # the safe symbol is theta (zero block)
@@ -415,7 +406,6 @@ def build_Y_main(
                 if key not in symbols:
                     symbols[key] = _symbol(theta, phi_part, tau_n)
                 omegas.append(symbols[key])
-            pairing_log.append((copy, row, slot))
         if all(omega == theta for omega in omegas):
             # X = diag(1, c_0, ..., c_{k-1}) copy by copy: a weight row
             if len(schedule.values) < len(omegas):
@@ -431,7 +421,7 @@ def build_Y_main(
         sigma_min = min(sigma_min, row_sigma / scale)
         residual = max(residual, row_residual / scale)
     # each row is divided by its 2-norm and the other copies carry I_d
-    return QuasiaffinityRecord(CopyBlocks(n_copies, d, tuple(blocks)), residual, sigma_min, 1.0, tuple(pairing_log))
+    return QuasiaffinityRecord(CopyBlocks(n_copies, d, tuple(blocks)), residual, sigma_min, 1.0)
 
 
 def compression_intertwiner(
@@ -446,18 +436,18 @@ def compression_intertwiner(
     scale = max(1.0, float(np.linalg.norm(x_mat, 2)))
     x_t1 = copywise(ambient1.block.T, x_mat.T).T  # X T1 = ((I (x) B1^T) X^T)^T
     if np.linalg.norm(x_t1 - ambient2.apply(x_mat), 2) > INTERTWINE_TOL * scale:
-        raise PreconditionViolated("X does not intertwine the ambients")
+        raise HypothesisViolated("X does not intertwine the ambients")
     if principal_distance(image_closure(x_mat, m1), m2) > IMAGE_GAP_TOL:
-        raise PreconditionViolated("closure of X M1 is not M2")
+        raise HypothesisViolated("closure of X M1 is not M2")
     q1 = orthocomplement(m1).frame
     q2 = orthocomplement(m2).frame
     a_mat = q2.conj().T @ x_mat @ q1
     c1 = q1.conj().T @ ambient1.apply(q1)
     c2 = q2.conj().T @ ambient2.apply(q2)
     if np.linalg.norm(a_mat @ c1 - c2 @ a_mat, 2) > COMPRESSION_TOL * scale:
-        raise PreconditionViolated("compressions are not intertwined")
+        raise HypothesisViolated("compressions are not intertwined")
     if a_mat.shape[0] > 0:
         s = np.linalg.svd(a_mat, compute_uv=False)
         if s.size < a_mat.shape[0] or s[a_mat.shape[0] - 1] <= FULL_ROW_RANK_TOL * max(1.0, s[0]):
-            raise PreconditionViolated("A does not have full row rank")
+            raise HypothesisViolated("A does not have full row rank")
     return a_mat

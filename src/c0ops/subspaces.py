@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import inner
-from .errors import AmbientMismatch, IllConditioned, NotADivisor
+from .errors import HypothesisViolated, IllConditioned
 from .inner import InnerFunction
 from .model_space import ModelSpace, build_model_space, functional_calculus
 
@@ -285,7 +285,7 @@ def invariant_subspace_of_block(
 ) -> SubspaceFrame:
     """Frame for phi H^2 (-) theta H^2 = ran phi(S(theta))."""
     if not inner.divides(phi, space.theta):
-        raise NotADivisor(f"{phi!r} does not divide theta")
+        raise HypothesisViolated(f"{phi!r} does not divide theta")
     ambient = AmbientSpace(space, 1)
     k = space.theta.degree - phi.degree
     if k == 0:
@@ -309,7 +309,7 @@ def is_invariant(m_frame: SubspaceFrame) -> tuple[bool, float]:
 
 def _check_same_ambient(a: SubspaceFrame, b: SubspaceFrame):
     if a.ambient.total_dim != b.ambient.total_dim or a.ambient.theta != b.ambient.theta:
-        raise AmbientMismatch("frames live in different ambient spaces")
+        raise HypothesisViolated("frames live in different ambient spaces")
 
 
 def _gap(a: np.ndarray, b: np.ndarray) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
+from math import prod
 
 import numpy as np
 
@@ -47,6 +48,8 @@ DEFAULT_GATE = 0.05
 CONVERGED_TOL = 1e-8
 CURVE_SLACK = 1e-10
 Y_SCHEDULE = WeightSchedule.factorial(64)  # the diagonal weights of every Y
+# the most records an exact search enumerates; a search at the cap peaks below 0.5 GB
+MAX_SUBSPACES = 2**18
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,11 @@ def verify_orbit(
     holds whenever restriction_models_equal does, and every no-orbit comes
     from unequal restriction models. The distance curve compares
     Y canon(rest1, comp1) with canon(rest1, comp1), not M1 and M2.
+
+    The curve skips every N < 2 max(len rest1, len comp1), where the
+    canonical frame does not fit. A one-generator frame in N_in copies has
+    N_in - 1 compression parts, so under DEFAULT_SWEEP two equal such
+    frames in 10 or more copies read inconclusive with an empty curve.
     """
     theta = ambient.theta
     rest1, comp1 = subspace_models(ambient, m1)
@@ -167,6 +175,20 @@ def _undominated(pairs: set) -> frozenset:
     )
 
 
+def _record_bound(block_degrees: tuple[int, ...], step: Fraction) -> int:
+    """An upper bound on the records ``_subspace_records`` enumerates, in closed form.
+
+    With n = sum d_i and reach = max(1/step, 1), rounded down: n units, at
+    most 4 reach records per unordered pair of places in different blocks
+    (2 reach forward, at most 2 reach backward), and prod (d_i + 1) - 1 - n
+    lattice elements with two or more nonempty blocks.
+    """
+    reach = max(step.denominator // step.numerator, 1)
+    n = sum(block_degrees)
+    cross_pairs = (n * n - sum(d * d for d in block_degrees)) // 2
+    return n + 4 * reach * cross_pairs + (prod(d + 1 for d in block_degrees) - 1 - n)
+
+
 def _subspace_records(block_degrees: tuple[int, ...], step: Fraction) -> list[tuple[tuple, frozenset | tuple, tuple]]:
     """(restriction model degrees, orbit type, recipe) of each subspace the search enumerates, in order.
 
@@ -208,8 +230,13 @@ def _subspace_records(block_degrees: tuple[int, ...], step: Fraction) -> list[tu
       span; distinct parts span distinct subspaces.
 
     Recipes: (i,) for e_i, (i, j, k) for e_i + (k step) e_j, the parts
-    (p_0, p_1, ...) for a lattice element.
+    (p_0, p_1, ...) for a lattice element.  A search whose
+    ``_record_bound`` exceeds MAX_SUBSPACES is refused before any record
+    is built.
     """
+    bound = _record_bound(block_degrees, step)
+    if bound > MAX_SUBSPACES:
+        raise HypothesisViolated(f"the search would enumerate up to {bound} subspaces, above the cap {MAX_SUBSPACES}")
     p, q = step.numerator, step.denominator
     reach = max(q // p, 1)
     forward = [k for k in range(-reach, reach + 1) if k]

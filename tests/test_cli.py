@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c0ops
-from c0ops import errors
-from c0ops.cli import EXIT_CODES, main
+from c0ops import errors, verify
+from c0ops.cli import EXIT_CODES, Exit, main
 from c0ops.inner import monomial
 from c0ops.jordan import random_invariant_subspace
 from c0ops.subspaces import AmbientSpace
@@ -167,6 +169,28 @@ def test_counterexample_budget_exit(tmp_path, capsys):
         json.dumps({"blocks": [1, 1], "grid_denominator": 4, "budget": 2})
     )
     assert main(["counterexample", "--config", str(cfg)]) == 5
+
+
+@pytest.mark.parametrize(
+    "config, bound",
+    [({"blocks": [1] * 30}, 1073853183), ({"grid_denominator": 1000000000}, 8000000005)],
+    ids=["thirty-blocks", "denominator-1e9"],
+)
+def test_counterexample_past_the_cap_exits_4(tmp_path, monkeypatch, capsys, config, bound):
+    # the closed-form bound refuses before the grid (range) or the lattice (product) is built
+    def refuse(*args):
+        raise AssertionError("the search enumerated")
+
+    monkeypatch.setattr(verify, "product", refuse)
+    monkeypatch.setattr(verify, "range", refuse, raising=False)
+    cfg = tmp_path / "ce.json"
+    cfg.write_text(json.dumps(config))
+    start = time.perf_counter()
+    assert main(["counterexample", "--config", str(cfg)]) == 4
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hypothesis error: the search would enumerate up to {bound} subspaces, above the cap 262144\n"
 
 
 def test_cordiag_demo_agreement(tmp_path, capsys):
@@ -419,8 +443,21 @@ def test_subspace_reader_notes_a_rank_deficient_frame(tmp_path, capsys):
 
 
 def test_exit_table_covers_every_error():
-    types = {t for t in vars(errors).values() if isinstance(t, type) and issubclass(t, Exception)}
-    assert types - {errors.C0OpsError} <= set().union(*EXIT_CODES.values())
+    # every error type of the package, ParseFailure included, exits through exactly one code
+    types, todo = set(), [errors.C0OpsError]
+    while todo:
+        subclasses = [t for t in todo.pop().__subclasses__() if t.__module__.startswith("c0ops.")]
+        types.update(subclasses)
+        todo += subclasses
+    assert {t for t in vars(errors).values() if isinstance(t, type)} - {errors.C0OpsError} <= types
+    for t in types:
+        assert sum(issubclass(t, kind) for kind in EXIT_CODES.values()) == 1, t
+
+
+def test_readme_exit_table_lists_every_exit_code():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text().split("| exit | meaning |\n|---|---|\n")[1].split("\n\n")[0]
+    assert [int(line.split("|")[1]) for line in table.splitlines()] == sorted(Exit)
 
 
 FUZZ_POOL = [None, "x", [], {}, -1, 0, 2.5, True, [[0, 0]]]

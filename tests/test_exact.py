@@ -22,6 +22,7 @@ from c0ops.exact_nilpotent import (
     orbit_closure,
     restriction_model,
 )
+from c0ops.errors import HypothesisViolated
 from c0ops.inner import monomial
 from c0ops.jordan import JordanModel, subspace_models
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, orthonormalize
@@ -213,6 +214,43 @@ def test_single_block_search_runs_at_the_degree_cap():
     assert rep.subspace_count == 64
     assert rep.exhausted and not rep.budget_exhausted
     assert time.perf_counter() - start <= 2.0
+
+
+# the searches of this file outside SHAPES x STEPS, SEARCHES and KEYED_SEARCHES, and the largest of
+# the other tier-1 and acceptance searches
+BOUNDED_SEARCHES = [
+    ([2, 1], Fraction(1)), ([3, 2, 1], Fraction(1)), ([2, 1], Fraction(1, 16)), ([2, 1], Fraction(1, 64)),
+    ([64], Fraction(1)), ([2, 2, 2], Fraction(1, 2)), ([3, 3, 3], Fraction(1, 2)), ([2, 2], Fraction(1)),
+    ([32, 32], Fraction(1)), ([16, 16, 16, 16], Fraction(1)), ([4, 3, 2, 1], Fraction(1)),
+]
+
+
+def test_record_bound_covers_every_search():
+    grids = [(b, step) for b in SHAPES for step in STEPS] + BOUNDED_SEARCHES
+    grids += [(b, Fraction(1, q)) for b, q in SEARCHES + KEYED_SEARCHES]
+    for blocks, step in grids:
+        bound = verify._record_bound(tuple(blocks), step)
+        assert len(_subspace_records(tuple(blocks), step)) <= bound <= verify.MAX_SUBSPACES, (blocks, step)
+    # the largest search enumerates 86592 subspaces (tests/test_verify.py)
+    assert verify._record_bound((16, 16, 16, 16), Fraction(1)) == 89664
+
+
+@pytest.mark.parametrize(
+    "blocks, step, bound",
+    [([1] * 18, Fraction(1), 262755), ([2, 2], Fraction(1, 65536), 1048584), ([1] * 30, Fraction(1), 1073743563)],
+    ids=["1x18@1", "2-2@1/65536", "1x30@1"],
+)
+def test_search_past_the_cap_is_refused_before_it_enumerates(monkeypatch, blocks, step, bound):
+    # the closed-form bound refuses before the grid (range) or the lattice (product) is built
+    def refuse(*args):
+        raise AssertionError("the search enumerated")
+
+    monkeypatch.setattr(verify, "product", refuse)
+    monkeypatch.setattr(verify, "range", refuse, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(HypothesisViolated, match=f"^the search would enumerate up to {bound} subspaces, above the cap 262144$"):
+        counterexample_search(blocks, step, budget=1)
+    assert time.perf_counter() - start <= 0.5
 
 
 @pytest.mark.parametrize("blocks, step", [([2, 1], Fraction(1, 16)), ([3, 2, 1], Fraction(1))])

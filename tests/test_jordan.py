@@ -12,13 +12,7 @@ import pytest
 
 import c0ops.jordan as jordan
 from c0ops.cli import main
-from c0ops.errors import (
-    C0OpsError,
-    IllConditioned,
-    ModelTooLong,
-    NotInvariant,
-    SingularResolvent,
-)
+from c0ops.errors import C0OpsError, HypothesisViolated, IllConditioned, NotInvariant
 from c0ops.inner import ONE, InnerFunction, all_divisors, blaschke, divides, monomial, quotient
 from c0ops.jordan import (
     JordanModel,
@@ -148,9 +142,9 @@ class TestModelComputation:
         # 0.04^k falls below the rank threshold at k = 6 while theta = z^32
         # still annihilates: the drops of the rank sequence would increase
         a = np.array([[0.04]], dtype=complex)
-        with pytest.raises(IllConditioned):
+        with pytest.raises(IllConditioned, match="fit no nilpotent"):
             jordan_model_of(a, monomial(32))
-        with pytest.raises(IllConditioned):
+        with pytest.raises(IllConditioned, match="fit no nilpotent"):
             jordan_model_of(a, monomial(32)).part(0)
 
     @pytest.mark.parametrize(
@@ -190,12 +184,12 @@ class TestModelComputation:
 
     def test_singular_resolvent_refused(self):
         # I - conj(0.5) A is singular at A = 2
-        with pytest.raises(SingularResolvent):
+        with pytest.raises(IllConditioned, match="^Singular matrix$"):
             jordan_model_of(np.array([[2.0]]), blaschke(0.5))
 
     def test_chain_lengths_refuse_increasing_drops(self):
         assert chain_lengths([4, 2, 1, 0]) == [3, 1]
-        with pytest.raises(IllConditioned):
+        with pytest.raises(IllConditioned, match="fit no nilpotent"):
             chain_lengths([1, 1, 1, 1, 1, 1, 0])
 
     def test_restriction_requires_invariance(self):
@@ -780,8 +774,16 @@ class TestCanonicalSubspace:
     def test_model_too_long_rejected(self):
         theta = monomial(2)
         rest = JordanModel((theta, theta, theta))
-        with pytest.raises(ModelTooLong):
+        with pytest.raises(HypothesisViolated, match="^need at least 6 copies, ambient has 4$"):
             canonical_subspace(theta, rest, JordanModel(), 4)
+
+    def test_leading_parts_must_divide_theta(self):
+        # build_Y_main refuses the same fact with the same type
+        theta, cube = monomial(2), JordanModel((monomial(3),))
+        with pytest.raises(HypothesisViolated, match="^phi_0 must divide theta$"):
+            canonical_subspace(theta, cube, JordanModel(), 4)
+        with pytest.raises(HypothesisViolated, match="^psi_0 must divide theta$"):
+            canonical_subspace(theta, JordanModel(), cube, 4)
 
     def test_models_carried_by_a_proper_divisor_pair(self):
         # copy n adds S(theta/gamma_n) to the restriction and S(gamma_n) to

@@ -4,7 +4,7 @@ polynomial-truncation construction of the same operator."""
 import numpy as np
 import pytest
 
-from c0ops.errors import NotADivisor
+from c0ops.errors import HypothesisViolated
 from c0ops.inner import ONE, InnerFunction, blaschke, monomial, quotient
 from c0ops.jordan import random_invariant_subspace, subspace_models
 from c0ops.model_space import (
@@ -188,7 +188,7 @@ def test_project_onto_submodel_is_idempotent_contraction():
 def test_project_requires_divisor():
     space = build_model_space(monomial(3))
     f = ModelVector(space, np.ones(3, dtype=complex))
-    with pytest.raises(NotADivisor):
+    with pytest.raises(HypothesisViolated, match="does not divide"):
         project_onto_submodel(space, f, blaschke(0.5))
 
 

@@ -7,12 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from c0ops.errors import (
-    DivisibilityFailure,
-    HypothesisViolated,
-    NotInSubspace,
-    PreconditionViolated,
-)
+from c0ops.errors import HypothesisViolated
 from c0ops.inner import ONE, InnerFunction, all_divisors, blaschke, divides, monomial, quotient
 from c0ops.jordan import JordanModel, canonical_subspace, interleaved_divisors, random_invariant_subspace
 from c0ops.model_space import ModelVector, build_model_space, functional_calculus
@@ -85,7 +80,7 @@ class TestSolver:
     def test_rejects_target_outside_subspace(self):
         space = build_model_space(monomial(3))
         g = ModelVector(space, np.array([1.0, 0, 0], dtype=complex))
-        with pytest.raises(NotInSubspace):
+        with pytest.raises(HypothesisViolated, match=r"^g lies outside psi H\^2 \(-\) theta H\^2$"):
             solve_norm_preserving(space, monomial(2), monomial(2), g)
 
 
@@ -218,8 +213,7 @@ class TestDensitySweep:
 
     def test_hypothesis_gate(self):
         space, copies, phi_list, g, fs = self.make_fixture()
-        with pytest.raises(HypothesisViolated):
-            # psi2 does not divide psi1
+        with pytest.raises(HypothesisViolated, match="^psi2 must divide psi1$"):
             density_sweep(
                 space, copies, phi_list, monomial(1), monomial(2), g, fs,
                 WeightSchedule.factorial(copies + 1),
@@ -245,13 +239,13 @@ class TestDensitySweep:
     def test_empty_target_slots_refused(self):
         # phi = 1: every slot frame is empty, so F cannot have unit norm
         space = build_model_space(monomial(2))
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(HypothesisViolated, match="^every target slot is empty"):
             random_density_targets(space, 4, [ONE] * 4, monomial(2), 3)
 
     def test_non_finite_target_refused(self):
         space, copies, phi_list, g, fs = self.make_fixture()
         fs[0] = ModelVector(space, np.full(2, np.nan, dtype=complex))
-        with pytest.raises(NotInSubspace):
+        with pytest.raises(HypothesisViolated, match=r"^F_0 lies outside \(theta/phi_0\)H\^2 \(-\) theta H\^2$"):
             density_sweep(
                 space, copies, phi_list, monomial(2), monomial(1), g, fs,
                 WeightSchedule.factorial(copies + 1),
@@ -304,6 +298,11 @@ def density_rows_per_m(space, copies, phi_list, psi1, psi2, g, fs, sched):
     return rows
 
 
+def pairing(rec):
+    """(copy, row, slot) of each paired copy of Y: row r's copy list is (2r+1, *slots), in slot order."""
+    return [(c, (head - 1) // 2, slot) for (head, *slots), _ in rec.operator.rows for slot, c in enumerate(slots)]
+
+
 class TestBuildY:
     def test_intertwines_and_maps_canonical_subspaces(self):
         a, b = 0.3, -0.4j
@@ -326,7 +325,7 @@ class TestBuildY:
                 # Y couples only the copies of one pairing row: head 2r+1
                 # and its paired copies; every other copy carries I_d
                 label = {c: ("free", c) for c in range(n)}
-                for copy, row, _ in rec.pairing:
+                for copy, row, _ in pairing(rec):
                     label[copy] = label[2 * row + 1] = ("row", row)
                 d = amb.model.dim
                 for i in range(n):
@@ -353,7 +352,7 @@ class TestBuildY:
             rec = build_Y_main(amb, rest, psi, tau, WeightSchedule.factorial(64))
             y, d = dense(rec.operator), amb.model.dim
             assert np.abs(y[d : 2 * d, :d]).max() > 0.1  # head copy 1 from slot copy 0
-            used = {c for c, _, _ in rec.pairing} | {2 * r + 1 for _, r, _ in rec.pairing}
+            used = {c for c, _, _ in pairing(rec)} | {2 * r + 1 for _, r, _ in pairing(rec)}
             assert len(used) < n
             m1 = canonical_subspace(theta, rest, psi, n, amb)
             # Y carries canon(phi, psi) into canon(phi, tau)
@@ -460,7 +459,7 @@ class TestBuildY:
         psi = JordanModel((monomial(1),))
         tau = JordanModel((monomial(2),))
         amb = AmbientSpace.build(theta, 8)
-        with pytest.raises(DivisibilityFailure):
+        with pytest.raises(HypothesisViolated, match="^tau_0 does not divide psi_0$"):
             build_Y_main(amb, rest, psi, tau, WeightSchedule.factorial(64))
 
 
@@ -469,7 +468,7 @@ class TestBuildY:
         space = build_model_space(monomial(2))
         amb = AmbientSpace(space, 8, np.array([[1.0, 0.5], [0.0, 2.0]]))
         rest = JordanModel((monomial(1), monomial(1)))
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(HypothesisViolated, match=r"^build_Y_main needs the Jordan ambient block S\(theta\)$"):
             build_Y_main(amb, rest, rest, rest, WeightSchedule.factorial(64))
 
 
@@ -477,12 +476,12 @@ def test_symbol_rule_refusals():
     # omega = psi / (theta/phi) needs theta/phi | psi in each of its callers
     space = build_model_space(monomial(3))
     g = ModelVector(space, np.zeros(3, dtype=complex))
-    with pytest.raises(HypothesisViolated):  # theta/phi = z^2 does not divide z
+    with pytest.raises(HypothesisViolated, match="^theta/phi = .* does not divide"):  # theta/phi = z^2 does not divide z
         solve_norm_preserving(space, monomial(1), monomial(1), g)
 
     space = build_model_space(monomial(2))
     zero = ModelVector(space, np.zeros(2, dtype=complex))
-    with pytest.raises(HypothesisViolated):  # theta/phi = z^2 does not divide psi2 = z
+    with pytest.raises(HypothesisViolated, match="^theta/phi = .* does not divide"):  # theta/phi = z^2 does not divide psi2 = z
         density_sweep(
             space, 2, [ONE, ONE], monomial(2), monomial(1), zero, [zero, zero],
             WeightSchedule.factorial(3),
@@ -493,7 +492,7 @@ def test_symbol_rule_refusals():
     rest = JordanModel((two_zeros, blaschke(a)))
     tau = JordanModel((blaschke(a),))
     amb = AmbientSpace.build(two_zeros, 8)
-    with pytest.raises(HypothesisViolated):  # theta/phi_1 = b_b does not divide tau_0 = b_a
+    with pytest.raises(HypothesisViolated, match="^theta/phi = .* does not divide"):  # theta/phi_1 = b_b does not divide tau_0 = b_a
         build_Y_main(amb, rest, tau, tau, WeightSchedule.factorial(64))
 
 
@@ -513,5 +512,5 @@ class TestCompressionIntertwiner:
 
         m = random_invariant_subspace(amb, np.random.default_rng(3))
         x = np.diag(np.arange(1.0, 5.0)).astype(complex)
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(HypothesisViolated, match="^X does not intertwine the ambients$"):
             compression_intertwiner(amb, m, amb, m, x)

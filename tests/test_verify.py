@@ -334,5 +334,5 @@ class TestCordiagDemo:
         assert np.abs(amb.apply(vec) - expected @ vec).max() <= 1e-14
 
     def test_ill_conditioned_similarity_rejected(self):
-        with pytest.raises(IllConditioned):
+        with pytest.raises(IllConditioned, match="^similarity condition number exceeds 1e6$"):
             AmbientSpace(build_model_space(monomial(2)), 3, np.diag([1.0, 1e-9]))
