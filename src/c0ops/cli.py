@@ -116,7 +116,7 @@ def _schedule(value) -> WeightSchedule | None:
         return None
     if isinstance(value, dict) and value.keys() == {"kind", "values"} and value["kind"] == "custom":
         schedule = WeightSchedule.custom(_list_of(_number)(value["values"]))
-        schedule.condition_sequence()  # weights like 1e-200 overflow K(m)
+        schedule.condition_sequence()  # refuses a schedule whose K(m) overflows
         return schedule
     raise ValueError(f"unknown schedule {value!r}")
 
@@ -239,10 +239,9 @@ def cmd_density_sweep(args) -> int:
     )
     if schedule.looks_divergent():
         print("schedule warning: condition sequence K(m) is not decreasing", file=sys.stderr)
-    lines = ["m,residual,bound,sigma_min,intertwine,K"]
+    lines, ks = ["m,residual,bound,sigma_min,intertwine,K"], schedule.condition_sequence()
     for row in density_sweep(space, copies, phi_list, psi1, psi2, g_vec, f_vecs, schedule):
-        k_m = schedule.condition_value(row.m)
-        values = (row.residual, row.bound, row.sigma_min, row.intertwine, k_m)
+        values = (row.residual, row.bound, row.sigma_min, row.intertwine, ks[row.m - 1])
         lines.append(",".join([str(row.m), *map(fmt, values)]))
     csv_text = "\n".join(lines) + "\n"
     sys.stdout.write(csv_text)

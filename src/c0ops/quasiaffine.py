@@ -3,13 +3,12 @@
 Implements the norm-preserving solver, the triangular quasiaffinity X
 with weighted diagonal, the density-approximant sweep with its explicit
 error bound, and the globally assembled quasiaffinity Y built from a
-pairing of copies. X is a dense matrix; Y is kept as its row blocks, one
-normalised X per pairing row on that row's copies, and is applied to
-frames block by block. A slot of X whose symbol is theta carries the
-exact zero block theta(S(theta)) = 0 and decouples from the head, so its
-weight is read off as a singular value with no functional calculus or
-SVD. A row of Y whose symbols are all theta is diagonal, and is kept as
-its per-copy weights (1, c_0, ..., c_{k-1}) / ||X|| with no block at all.
+pairing of copies. X is one copy row (``CopyBlocks``): its weights
+(1, c_0, ..., c_{k-1}) and a head block omega_m(S)/(m+1) per slot whose
+symbol is not theta, since theta(S(theta)) = 0. Y is one normalised X per
+pairing row on that row's copies, applied to frames block by block; a
+row whose symbols are all theta is its weights alone, with no functional
+calculus or SVD.
 """
 
 from __future__ import annotations
@@ -55,6 +54,9 @@ class WeightSchedule:
 
     @classmethod
     def factorial(cls, length: int) -> "WeightSchedule":
+        """c_n = 1/(n+1)!; 1/171! is below the smallest float, so at most 170 weights."""
+        if length > 170:
+            raise HypothesisViolated(f"the factorial schedule has at most 170 weights, not {length}")
         return cls(tuple(1.0 / math.factorial(n + 1) for n in range(length)))
 
     @classmethod
@@ -64,16 +66,19 @@ class WeightSchedule:
     def value(self, n: int) -> float:
         return self.values[n]
 
-    def condition_value(self, m: int) -> float:
-        """K(m) = (m+1) c_m (sum_{n<m} 1/((n+1)c_n)^2)^(1/2)."""
-        if not 1 <= m < len(self.values):
-            raise IndexError("m outside the materialized range")
-        acc = sum(1.0 / ((n + 1) * self.values[n]) ** 2 for n in range(m))
-        return (m + 1) * self.values[m] * math.sqrt(acc)
-
     def condition_sequence(self) -> list[float]:
-        """K(m) for m = 1..length-1."""
-        return [self.condition_value(m) for m in range(1, len(self.values))]
+        """K(m) = (m+1) c_m (sum_{n<m} 1/((n+1)c_n)^2)^(1/2) for m = 1..length-1.
+
+        Read from K(0) = 0 and K(m+1) = (m+2) c_{m+1} / ((m+1) c_m) (K(m)^2 + 1)^(1/2),
+        which squares no weight; refused once a K(m) overflows.
+        """
+        ks, k = [], 0.0
+        for m, (c, c_next) in enumerate(zip(self.values, self.values[1:])):
+            k = (m + 2) * c_next / ((m + 1) * c) * math.hypot(k, 1.0)
+            if k == math.inf:
+                raise OverflowError(f"K({m + 1}) overflows")
+            ks.append(k)
+        return ks
 
     def looks_divergent(self) -> bool:
         """True when the tail of K(m) is not decreasing (schedule warning)."""
@@ -88,11 +93,11 @@ class WeightSchedule:
 class QuasiaffinityRecord:
     """A constructed intertwiner with its measured quality numbers.
 
-    ``operator`` is a dense matrix (X) or copy-row blocks (Y); the blocks
-    are never expanded, and ``image_closure`` applies them row by row.
+    ``operator`` is copy rows, one for X and one per pairing row for Y;
+    they are never expanded, and ``image_closure`` applies them row by row.
     """
 
-    operator: np.ndarray | CopyBlocks = field(repr=False)
+    operator: CopyBlocks = field(repr=False)
     intertwining_residual: float
     sigma_min: float
     norm: float  # the 2-norm of the operator
@@ -165,20 +170,22 @@ def build_X(
 ) -> QuasiaffinityRecord:
     """The quasiaffinity X = [[I, omega_m(S)/(m+1), ...], [0, diag(c_m I)]].
 
-    It acts on H(theta) (+) (+)_{m<copies} H(theta), the head then slot m.
-    A slot whose symbol is theta carries the exact zero head block, since
-    theta(S(theta)) = 0, so it decouples: X is c_m I on that slot (+) X
-    reduced to the head and the other slots. The weights of the theta
-    slots are singular values of X, only the reduced matrix takes an SVD,
-    and only its commutators enter the residual of XT - TX; with every
-    symbol theta there is no functional calculus and no SVD.
+    It acts on H(theta) (+) (+)_{m<copies} H(theta), the head then slot m,
+    kept as one copy row: the weights (1, c_0, ...) and a head block per
+    slot whose symbol is not theta. A theta slot has the exact zero head
+    block theta(S(theta)) = 0, so it decouples: its weight is a singular
+    value of X, only X reduced to the head and the other slots takes an
+    SVD, and only their commutators enter the residual of XT - TX; with
+    every symbol theta there is no functional calculus and no SVD.
     """
     if copies < 1:
         raise HypothesisViolated("need at least one summand")
     if len(omega_list) != copies:
         raise HypothesisViolated("omega list length must equal copies")
     theta = space.theta
-    distinct = dict.fromkeys(omega_list)
+    # slot m has symbol w; most symbols are theta itself, so identity goes first
+    slots = [(m, w) for m, w in enumerate(omega_list, 1) if w is not theta and w != theta]
+    distinct = dict.fromkeys(w for _, w in slots)
     for omega in distinct:
         if not inner.divides(omega, theta):
             raise HypothesisViolated(f"{omega!r} does not divide theta")
@@ -187,30 +194,23 @@ def build_X(
     d, s_mat = space.dim, space.shift_matrix
     # a divisor of theta of full degree is theta
     ops = {w: functional_calculus(space, w) for w in distinct if w.degree < theta.degree}
-    x_mat = np.zeros(((copies + 1) * d, (copies + 1) * d), dtype=complex)
-    x_mat[:d, :d] = np.eye(d)
-    coupled = [0]  # the head block, then each slot with a symbol other than theta
-    decoupled = []  # the weights of the theta slots, singular values of X
-    for m, omega in enumerate(omega_list):
-        blk = slice((m + 1) * d, (m + 2) * d)
-        x_mat[blk, blk] = schedule.value(m) * np.eye(d)
-        if omega in ops:
-            x_mat[:d, blk] = ops[omega] / (m + 1)
-            coupled.append(m + 1)
-        else:
-            decoupled.append(schedule.value(m))
-    extremes, residual = [1.0], 0.0  # X reduced to the head alone is I
-    if len(coupled) > 1:
-        idx = (d * np.asarray(coupled)[:, None] + np.arange(d)).ravel()
-        s = np.linalg.svd(x_mat[np.ix_(idx, idx)], compute_uv=False)
-        extremes = [s[-1], s[0]]
+    head = tuple((m, ops[w] / m) for m, w in slots if w in ops)
+    values = (1.0, *schedule.values[:copies])
+    weights = np.array(values)
+    sigma_min, norm, residual = min(values), max(values), 0.0
+    if head:
+        coupled = [0, *(m for m, _ in head)]
+        reduced = np.diag(np.repeat(weights[coupled], d).astype(complex))
+        reduced[:d, d:] = np.hstack([blk for _, blk in head])
+        s = np.linalg.svd(reduced, compute_uv=False)
+        decoupled = np.delete(weights, coupled)  # singular values of X
+        sigma_min, norm = min((s[-1], *decoupled)), max((s[0], *decoupled))
         # with T = I (x) S, XT - TX vanishes outside the head row, whose slot-m
         # block is (omega_m(S) S - S omega_m(S)) / (m+1)
         comm = {w: op @ s_mat - s_mat @ op for w, op in ops.items()}
-        head_row = np.hstack([comm[omega_list[b - 1]] / b for b in coupled[1:]])
-        residual = float(np.linalg.norm(head_row, 2))
-    singular = extremes + decoupled
-    return QuasiaffinityRecord(x_mat, residual, float(min(singular)), float(max(singular)))
+        residual = float(np.linalg.norm(np.hstack([comm[omega_list[m - 1]] / m for m, _ in head]), 2))
+    operator = CopyBlocks(copies + 1, d, ((tuple(range(copies + 1)), weights, head),))
+    return QuasiaffinityRecord(operator, residual, float(sigma_min), float(norm))
 
 
 @dataclass(frozen=True)
@@ -270,13 +270,12 @@ def density_sweep(
     # can carry the part of G already in psi1 H^2 (-) theta H^2 exactly
     psi1_frame = invariant_subspace_of_block(space, psi1).frame
     g_res = target_g.coords - psi1_frame @ (psi1_frame.conj().T @ target_g.coords)
-    # g_res and s_m^2 carry their sums over n < m from one m to the next,
-    # adding term m - 1 in the order a per-m recompute adds it
-    s_sq, rows = 0.0, []
+    # g_res carries its sum over n < m from one m to the next, adding term
+    # m - 1 in the order a per-m recompute adds it
+    ks, rows = schedule.condition_sequence(), []
     for m in range(1, copies):
         weight = m * schedule.value(m - 1)
         g_res -= omega_op[omegas[m - 1]] @ target_f[m - 1].coords / weight
-        s_sq += 1.0 / weight**2
         # h_m solves omega_m(S) h = (m+1) g_res as solve_norm_preserving does,
         # on the frames and omega_m(S) built once above
         g_m = ModelVector(space, (m + 1) * g_res)
@@ -288,7 +287,8 @@ def density_sweep(
         )
         tail = sum(v * v for v in f_norms[m + 1 :])
         residual = math.sqrt(defect**2 + tail)
-        bound = (m + 1) * schedule.value(m) * (target_g.norm + f_total * math.sqrt(s_sq))
+        # (m+1) c_m (||G|| + ||F|| s_m) with s_m^2 = sum_{n<m} 1/((n+1)c_n)^2, as K(m) = (m+1) c_m s_m
+        bound = (m + 1) * schedule.value(m) * target_g.norm + f_total * ks[m - 1]
         bound += math.sqrt(sum(v * v for v in f_norms[m:]))
         rows.append(
             DensityRow(m, float(residual), float(bound), x_rec.sigma_min, x_rec.intertwining_residual)
@@ -338,13 +338,6 @@ def random_density_targets(
     return ModelVector(space, g), f_vecs
 
 
-def _cantor_unpair(j: int) -> tuple[int, int]:
-    w = int((math.isqrt(8 * j + 1) - 1) // 2)
-    t = w * (w + 1) // 2
-    m = j - t
-    return w - m, m
-
-
 def build_Y_main(
     ambient: AmbientSpace,
     restriction_model: JordanModel,
@@ -357,12 +350,11 @@ def build_Y_main(
     Odd copy 2r+1 heads row r; the Cantor pairing hands the row the even
     copies of its slots 0..k-1. Row r is build_X over these copies divided
     by its 2-norm, recorded on the copy list (2r+1, then the paired
-    copies in slot order), so ``operator.rows`` holds the pairing; a row
-    whose symbols are all theta is X = diag(1, c_0, ...) copy by copy and
-    is recorded as those weights over the norm. Copies
-    no row uses keep the identity, and no (N d)-square matrix is formed. Defined for the Jordan ambient, whose T_N repeats
-    S(theta) on every copy, so sigma_min(Y) and the residual of
-    Y T_N - T_N Y are extremes over rows.
+    copies in slot order), so ``operator.rows`` holds the pairing. Copies
+    no row uses keep the identity, and no (N d)-square matrix is formed.
+    Defined for the Jordan ambient, whose T_N repeats S(theta) on every
+    copy, so sigma_min(Y) and the residual of Y T_N - T_N Y are extremes
+    over rows.
     """
     theta = ambient.theta
     n_copies = ambient.copies
@@ -380,46 +372,36 @@ def build_Y_main(
         raise HypothesisViolated("need at least two copies")
 
     n_heads = n_copies // 2  # odd copies 1, 3, ..., one head per row
-    # j = w(w+1)/2 + slot grows with the slot: rows[r][slot] is its copy
+    # Cantor pair j = w(w+1)/2 + slot is (row, slot) = (w - slot, slot) and goes
+    # to even copy 2j; j grows with the slot, so rows[r][slot] is its copy
+    cantor_rows = [w - m for w in range(math.isqrt(n_copies) + 2) for m in range(w + 1)]
     rows: list[list[int]] = [[] for _ in range(n_heads)]
-    for j in range(0, (n_copies + 1) // 2):
-        row, _ = _cantor_unpair(j)
+    for copy, row in zip(range(0, n_copies, 2), cantor_rows):
         if row < n_heads:
-            rows[row].append(2 * j)
+            rows[row].append(copy)
 
-    blocks: list[tuple[tuple[int, ...], np.ndarray]] = []
+    blocks = []
     sigma_min, residual = 1.0, 0.0  # the numbers of an identity copy
     symbols: dict[tuple[InnerFunction, InnerFunction], InnerFunction] = {}
     for row, paired in enumerate(rows):
         if not paired:
             continue
-        tau_n = tau_model.part(row)
-        omegas = []
-        for slot in range(len(paired)):
-            phi_part = restriction_model.part(slot)
-            # a padded slot or padded row has a zero canonical summand, so
-            # the safe symbol is theta (zero block)
-            if phi_part.is_one() or row >= len(tau_model):
-                omegas.append(theta)
-            else:
+        # a padded slot or padded row has a zero canonical summand, so the
+        # safe symbol is theta (zero block)
+        omegas = [theta] * len(paired)
+        if row < len(tau_model):
+            tau_n = tau_model.parts[row]
+            for slot, phi_part in enumerate(restriction_model.parts[: len(paired)]):
                 key = (phi_part, tau_n)
                 if key not in symbols:
                     symbols[key] = _symbol(theta, phi_part, tau_n)
-                omegas.append(symbols[key])
-        if all(omega == theta for omega in omegas):
-            # X = diag(1, c_0, ..., c_{k-1}) copy by copy: a weight row
-            if len(schedule.values) < len(omegas):
-                raise HypothesisViolated("schedule shorter than the truncation")
-            weights = (1.0, *schedule.values[: len(omegas)])
-            op, row_sigma, row_residual, scale = np.array(weights), min(weights), 0.0, max(weights)
-        else:
-            x_rec = build_X(ambient.model, len(paired), omegas, schedule)
-            op, row_sigma, row_residual, scale = (
-                x_rec.operator, x_rec.sigma_min, x_rec.intertwining_residual, x_rec.norm
-            )
-        blocks.append(((2 * row + 1, *paired), op / scale))
-        sigma_min = min(sigma_min, row_sigma / scale)
-        residual = max(residual, row_residual / scale)
+                omegas[slot] = symbols[key]
+        x_rec = build_X(ambient.model, len(paired), omegas, schedule)
+        (_, weights, head), scale = x_rec.operator.rows[0], x_rec.norm
+        head = tuple((i, b / scale) for i, b in head) if head else ()
+        blocks.append(((2 * row + 1, *paired), weights / scale, head))
+        sigma_min = min(sigma_min, x_rec.sigma_min / scale)
+        residual = max(residual, x_rec.intertwining_residual / scale)
     # each row is divided by its 2-norm and the other copies carry I_d
     return QuasiaffinityRecord(CopyBlocks(n_copies, d, tuple(blocks)), residual, sigma_min, 1.0)
 

@@ -2,8 +2,8 @@
 
 T_N is applied copy by copy. A frame holds one block per group of copies:
 a matrix is the one group of all copies, and canonical frames are per copy.
-The orbit map Y is kept as copy rows (``CopyBlocks``), square blocks or
-per-copy weights, so Y M and the gap between two frames go group by group.
+The quasiaffinities X and Y are kept as copy rows (``CopyBlocks``), so
+Y M and the gap between two frames go group by group.
 """
 
 from __future__ import annotations
@@ -100,17 +100,17 @@ def _rows(copy_list, dim: int) -> np.ndarray:
 class CopyBlocks:
     """An operator on (+)_{n<copies} C^dim that is the identity off a few copy groups.
 
-    Each row ``(copy list, block)`` maps the listed copies, stacked in list
-    order: a square block maps them together, and a weight row, a vector
-    with one positive weight per listed copy, scales each copy by its
-    weight. The lists are disjoint, and a copy in none of them passes
-    unchanged. ``image_closure`` applies it row by row, so no
+    Each row ``(copy list, weights, head)`` scales each listed copy by its
+    positive weight, and for each ``(i, block)`` in ``head`` adds
+    ``block @ (copy list[i])`` to the first listed copy; a row with an
+    empty head only scales. The lists are disjoint, and a copy in none of
+    them passes unchanged. ``image_closure`` applies it row by row, so no
     (copies*dim)-square matrix is formed.
     """
 
     copies: int
     dim: int
-    rows: tuple[tuple[tuple[int, ...], np.ndarray], ...] = field(repr=False)
+    rows: tuple[tuple[tuple[int, ...], np.ndarray, tuple[tuple[int, np.ndarray], ...]], ...] = field(repr=False)
 
 
 def orthonormalize(columns: np.ndarray, rank: int | None = None) -> np.ndarray:
@@ -346,20 +346,16 @@ def principal_distance(a: SubspaceFrame, b: SubspaceFrame) -> float:
 def _grouped_image(y: CopyBlocks, m_frame: SubspaceFrame) -> SubspaceFrame:
     """Y M for a grouped M, one group at a time.
 
-    A weight row scales each copy by a positive number, so it keeps the
-    span of a block on one copy; a block on several copies, or a group
-    that a square row couples, is mapped and orthonormalised at its own
-    column count.
+    Positive weights keep the span of a block on one copy; a block on
+    several copies, or a group that a row with a head couples, is mapped
+    and orthonormalised at its own column count.
     """
     d = y.dim
     scale = np.ones(y.copies)
-    coupled = []
-    for copy_list, block in y.rows:
-        if block.ndim == 1:
-            scale[list(copy_list)] = block
-        else:
-            coupled.append((copy_list, block))
-    # a block on one copy outside every square row keeps its span
+    for copy_list, weights, _ in y.rows:
+        scale[list(copy_list)] = weights
+    coupled = [(copy_list, head) for copy_list, _, head in y.rows if head]
+    # a block on one copy outside every coupled row keeps its span
     touched = {c for copy_list, _ in coupled for c in copy_list}
     groups, work = [], []
     for part in m_frame.groups:
@@ -371,11 +367,13 @@ def _grouped_image(y: CopyBlocks, m_frame: SubspaceFrame) -> SubspaceFrame:
         if not rows and len(m_parts) == 1 and np.all(weights == weights[0]):
             groups.append(m_parts[0])
             continue
-        image = _stack(m_parts, order, d) * np.repeat(weights, d)[:, None]
+        frame = _stack(m_parts, order, d)
+        image = frame * np.repeat(weights, d)[:, None]
         pos = {c: i for i, c in enumerate(order)}
-        for copy_list, block in rows:
-            idx = _rows([pos[c] for c in copy_list], d)
-            image[idx] = block @ image[idx]
+        for copy_list, head in rows:
+            first = d * pos[copy_list[0]]
+            for i, blk in head:
+                image[first : first + d] += blk @ frame[d * pos[copy_list[i]] :][:d]
         groups.append((order, orthonormalize(image, image.shape[1])))
     return SubspaceFrame(m_frame.ambient, groups=groups)
 

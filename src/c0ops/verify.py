@@ -9,7 +9,7 @@ it reads from their types in closed form (``_cotype``).  Grid values are
 integer indices; only a witness's grid vector holds a fraction.
 
 At each N of its sweep the verdict maps the per-copy canonical frame of
-(phi, psi) by the orbit map Y, whose all-theta rows are per-copy weights,
+(phi, psi) by the orbit map Y, whose all-theta rows are their weights alone,
 and measures the gap back to that frame one copy group at a time; no
 (N d)-row frame or square matrix is formed.
 """
@@ -112,6 +112,9 @@ def verify_orbit(
     canonical frame does not fit. A one-generator frame in N_in copies has
     N_in - 1 compression parts, so under DEFAULT_SWEEP two equal such
     frames in 10 or more copies read inconclusive with an empty curve.
+    From N = 4289 row 0 of Y has more slots than the 64 weights of
+    Y_SCHEDULE, so Y is refused and the verdict is inconclusive, with the
+    curve up to the last N that fit.
     """
     theta = ambient.theta
     rest1, comp1 = subspace_models(ambient, m1)

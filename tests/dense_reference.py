@@ -5,15 +5,13 @@ import numpy as np
 from c0ops.subspaces import CopyBlocks, _rows
 
 
-def dense(op):
-    """The operator as a dense matrix: copy-row blocks expanded, a dense X unchanged."""
-    if not isinstance(op, CopyBlocks):
-        return op
-    out = np.eye(op.copies * op.dim, dtype=complex)
-    for copy_list, block in op.rows:
-        idx = _rows(copy_list, op.dim)
-        if block.ndim == 1:
-            out[idx, idx] = np.repeat(block, op.dim)
-        else:
-            out[np.ix_(idx, idx)] = block
+def dense(op: CopyBlocks) -> np.ndarray:
+    """The copy rows expanded: weights on the diagonal, head blocks in the first copy's rows."""
+    d = op.dim
+    out = np.eye(op.copies * d, dtype=complex)
+    for copy_list, weights, head in op.rows:
+        idx = _rows(copy_list, d)
+        out[idx, idx] = np.repeat(weights, d)
+        for i, block in head:
+            out[np.ix_(idx[:d], idx[i * d : (i + 1) * d])] += block
     return out

@@ -147,6 +147,34 @@ def test_density_sweep_divergent_schedule_warns(tmp_path, capsys):
     assert "schedule warning" in err
 
 
+@pytest.mark.parametrize("copies", [101, 103, 169])
+def test_density_sweep_to_the_last_factorial_weight(tmp_path, capsys, copies):
+    # 1/((n+1) c_n)^2 overflows from n = 99 and ((n+1) c_n)^2 underflows to 0
+    # from n = 102, so K(m) and the bound are read without squaring a weight
+    rc = main(["density-sweep", "--config", density_config(tmp_path, copies=copies)])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
+    assert len(rows) == copies - 1
+    assert all(np.isfinite(float(cell)) for row in rows for cell in row[1:])
+
+
+def test_density_sweep_overflowing_schedule_refused(tmp_path, capsys):
+    # K(1) = 2 c_1 / c_0 = 2e600 is not a float
+    cfg = density_config(tmp_path, schedule={"kind": "custom", "values": [1e-300] + [1e300] * 12})
+    assert main(["density-sweep", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "K(1) overflows" in captured.err
+
+
+def test_density_sweep_past_the_last_factorial_weight(tmp_path, capsys):
+    assert main(["density-sweep", "--config", density_config(tmp_path, copies=170)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most 170 weights" in captured.err
+
+
 def test_counterexample_witness_and_control(tmp_path, capsys):
     cfg = tmp_path / "ce.json"
     cfg.write_text(json.dumps({"blocks": [2, 1], "grid_denominator": 8}))

@@ -22,8 +22,8 @@ from c0ops.quasiaffine import (
 )
 from c0ops.subspaces import (
     AmbientSpace,
-    CopyBlocks,
     SubspaceFrame,
+    _rows,
     image_closure,
     invariant_subspace_of_block,
     principal_distance,
@@ -128,6 +128,19 @@ class TestBuildX:
             if omega == theta:
                 assert not x[:d, (m + 1) * d : (m + 2) * d].any()
 
+    def test_theta_slots_form_no_dense_matrix(self):
+        # a dense X on 64 theta slots of a degree-64 theta took 277 MB
+        theta = InnerFunction(tuple((0.9 * 1j**k, 16) for k in range(4)))
+        space, schedule = build_model_space(theta), WeightSchedule.factorial(64)
+        tracemalloc.start()
+        try:
+            rec = build_X(space, 64, [theta] * 64, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rec.sigma_min, rec.norm) == (schedule.values[-1], 1.0)
+        assert peak < 16 * 2**20
+
     def test_theta_symbols_need_no_calculus_or_svd(self, monkeypatch):
         # every orbit-sweep row of Y is all theta: X is the diagonal [I, c_m I]
         calls = []
@@ -164,6 +177,13 @@ class TestSchedule:
         for a, b in zip(ks[3:], ks[4:]):
             assert b < a
         assert not sched.looks_divergent()
+
+    def test_factorial_schedule_to_its_last_float(self):
+        # K(m) squares no weight: at 170 weights every K(m) is finite and decreasing
+        ks = WeightSchedule.factorial(170).condition_sequence()
+        assert all(0 < b < a for a, b in zip(ks[3:], ks[4:]))
+        with pytest.raises(HypothesisViolated, match="^the factorial schedule has at most 170 weights, not 171$"):
+            WeightSchedule.factorial(171)
 
     def test_polynomial_schedule_diverges(self):
         sched = WeightSchedule.custom([(n + 1) ** -2 for n in range(32)])
@@ -257,9 +277,7 @@ class TestDensitySweep:
         space, copies, phi_list, g, fs = self.make_fixture(seed=copies, copies=copies)
         sched = WeightSchedule.factorial(copies + 1)
         rows = density_sweep(space, copies, phi_list, monomial(2), monomial(1), g, fs, sched)
-        assert [(r.m, r.residual, r.bound) for r in rows] == density_rows_per_m(
-            space, copies, phi_list, monomial(2), monomial(1), g, fs, sched
-        )
+        assert_rows_match(rows, density_rows_per_m(space, copies, phi_list, monomial(2), monomial(1), g, fs, sched))
 
     def test_blaschke_rows_equal_per_m_recompute(self):
         # omega = psi2 / (theta/phi) = b_{-0.2}, so each term of g_res is a product, not a copy
@@ -270,9 +288,13 @@ class TestDensitySweep:
         g, fs = random_density_targets(space, copies, phi_list, psi2, 7)
         sched = WeightSchedule.factorial(copies + 1)
         rows = density_sweep(space, copies, phi_list, theta, psi2, g, fs, sched)
-        assert [(r.m, r.residual, r.bound) for r in rows] == density_rows_per_m(
-            space, copies, phi_list, theta, psi2, g, fs, sched
-        )
+        assert_rows_match(rows, density_rows_per_m(space, copies, phi_list, theta, psi2, g, fs, sched))
+
+
+def assert_rows_match(rows, expected):
+    """Residuals bit for bit; the sweep reads s_m through K(m), so its bound differs only in rounding."""
+    assert [(r.m, r.residual) for r in rows] == [(m, residual) for m, residual, _ in expected]
+    assert [r.bound for r in rows] == pytest.approx([bound for *_, bound in expected], rel=1e-12, abs=0)
 
 
 def density_rows_per_m(space, copies, phi_list, psi1, psi2, g, fs, sched):
@@ -300,7 +322,7 @@ def density_rows_per_m(space, copies, phi_list, psi1, psi2, g, fs, sched):
 
 def pairing(rec):
     """(copy, row, slot) of each paired copy of Y: row r's copy list is (2r+1, *slots), in slot order."""
-    return [(c, (head - 1) // 2, slot) for (head, *slots), _ in rec.operator.rows for slot, c in enumerate(slots)]
+    return [(c, (head - 1) // 2, slot) for (head, *slots), *_ in rec.operator.rows for slot, c in enumerate(slots)]
 
 
 class TestBuildY:
@@ -408,20 +430,22 @@ class TestBuildY:
                     col += b.shape[1]
                 assert m_psi.frame.tobytes() == expected.tobytes()
                 assert m_psi.frame.shape == expected.shape
-                # weight rows against the dense blocks X / ||X|| they stand for
+                # each row of Y is X / ||X|| on its copies, for the symbols of its slots
                 rec = build_Y_main(amb, rest, psi, tau, sched)
-                rows = []
-                for copy_list, block in rec.operator.rows:
-                    if block.ndim == 1:
-                        x_rec = build_X(space, len(copy_list) - 1, [theta] * (len(copy_list) - 1), sched)
-                        block = x_rec.operator / x_rec.norm
-                    rows.append((copy_list, block))
-                dense_rows = CopyBlocks(n, d, tuple(rows))
-                weighted = [b for _, b in rec.operator.rows if b.ndim == 1]
-                assert len(weighted) == len(rows) - (rest.parts[1] != theta)
+                y = dense(rec.operator)
+                for copy_list, _, _ in rec.operator.rows:
+                    row = (copy_list[0] - 1) // 2
+                    omegas = [
+                        theta if rest.part(slot).is_one() or row >= len(tau) else quotient(tau.part(row), quotient(theta, rest.part(slot)))
+                        for slot in range(len(copy_list) - 1)
+                    ]
+                    x_rec = build_X(space, len(omegas), omegas, sched)
+                    idx = _rows(copy_list, d)
+                    assert np.abs(y[np.ix_(idx, idx)] - dense(x_rec.operator) / x_rec.norm).max() <= 1e-15
+                # only row 0 of the second triple has symbols other than theta
+                coupled = [head for _, _, head in rec.operator.rows if head]
+                assert len(coupled) == (rest.parts[1] != theta)
                 frame = m_psi.frame
-                assert np.abs(dense(rec.operator) @ frame - dense(dense_rows) @ frame).max() <= 1e-15
-                assert np.abs(dense(rec.operator) - dense(dense_rows)).max() <= 1e-15
                 # image and distance group by group against the dense path
                 img = image_closure(rec.operator, m_psi)
                 dense_img = image_closure(dense(rec.operator), SubspaceFrame(amb, frame))

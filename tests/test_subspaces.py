@@ -188,13 +188,15 @@ class TestGroupedLayout:
             assert abs(d - principal_distance(b, a)) <= 1e-12
 
     def test_image_matches_dense(self):
-        # the group (0, 2) of a is coupled to copy 1 by a square row, or only
-        # scaled, by weights that differ on its two copies
-        x = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)) + 4 * np.eye(4)
+        # the group (0, 2) of a is coupled to copy 1 by the head block from
+        # copy 0, next to the decoupled copy 2, or only scaled, by weights
+        # that differ on its two copies
+        x = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
         a, _ = self.layouts((2, 1, 1), (1, 1, 1))
         for rows in (
-            (((1, 0), x), ((2, 3), np.array([0.5, 0.25]))),
-            (((0, 2), np.array([1.0, 0.2])), ((3, 1), np.array([0.5, 0.5]))),
+            (((1, 0, 2), np.array([1.0, 0.5, 0.25]), ((1, x),)), ((3,), np.array([0.3]), ())),
+            (((1, 0), np.array([0.7, 0.2]), ((1, x),)), ((2, 3), np.array([0.5, 0.25]), ())),
+            (((0, 2), np.array([1.0, 0.2]), ()), ((3, 1), np.array([0.5, 0.5]), ())),
         ):
             y = CopyBlocks(4, 2, rows)
             img = image_closure(y, a)
@@ -205,7 +207,7 @@ class TestGroupedLayout:
     def test_copy_blocks_on_other_copies_refused(self):
         # 2 copies of dim 4 have the total dimension of 4 copies of dim 2
         a, _ = self.layouts((2, 1, 1), (1, 1, 1))
-        y = CopyBlocks(2, 4, (((0, 1), np.array([1.0, 0.5])),))
+        y = CopyBlocks(2, 4, (((0, 1), np.array([1.0, 0.5]), ()),))
         with pytest.raises(ValueError):
             image_closure(y, a)
 

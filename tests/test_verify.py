@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from c0ops.errors import IllConditioned
+from c0ops.errors import HypothesisViolated, IllConditioned
 from c0ops.exact_nilpotent import NilpotentSum
 from c0ops.inner import blaschke, monomial
 from c0ops.jordan import JordanModel, canonical_subspace, random_invariant_subspace
@@ -61,8 +61,9 @@ class TestVerifyOrbit:
         assert rep.distance_curve[-1][1] <= 1e-12
 
     def test_coupled_rows_match_the_dense_path(self):
-        # the symbols of row 0 are b_{-0.4i} and 1, so Y has a square row
-        # next to its weight rows and the image is built group by group
+        # the symbols of row 0 are b_{-0.4i} and 1, so Y has a row with head
+        # blocks next to its rows of weights alone, and the image is built
+        # group by group
         theta = blaschke(0.3) * blaschke(-0.4j)
         amb = AmbientSpace.build(theta, 6)
         m = canonical_subspace(theta, JordanModel((theta, blaschke(0.3))), JordanModel((blaschke(-0.4j),)), 6, amb)
@@ -73,11 +74,26 @@ class TestVerifyOrbit:
         for n, dist in rep.distance_curve:
             amb_n = AmbientSpace(amb.model, n)
             y = build_Y_main(amb_n, rest, comp, comp, Y_SCHEDULE)
-            assert any(block.ndim == 2 for _, block in y.operator.rows)
+            assert any(head for _, _, head in y.operator.rows)
             frame = SubspaceFrame(amb_n, canonical_subspace(theta, rest, comp, n, amb_n).frame)
             dense_dist = principal_distance(image_closure(dense(y.operator), frame), frame)
             assert dist <= 1e-12
             assert abs(dist - dense_dist) <= 1e-12
+
+    def test_row_zero_past_the_schedule_reads_inconclusive(self):
+        # from N = 4289 row 0 of Y has more than the 64 slots of Y_SCHEDULE,
+        # so Y is refused and the curve stops at the last N that fit
+        theta = monomial(2)
+        amb = AmbientSpace.build(theta, 4)
+        m = canonical_subspace(theta, JordanModel((theta, theta)), JordanModel((theta, theta)), 4, amb)
+        rep = verify_orbit(amb, m, m, sweep=(16, 4300))
+        assert rep.verdict == "inconclusive"
+        assert rep.to_dict()["distance_curve"] == [[16, 0.0]]
+        rest, comp = rep.restriction_models[0], rep.compression_models[0]
+        y = build_Y_main(AmbientSpace(amb.model, 4288), rest, comp, comp, Y_SCHEDULE)
+        assert len(y.operator.rows[0][0]) == 1 + len(Y_SCHEDULE.values)
+        with pytest.raises(HypothesisViolated, match="^schedule shorter than the truncation$"):
+            build_Y_main(AmbientSpace(amb.model, 4289), rest, comp, comp, Y_SCHEDULE)
 
     def test_unequal_restriction_models_no_orbit(self):
         amb = AmbientSpace.build(monomial(2), 4)
