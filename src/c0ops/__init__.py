@@ -7,7 +7,6 @@ from .inner import ONE, InnerFunction, all_divisors, blaschke, divides, gcd, lcm
 from .jordan import (
     JordanModel,
     canonical_subspace,
-    interleaved_divisors,
     random_invariant_subspace,
     subspace_models,
 )

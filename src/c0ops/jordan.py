@@ -303,59 +303,32 @@ def subspace_models(
     return rest, rest.complement(ambient.theta, ambient.copies)
 
 
-def interleaved_divisors(
-    theta: InnerFunction,
-    restriction_model: JordanModel,
-    compression_model: JordanModel,
-    copies: int,
-) -> list[InnerFunction]:
-    """The gamma_n list: theta/phi_{n/2} for n even, psi_{(n-1)/2} for n odd.
-
-    Beyond the interleave length each gamma_n is theta (a zero summand).
-    """
-    interleave = 2 * max(len(restriction_model), len(compression_model))
-    if interleave > copies:
-        raise HypothesisViolated(f"need at least {interleave} copies, ambient has {copies}")
-    gammas = []
-    for n in range(copies):
-        if n >= interleave:
-            gammas.append(theta)
-        elif n % 2 == 0:
-            gammas.append(quotient(theta, restriction_model.part(n // 2)))
-        else:
-            k = (n - 1) // 2
-            gammas.append(
-                compression_model.parts[k]
-                if k < len(compression_model)
-                else theta
-            )
-    return gammas
-
-
 def canonical_subspace(
-    theta: InnerFunction,
+    ambient: AmbientSpace,
     restriction_model: JordanModel,
     compression_model: JordanModel,
-    copies: int,
-    ambient: AmbientSpace | None = None,
 ) -> SubspaceFrame:
-    """Frame for the canonical interleaved subspace in (+)_{n<copies} H(theta).
+    """Frame for the canonical interleaved subspace of (phi, psi) in the ambient's N copies of H(theta).
 
-    It is the direct sum of gamma_n H^2 (-) theta H^2 over the copies, so
-    the frame is kept per copy, one block per gamma_n. Copy n adds
-    S(theta/gamma_n) to the restriction and S(gamma_n) to the compression,
-    so a proper divisor phi_k or psi_k adds parts beyond the given models.
-    Past the interleave length gamma_n = theta, and those copies share one
-    empty block.
+    It is the direct sum of gamma_n H^2 (-) theta H^2 over the copies: for
+    k < L = max(len phi, len psi), copy 2k has gamma = theta/phi_k and copy
+    2k+1 has gamma = psi_k, and a part past its model's length gives
+    gamma = theta, a zero summand. The frame is kept per copy, one block
+    per distinct gamma, and the copies from 2L on share one empty block.
+    Copy n adds S(theta/gamma_n) to the restriction and S(gamma_n) to the
+    compression, so a proper divisor phi_k or psi_k adds parts beyond the
+    given models.
     """
+    theta, copies = ambient.theta, ambient.copies
     if restriction_model.parts and not inner.divides(restriction_model.parts[0], theta):
         raise HypothesisViolated("phi_0 must divide theta")
     if compression_model.parts and not inner.divides(compression_model.parts[0], theta):
         raise HypothesisViolated("psi_0 must divide theta")
-    if ambient is None:
-        ambient = AmbientSpace.build(theta, copies)
-    gammas = interleaved_divisors(theta, restriction_model, compression_model, copies)
-    head = gammas[: 2 * max(len(restriction_model), len(compression_model))]
+    length = max(len(restriction_model), len(compression_model))
+    if 2 * length > copies:
+        raise HypothesisViolated(f"need at least {2 * length} copies, ambient has {copies}")
+    psi = compression_model.parts + (theta,) * (length - len(compression_model))
+    head = [g for k in range(length) for g in (quotient(theta, restriction_model.part(k)), psi[k])]
     frame = {g: invariant_subspace_of_block(ambient.model, g).frame for g in dict.fromkeys(head)}
     empty = np.zeros((ambient.model.dim, 0), dtype=complex)
     return SubspaceFrame.per_copy(ambient, [frame[g] for g in head] + [empty] * (copies - len(head)))

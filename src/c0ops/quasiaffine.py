@@ -115,8 +115,18 @@ def _symbol(theta: InnerFunction, phi: InnerFunction, psi: InnerFunction) -> Inn
 
 
 def _require_member(frame: np.ndarray, v: ModelVector, message: str) -> None:
-    """Refuse v unless it lies in the span of the orthonormal frame; a non-finite v never does."""
-    if not np.linalg.norm(v.coords - frame @ (frame.conj().T @ v.coords)) <= SOLVER_TOL * max(1.0, v.norm):
+    """Refuse v unless it lies in the span of the orthonormal frame; a non-finite v never does.
+
+    The test ||v - P v|| <= SOLVER_TOL max(1, ||v||) is made on u = v / s,
+    s = max |v_i|, so no norm overflows however large v is; a zero v is a member.
+    """
+    scale = float(np.max(np.abs(v.coords), initial=0.0))
+    if scale == 0.0:
+        return
+    if not math.isfinite(scale):
+        raise HypothesisViolated(message)
+    u = v.coords / scale
+    if not np.linalg.norm(u - frame @ (frame.conj().T @ u)) <= SOLVER_TOL * max(1.0 / scale, np.linalg.norm(u)):
         raise HypothesisViolated(message)
 
 
@@ -370,6 +380,10 @@ def build_Y_main(
             raise HypothesisViolated("leading model part must divide theta")
     if n_copies < 2:
         raise HypothesisViolated("need at least two copies")
+    # row 0 is the longest row: slot w sits at Cantor index w(w+3)/2 on even
+    # copy 2j, j < ceil(N/2), so it has the largest k with k(k+1)/2 <= ceil(N/2)
+    if len(schedule.values) < (math.isqrt(8 * ((n_copies + 1) // 2) + 1) - 1) // 2:
+        raise HypothesisViolated("schedule shorter than the truncation")
 
     n_heads = n_copies // 2  # odd copies 1, 3, ..., one head per row
     # Cantor pair j = w(w+1)/2 + slot is (row, slot) = (w - slot, slot) and goes

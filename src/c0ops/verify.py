@@ -109,14 +109,15 @@ def verify_orbit(
     Y canon(rest1, comp1) with canon(rest1, comp1), not M1 and M2.
 
     The curve skips every N < 2 max(len rest1, len comp1), where the
-    canonical frame does not fit. A one-generator frame in N_in copies has
-    N_in - 1 compression parts, so under DEFAULT_SWEEP two equal such
-    frames in 10 or more copies read inconclusive with an empty curve.
-    From N = 4289 row 0 of Y has more slots than the 64 weights of
-    Y_SCHEDULE, so Y is refused and the verdict is inconclusive, with the
-    curve up to the last N that fit.
+    canonical frame does not fit; that bound is at least 2, since a
+    restriction model and its complement are never both empty. A
+    one-generator frame in N_in copies has N_in - 1 compression parts, so
+    under DEFAULT_SWEEP two equal such frames in 10 or more copies read
+    inconclusive with an empty curve. From N = 4289 row 0 of Y has more
+    slots than the 64 weights of Y_SCHEDULE, so Y is refused before any
+    row or frame at that N is built, and the verdict is inconclusive,
+    with the curve up to the last N that fit.
     """
-    theta = ambient.theta
     rest1, comp1 = subspace_models(ambient, m1)
     rest2, comp2 = subspace_models(ambient, m2)
     models_equal = rest1 == rest2
@@ -142,7 +143,7 @@ def verify_orbit(
     needed = 2 * max(len(rest1), len(comp1))
     curve = []
     for n_copies in sweep:
-        if n_copies < max(needed, 2):
+        if n_copies < needed:
             continue
         model_ambient = AmbientSpace(ambient.model, n_copies)
         try:
@@ -154,7 +155,7 @@ def verify_orbit(
                 verdict="inconclusive",
                 **base,
             )
-        canon = canonical_subspace(theta, rest1, comp1, n_copies, model_ambient)
+        canon = canonical_subspace(model_ambient, rest1, comp1)
         dist = principal_distance(image_closure(y_rec.operator, canon), canon)
         curve.append((n_copies, dist))
     ok = _curve_accepts(curve, gate)

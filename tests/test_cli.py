@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import c0ops
 from c0ops import errors, verify
-from c0ops.cli import EXIT_CODES, Exit, main
+from c0ops.cli import CONFIG_KEYS, EXIT_CODES, REQUIRED, Exit, main
 from c0ops.inner import monomial
 from c0ops.jordan import random_invariant_subspace
 from c0ops.subspaces import AmbientSpace
@@ -486,6 +487,26 @@ def test_readme_exit_table_lists_every_exit_code():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     table = readme.read_text().split("| exit | meaning |\n|---|---|\n")[1].split("\n\n")[0]
     assert [int(line.split("|")[1]) for line in table.splitlines()] == sorted(Exit)
+
+
+def test_readme_config_table_lists_every_config_key():
+    # each verb's backticked keys, in order, with the default shown in parentheses
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text().split("| verb | flags | config keys (default) |\n|---|---|---|\n")[1].split("\n\n")[0]
+    verbs = []
+    for line in table.splitlines():
+        verb, _, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        verb = verb.strip("`")
+        verbs.append(verb)
+        shown = re.findall(r"`(\w+)`(?: \(`([^`]+)`)?", keys)
+        expected = [
+            (key, "" if default is REQUIRED or default is None else json.dumps(default))
+            for key, (_, default) in CONFIG_KEYS.get(verb, {}).items()
+        ]
+        # the factorial schedule is the None default, shown by its config name
+        expected = [(key, '"factorial"' if key == "schedule" else value) for key, value in expected]
+        assert shown == expected, verb
+    assert sorted(verbs) == sorted(["jordan-model", *CONFIG_KEYS])
 
 
 FUZZ_POOL = [None, "x", [], {}, -1, 0, 2.5, True, [[0, 0]]]

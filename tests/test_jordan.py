@@ -13,14 +13,13 @@ import pytest
 import c0ops.jordan as jordan
 from c0ops.cli import main
 from c0ops.errors import C0OpsError, HypothesisViolated, IllConditioned, NotInvariant
-from c0ops.inner import ONE, InnerFunction, all_divisors, blaschke, divides, monomial, quotient
+from c0ops.inner import ONE, InnerFunction, all_divisors, blaschke, monomial, quotient
 from c0ops.jordan import (
     JordanModel,
     _model,
     _rank,
     canonical_subspace,
     chain_lengths,
-    interleaved_divisors,
     random_invariant_subspace,
     subspace_models,
 )
@@ -746,15 +745,10 @@ class TestCanonicalSubspace:
         theta = monomial(2)
         rest = JordanModel((monomial(2), monomial(1)))
         comp = JordanModel((monomial(1),))
-        gammas = interleaved_divisors(theta, rest, comp, 6)
-        # even slots theta/phi_k, odd slots psi_k, theta-padded beyond
-        assert gammas[0] == ONE
-        assert gammas[1] == monomial(1)
-        assert gammas[2] == monomial(1)
-        assert gammas[3] == theta
-        assert gammas[4] == theta and gammas[5] == theta
-        for g in gammas:
-            assert divides(g, theta)
+        canon = canonical_subspace(AmbientSpace.build(theta, 6), rest, comp)
+        # even copies theta/phi_k, odd copies psi_k, theta-padded beyond:
+        # gammas (1, z, z, theta, theta, theta), each block d - deg gamma_n wide
+        assert [b.shape[1] for _, b in canon.groups] == [2, 1, 1, 0, 0, 0]
 
     def test_canonical_subspace_is_invariant_with_right_models(self):
         # take models of an actual subspace, rebuild the canonical form in
@@ -765,7 +759,7 @@ class TestCanonicalSubspace:
         rest, comp = subspace_models(small, m)
         n = 2 * max(len(rest), len(comp), 1)
         wide = AmbientSpace.build(theta, n)
-        canon = canonical_subspace(theta, rest, comp, n, wide)
+        canon = canonical_subspace(wide, rest, comp)
         ok, res = is_invariant(canon)
         assert ok, res
         got_rest, _ = subspace_models(wide, canon)
@@ -775,15 +769,15 @@ class TestCanonicalSubspace:
         theta = monomial(2)
         rest = JordanModel((theta, theta, theta))
         with pytest.raises(HypothesisViolated, match="^need at least 6 copies, ambient has 4$"):
-            canonical_subspace(theta, rest, JordanModel(), 4)
+            canonical_subspace(AmbientSpace.build(theta, 4), rest, JordanModel())
 
     def test_leading_parts_must_divide_theta(self):
         # build_Y_main refuses the same fact with the same type
-        theta, cube = monomial(2), JordanModel((monomial(3),))
+        amb, cube = AmbientSpace.build(monomial(2), 4), JordanModel((monomial(3),))
         with pytest.raises(HypothesisViolated, match="^phi_0 must divide theta$"):
-            canonical_subspace(theta, cube, JordanModel(), 4)
+            canonical_subspace(amb, cube, JordanModel())
         with pytest.raises(HypothesisViolated, match="^psi_0 must divide theta$"):
-            canonical_subspace(theta, JordanModel(), cube, 4)
+            canonical_subspace(amb, JordanModel(), cube)
 
     def test_models_carried_by_a_proper_divisor_pair(self):
         # copy n adds S(theta/gamma_n) to the restriction and S(gamma_n) to
@@ -791,7 +785,7 @@ class TestCanonicalSubspace:
         a, b = blaschke(0.3), blaschke(-0.4j)
         theta = a * b
         amb = AmbientSpace.build(theta, 6)
-        canon = canonical_subspace(theta, JordanModel((theta, a)), JordanModel((b,)), 6, amb)
+        canon = canonical_subspace(amb, JordanModel((theta, a)), JordanModel((b,)))
         rest, comp = subspace_models(amb, canon)
         assert rest == JordanModel((theta, a, a))
         assert comp == JordanModel((theta, theta, theta, b, b))
@@ -818,7 +812,7 @@ class TestCanonicalSubspace:
         for n in (16, 128):
             amb = AmbientSpace.build(theta, n)
             counts.update(hash=0, eq=0)
-            canon = canonical_subspace(theta, rest, comp, n, amb)
+            canon = canonical_subspace(amb, rest, comp)
             seen.append(dict(counts))
             assert canon.dim == 8
         assert seen[0] == seen[1]
@@ -855,6 +849,6 @@ class TestDegreeCap:
             amb = AmbientSpace(one.model, n)
             half = JordanModel((theta,) * (n // 2))
             start = time.perf_counter()
-            models = subspace_models(amb, canonical_subspace(theta, half, JordanModel((theta,)), n, amb))
+            models = subspace_models(amb, canonical_subspace(amb, half, JordanModel((theta,))))
             assert time.perf_counter() - start <= 2.0
             assert models == (half, half)

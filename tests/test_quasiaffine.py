@@ -9,7 +9,7 @@ import pytest
 
 from c0ops.errors import HypothesisViolated
 from c0ops.inner import ONE, InnerFunction, all_divisors, blaschke, divides, monomial, quotient
-from c0ops.jordan import JordanModel, canonical_subspace, interleaved_divisors, random_invariant_subspace
+from c0ops.jordan import JordanModel, canonical_subspace, random_invariant_subspace
 from c0ops.model_space import ModelVector, build_model_space, functional_calculus
 from c0ops.quasiaffine import (
     WeightSchedule,
@@ -78,10 +78,15 @@ class TestSolver:
         assert abs(f.norm - g.norm) <= 1e-9 * max(1.0, g.norm)
 
     def test_rejects_target_outside_subspace(self):
+        # at 1e160 the norm of g overflows, which must not make the membership test vacuous
         space = build_model_space(monomial(3))
-        g = ModelVector(space, np.array([1.0, 0, 0], dtype=complex))
-        with pytest.raises(HypothesisViolated, match=r"^g lies outside psi H\^2 \(-\) theta H\^2$"):
-            solve_norm_preserving(space, monomial(2), monomial(2), g)
+        for scale in (1.0, 1e160):
+            g = ModelVector(space, np.array([scale, 0, 0], dtype=complex))
+            with pytest.raises(HypothesisViolated, match=r"^g lies outside psi H\^2 \(-\) theta H\^2$"):
+                solve_norm_preserving(space, monomial(2), monomial(2), g)
+        member = invariant_subspace_of_block(space, monomial(2)).frame[:, 0]
+        f = solve_norm_preserving(space, monomial(2), monomial(2), ModelVector(space, 1e160 * member))
+        assert np.all(np.isfinite(f.coords))
 
 
 class TestBuildX:
@@ -357,8 +362,8 @@ class TestBuildY:
                             assert not blk.any()
                         elif i == j and label[i][0] == "free":
                             assert np.array_equal(blk, np.eye(d))
-                m1 = canonical_subspace(theta, rest, psi, n, amb)
-                m2 = canonical_subspace(theta, rest, psi, n, amb)
+                m1 = canonical_subspace(amb, rest, psi)
+                m2 = canonical_subspace(amb, rest, psi)
                 dist = principal_distance(image_closure(dense(rec.operator), m1), m2)
                 assert dist <= 1e-10
 
@@ -376,9 +381,9 @@ class TestBuildY:
             assert np.abs(y[d : 2 * d, :d]).max() > 0.1  # head copy 1 from slot copy 0
             used = {c for c, _, _ in pairing(rec)} | {2 * r + 1 for _, r, _ in pairing(rec)}
             assert len(used) < n
-            m1 = canonical_subspace(theta, rest, psi, n, amb)
+            m1 = canonical_subspace(amb, rest, psi)
             # Y carries canon(phi, psi) into canon(phi, tau)
-            m2 = canonical_subspace(theta, rest, tau, n, amb).frame
+            m2 = canonical_subspace(amb, rest, tau).frame
             img = image_closure(rec.operator, m1).frame
             assert np.linalg.norm(img - m2 @ (m2.conj().T @ img), 2) <= 1e-12
 
@@ -418,10 +423,13 @@ class TestBuildY:
         for rest, psi, tau in triples:
             for n in (8, 16, 32, 64):
                 amb = AmbientSpace(space, n)
-                m_psi = canonical_subspace(theta, rest, psi, n, amb)
-                m_tau = canonical_subspace(theta, rest, tau, n, amb)
-                # the dense frame of the per-copy layout, byte for byte
-                gammas = interleaved_divisors(theta, rest, psi, n)
+                m_psi = canonical_subspace(amb, rest, psi)
+                m_tau = canonical_subspace(amb, rest, tau)
+                # the dense frame of the per-copy layout, byte for byte: copy 2k
+                # holds (theta/phi_k)H^2 (-) theta H^2, copy 2k+1 psi_k H^2 (-) theta H^2
+                gammas = [theta] * n
+                gammas[0 : 2 * len(rest) : 2] = [quotient(theta, phi) for phi in rest.parts]
+                gammas[1 : 2 * len(psi) : 2] = psi.parts
                 blocks = [invariant_subspace_of_block(space, g).frame for g in gammas]
                 expected = np.zeros((n * d, sum(b.shape[1] for b in blocks)), dtype=complex)
                 col = 0
@@ -465,8 +473,8 @@ class TestBuildY:
         try:
             start = time.perf_counter()
             rec = build_Y_main(amb, rest, psi, psi, WeightSchedule.factorial(64))
-            m1 = canonical_subspace(theta, rest, psi, n, amb)
-            m2 = canonical_subspace(theta, rest, psi, n, amb)
+            m1 = canonical_subspace(amb, rest, psi)
+            m2 = canonical_subspace(amb, rest, psi)
             dist = principal_distance(image_closure(rec.operator, m1), m2)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]

@@ -1,6 +1,7 @@
 """Orbit verdicts, the witness search, and the conjugated-ambient demo."""
 
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -55,7 +56,7 @@ class TestVerifyOrbit:
         # where a thresholded rank dropped 6 of the 192 image directions
         theta, n = monomial(2), 192
         amb = AmbientSpace.build(theta, n)
-        m = canonical_subspace(theta, JordanModel((theta,) * (n // 2)), JordanModel((theta,)), n, amb)
+        m = canonical_subspace(amb, JordanModel((theta,) * (n // 2)), JordanModel((theta,)))
         rep = verify_orbit(amb, m, m, sweep=(n,))
         assert rep.verdict == "orbit"
         assert rep.distance_curve[-1][1] <= 1e-12
@@ -66,7 +67,7 @@ class TestVerifyOrbit:
         # group by group
         theta = blaschke(0.3) * blaschke(-0.4j)
         amb = AmbientSpace.build(theta, 6)
-        m = canonical_subspace(theta, JordanModel((theta, blaschke(0.3))), JordanModel((blaschke(-0.4j),)), 6, amb)
+        m = canonical_subspace(amb, JordanModel((theta, blaschke(0.3))), JordanModel((blaschke(-0.4j),)))
         rep = verify_orbit(amb, m, m, sweep=(16, 32, 64))
         assert rep.verdict == "orbit"
         assert [n for n, _ in rep.distance_curve] == [16, 32, 64]
@@ -75,7 +76,7 @@ class TestVerifyOrbit:
             amb_n = AmbientSpace(amb.model, n)
             y = build_Y_main(amb_n, rest, comp, comp, Y_SCHEDULE)
             assert any(head for _, _, head in y.operator.rows)
-            frame = SubspaceFrame(amb_n, canonical_subspace(theta, rest, comp, n, amb_n).frame)
+            frame = SubspaceFrame(amb_n, canonical_subspace(amb_n, rest, comp).frame)
             dense_dist = principal_distance(image_closure(dense(y.operator), frame), frame)
             assert dist <= 1e-12
             assert abs(dist - dense_dist) <= 1e-12
@@ -85,7 +86,7 @@ class TestVerifyOrbit:
         # so Y is refused and the curve stops at the last N that fit
         theta = monomial(2)
         amb = AmbientSpace.build(theta, 4)
-        m = canonical_subspace(theta, JordanModel((theta, theta)), JordanModel((theta, theta)), 4, amb)
+        m = canonical_subspace(amb, JordanModel((theta, theta)), JordanModel((theta, theta)))
         rep = verify_orbit(amb, m, m, sweep=(16, 4300))
         assert rep.verdict == "inconclusive"
         assert rep.to_dict()["distance_curve"] == [[16, 0.0]]
@@ -94,6 +95,23 @@ class TestVerifyOrbit:
         assert len(y.operator.rows[0][0]) == 1 + len(Y_SCHEDULE.values)
         with pytest.raises(HypothesisViolated, match="^schedule shorter than the truncation$"):
             build_Y_main(AmbientSpace(amb.model, 4289), rest, comp, comp, Y_SCHEDULE)
+
+    def test_a_sweep_past_the_schedule_refuses_before_it_builds_rows(self):
+        # the length of Y's row 0 is read from N alone, so at N = 10^6 the
+        # refusal comes before any Cantor list, row list or frame of that N
+        theta = monomial(2)
+        amb = AmbientSpace.build(theta, 4)
+        m = canonical_subspace(amb, JordanModel((theta, theta)), JordanModel((theta, theta)))
+        tracemalloc.start()
+        try:
+            rep = verify_orbit(amb, m, m, sweep=(16, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "inconclusive"
+        assert rep.to_dict()["distance_curve"] == [[16, 0.0]]
+        assert peak <= 4 * 2**20
+        assert verify_orbit(amb, m, m, sweep=(16, 4288)).verdict == "orbit"
 
     def test_unequal_restriction_models_no_orbit(self):
         amb = AmbientSpace.build(monomial(2), 4)
