@@ -33,13 +33,14 @@ class InnerFunction:
     def __post_init__(self):
         norm = []
         for a, m in self.zeros:
-            a = complex(a)
-            m = int(m)
+            a, k = complex(a), int(m)
+            if k != m:
+                raise ValueError(f"multiplicity {m!r} is not an integer")
             if not abs(a) <= MAX_RADIUS:  # also refuses a NaN zero
                 raise ValueError(f"zero {a} too close to the unit circle")
-            if m < 1:
-                raise ValueError(f"multiplicity {m} < 1")
-            norm.append((a, m))
+            if k < 1:
+                raise ValueError(f"multiplicity {k} < 1")
+            norm.append((a, k))
         norm.sort(key=lambda zm: _zero_key(zm[0]))
         merged: list[tuple[complex, int]] = []
         for a, m in norm:

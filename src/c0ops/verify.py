@@ -48,7 +48,7 @@ DEFAULT_GATE = 0.05
 CONVERGED_TOL = 1e-8
 CURVE_SLACK = 1e-10
 Y_SCHEDULE = WeightSchedule.factorial(64)  # the diagonal weights of every Y
-# the most records an exact search enumerates; a search at the cap peaks below 0.5 GB
+# the most records an exact search enumerates, counted before it starts; a search at the cap peaks below 0.5 GB
 MAX_SUBSPACES = 2**18
 
 
@@ -179,20 +179,6 @@ def _undominated(pairs: set) -> frozenset:
     )
 
 
-def _record_bound(block_degrees: tuple[int, ...], step: Fraction) -> int:
-    """An upper bound on the records ``_subspace_records`` enumerates, in closed form.
-
-    With n = sum d_i and reach = max(1/step, 1), rounded down: n units, at
-    most 4 reach records per unordered pair of places in different blocks
-    (2 reach forward, at most 2 reach backward), and prod (d_i + 1) - 1 - n
-    lattice elements with two or more nonempty blocks.
-    """
-    reach = max(step.denominator // step.numerator, 1)
-    n = sum(block_degrees)
-    cross_pairs = (n * n - sum(d * d for d in block_degrees)) // 2
-    return n + 4 * reach * cross_pairs + (prod(d + 1 for d in block_degrees) - 1 - n)
-
-
 def _subspace_records(block_degrees: tuple[int, ...], step: Fraction) -> list[tuple[tuple, frozenset | tuple, tuple]]:
     """(restriction model degrees, orbit type, recipe) of each subspace the search enumerates, in order.
 
@@ -222,10 +208,10 @@ def _subspace_records(block_degrees: tuple[int, ...], step: Fraction) -> list[tu
       p_1, ... down the block of i from i and t p_0, t p_1, ... down that
       of j, so a support of two entries leaves w = p_0 v: the one repeat
       is e_i + t e_j, i > j, with 1/t on the grid, met earlier as
-      t (e_j + (1/t) e_i).  With t = k p/q, 1/t is on the grid iff
-      q^2 / (k p^2) is an integer k' with |k'| <= reach.  Within one block
-      e_i + t e_j is (1 + c T^|i-j|) e_min(i,j) times a scalar, c = t or
-      1/t, so it spans a unit's chain and is left out.
+      t (e_j + (1/t) e_i).  For a step p/q in lowest terms and t = k p/q,
+      1/t = k' p/q means k k' p^2 = q^2, so p = 1, |k| = q and t = +-1.
+      Within one block e_i + t e_j is (1 + c T^|i-j|) e_min(i,j) times a
+      scalar, c = t or 1/t, so it spans a unit's chain and is left out.
     - The lattice element (+)_i z^{k_i}H^2 (-) z^{d_i}H^2 restricts to the
       S(z^{p_i}), p_i = d_i - k_i, so its model is the nonzero p_i in
       descending order and its type the multiset of (d_i, p_i), kept as
@@ -234,17 +220,18 @@ def _subspace_records(block_degrees: tuple[int, ...], step: Fraction) -> list[tu
       span; distinct parts span distinct subspaces.
 
     Recipes: (i,) for e_i, (i, j, k) for e_i + (k step) e_j, the parts
-    (p_0, p_1, ...) for a lattice element.  A search whose
-    ``_record_bound`` exceeds MAX_SUBSPACES is refused before any record
-    is built.
+    (p_0, p_1, ...) for a lattice element.  A pair of places in different
+    blocks gives 4 reach records, 2 fewer when p = 1; so the count is known
+    first, and a search above MAX_SUBSPACES builds nothing.
     """
-    bound = _record_bound(block_degrees, step)
-    if bound > MAX_SUBSPACES:
-        raise HypothesisViolated(f"the search would enumerate up to {bound} subspaces, above the cap {MAX_SUBSPACES}")
     p, q = step.numerator, step.denominator
     reach = max(q // p, 1)
+    cross_pairs = (sum(block_degrees) ** 2 - sum(d * d for d in block_degrees)) // 2
+    count = cross_pairs * (4 * reach - (2 if p == 1 else 0)) + prod(d + 1 for d in block_degrees) - 1
+    if count > MAX_SUBSPACES:
+        raise HypothesisViolated(f"the search would enumerate {count} subspaces, above the cap {MAX_SUBSPACES}")
     forward = [k for k in range(-reach, reach + 1) if k]
-    backward = [k for k in forward if q * q % (k * p * p) or abs(q * q // (k * p * p)) > reach]
+    backward = [k for k in forward if p > 1 or abs(k) < reach]
     places = [(b, e, d) for b, d in enumerate(block_degrees) for e in range(d)]
     records = [((d - e,), frozenset({(e, d)}), (i,)) for i, (_, e, d) in enumerate(places)]
     cross = {}  # (key, type) of a pair i < j, kept until the pair (j, i) comes

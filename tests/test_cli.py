@@ -201,12 +201,12 @@ def test_counterexample_budget_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config, bound",
-    [({"blocks": [1] * 30}, 1073853183), ({"grid_denominator": 1000000000}, 8000000005)],
+    "config, count",
+    [({"blocks": [1] * 30}, 1073852313), ({"grid_denominator": 1000000000}, 8000000001)],
     ids=["thirty-blocks", "denominator-1e9"],
 )
-def test_counterexample_past_the_cap_exits_4(tmp_path, monkeypatch, capsys, config, bound):
-    # the closed-form bound refuses before the grid (range) or the lattice (product) is built
+def test_counterexample_past_the_cap_exits_4(tmp_path, monkeypatch, capsys, config, count):
+    # the closed-form count refuses before the grid (range) or the lattice (product) is built
     def refuse(*args):
         raise AssertionError("the search enumerated")
 
@@ -219,7 +219,7 @@ def test_counterexample_past_the_cap_exits_4(tmp_path, monkeypatch, capsys, conf
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"hypothesis error: the search would enumerate up to {bound} subspaces, above the cap 262144\n"
+    assert captured.err == f"hypothesis error: the search would enumerate {count} subspaces, above the cap 262144\n"
 
 
 def test_cordiag_demo_agreement(tmp_path, capsys):
@@ -366,6 +366,11 @@ Z2_7 = {"zeros": [{"re": 0.0, "im": 0.0, "mult": 2.7}]}
         (JORDAN, _subspace_with(theta={"zeros": [{"re": 0.0, "im": 0.0, "mult": 2, "junk": 1}]})),
         (JORDAN, _subspace_with(theta={**Z2, "junk": 1})),
         (SWEEP, {**DENSITY, "theta": Z2_7}),
+        (SWEEP, {**DENSITY, "theta": {"zeros": []}}),
+        (SWEEP, {**{k: v for k, v in DENSITY.items() if k != "phi_all"}, "copies": 4, "phi": [Z1, Z1]}),
+        (DEMO_ARGV, {**DEMO, "similarity": np.eye(3).tolist()}),
+        # the results are already on stdout when the write fails
+        ([*SEARCH, "--out", "missing/out.json"], {"blocks": [1, 1], "grid_denominator": 1}),
     ],
     ids=[
         "readme-pair-zeros",
@@ -394,6 +399,10 @@ Z2_7 = {"zeros": [{"re": 0.0, "im": 0.0, "mult": 2.7}]}
         "zero-unknown-key",
         "theta-unknown-key",
         "density-fractional-mult",
+        "theta-without-zeros",
+        "phi-shorter-than-copies",
+        "similarity-not-deg-theta-square",
+        "out-into-missing-directory",
     ],
 )
 def test_malformed_input_is_parse_error(tmp_path, monkeypatch, capsys, argv, payload):

@@ -225,30 +225,64 @@ BOUNDED_SEARCHES = [
 ]
 
 
-def test_record_bound_covers_every_search():
+def test_record_count_is_exact_on_every_search(monkeypatch):
+    # the refusal names the closed-form count; one below each grid's record count, it names that count
     grids = [(b, step) for b in SHAPES for step in STEPS] + BOUNDED_SEARCHES
     grids += [(b, Fraction(1, q)) for b, q in SEARCHES + KEYED_SEARCHES]
+    cap = verify.MAX_SUBSPACES
+    counts = {}
     for blocks, step in grids:
-        bound = verify._record_bound(tuple(blocks), step)
-        assert len(_subspace_records(tuple(blocks), step)) <= bound <= verify.MAX_SUBSPACES, (blocks, step)
-    # the largest search enumerates 86592 subspaces (tests/test_verify.py)
-    assert verify._record_bound((16, 16, 16, 16), Fraction(1)) == 89664
+        count = counts[tuple(blocks), step] = len(_subspace_records(tuple(blocks), step))
+        assert count <= cap, (blocks, step)
+        monkeypatch.setattr(verify, "MAX_SUBSPACES", count - 1)
+        with pytest.raises(HypothesisViolated, match=f"^the search would enumerate {count} subspaces, above the cap {count - 1}$"):
+            _subspace_records(tuple(blocks), step)
+        monkeypatch.setattr(verify, "MAX_SUBSPACES", cap)
+    # the largest search (tests/test_verify.py)
+    assert counts[(16, 16, 16, 16), Fraction(1)] == 86592
 
 
 @pytest.mark.parametrize(
-    "blocks, step, bound",
-    [([1] * 18, Fraction(1), 262755), ([2, 2], Fraction(1, 65536), 1048584), ([1] * 30, Fraction(1), 1073743563)],
+    "blocks, step",
+    [([2, 1], Fraction(1, 16)), ([3, 2, 1], Fraction(1)), ([1, 1, 1], Fraction(2, 3))],
+    ids=["2-1@1/16", "3-2-1@1", "1-1-1@2/3"],
+)
+def test_the_cap_is_exact(monkeypatch, blocks, step):
+    count = len(_subspace_records(tuple(blocks), step))
+    monkeypatch.setattr(verify, "MAX_SUBSPACES", count)
+    assert counterexample_search(blocks, step, budget=1).subspace_count == count
+    monkeypatch.setattr(verify, "MAX_SUBSPACES", count - 1)
+    with pytest.raises(HypothesisViolated, match=f"^the search would enumerate {count} subspaces, above the cap {count - 1}$"):
+        counterexample_search(blocks, step, budget=1)
+
+
+def test_a_grid_under_the_cap_by_its_exact_count_is_enumerated(monkeypatch):
+    # [60, 60, 60]@1 has 248580 records, under the cap 262144, so it passes the cap and reaches the lattice (product)
+    class Enumerated(Exception):
+        pass
+
+    def enumerated(*args, **kwargs):
+        raise Enumerated
+
+    monkeypatch.setattr(verify, "product", enumerated)
+    with pytest.raises(Enumerated):
+        counterexample_search([60, 60, 60], Fraction(1), budget=1)
+
+
+@pytest.mark.parametrize(
+    "blocks, step, count",
+    [([1] * 18, Fraction(1), 262449), ([2, 2], Fraction(1, 65536), 1048576), ([1] * 30, Fraction(1), 1073742693)],
     ids=["1x18@1", "2-2@1/65536", "1x30@1"],
 )
-def test_search_past_the_cap_is_refused_before_it_enumerates(monkeypatch, blocks, step, bound):
-    # the closed-form bound refuses before the grid (range) or the lattice (product) is built
+def test_search_past_the_cap_is_refused_before_it_enumerates(monkeypatch, blocks, step, count):
+    # the closed-form count refuses before the grid (range) or the lattice (product) is built
     def refuse(*args):
         raise AssertionError("the search enumerated")
 
     monkeypatch.setattr(verify, "product", refuse)
     monkeypatch.setattr(verify, "range", refuse, raising=False)
     start = time.perf_counter()
-    with pytest.raises(HypothesisViolated, match=f"^the search would enumerate up to {bound} subspaces, above the cap 262144$"):
+    with pytest.raises(HypothesisViolated, match=f"^the search would enumerate {count} subspaces, above the cap 262144$"):
         counterexample_search(blocks, step, budget=1)
     assert time.perf_counter() - start <= 0.5
 

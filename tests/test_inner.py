@@ -1,5 +1,6 @@
 """Blaschke-product arithmetic: multiset lattice laws and normalization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +94,26 @@ def test_zero_outside_disc_rejected():
         blaschke(1 - 1e-12)
     with pytest.raises(ValueError):
         InnerFunction(((complex(float("nan"), 0), 1),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: InnerFunction(((0.3, 2.7),)), "multiplicity 2.7 is not an integer"),
+        (lambda: monomial(2.5), "multiplicity 2.5 is not an integer"),
+        (lambda: blaschke(0.3, 0), "multiplicity 0 < 1"),
+        (lambda: blaschke(0.3, -1), "multiplicity -1 < 1"),
+    ],
+    ids=["fraction", "fractional-monomial", "zero", "negative"],
+)
+def test_multiplicity_must_be_a_positive_integer(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_integral_multiplicities_of_other_types_are_kept():
+    assert InnerFunction(((0.3, np.int64(2)),)) == InnerFunction(((0.3, 2.0),)) == blaschke(0.3, 2)
+    assert type(InnerFunction(((0.3, 2.0),)).zeros[0][1]) is int
 
 
 def test_evaluate_blaschke_factor():

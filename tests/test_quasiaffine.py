@@ -546,3 +546,21 @@ class TestCompressionIntertwiner:
         x = np.diag(np.arange(1.0, 5.0)).astype(complex)
         with pytest.raises(HypothesisViolated, match="^X does not intertwine the ambients$"):
             compression_intertwiner(amb, m, amb, m, x)
+
+    # "compressions are not intertwined" follows from the two checks before it in exact
+    # arithmetic (X T1 = T2 X, and X M1 lies in the invariant M2), so no test reaches it
+    def test_rejects_an_image_off_m2(self):
+        amb = AmbientSpace.build(monomial(2), 2)
+        m1 = random_invariant_subspace(amb, np.random.default_rng(2))
+        m2 = random_invariant_subspace(amb, np.random.default_rng(5))
+        x = np.eye(amb.total_dim, dtype=complex)
+        with pytest.raises(HypothesisViolated, match="^closure of X M1 is not M2$"):
+            compression_intertwiner(amb, m1, amb, m2, x)
+
+    def test_rejects_a_compression_map_without_full_row_rank(self):
+        # X = 0 intertwines and carries the zero subspace onto itself, but A = 0
+        amb = AmbientSpace.build(monomial(2), 2)
+        zero = SubspaceFrame(amb, np.zeros((amb.total_dim, 0)))
+        x = np.zeros((amb.total_dim, amb.total_dim), dtype=complex)
+        with pytest.raises(HypothesisViolated, match="^A does not have full row rank$"):
+            compression_intertwiner(amb, zero, amb, zero, x)

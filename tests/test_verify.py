@@ -18,7 +18,10 @@ from c0ops.model_space import build_model_space
 from c0ops.quasiaffine import build_Y_main
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, image_closure, principal_distance
 from c0ops.verify import (
+    CURVE_SLACK,
+    DEFAULT_GATE,
     Y_SCHEDULE,
+    _curve_accepts,
     _record_basis,
     _subspace_records,
     cordiag_demo,
@@ -141,6 +144,24 @@ class TestVerifyOrbit:
                 assert not (
                     rep.restriction_models_equal and rep.compression_divisibility
                 )
+
+
+@pytest.mark.parametrize(
+    "values, accepted",
+    [
+        ([], False),
+        ([0.01, 0.02, 0.06], False),  # the final point is above the gate
+        ([1e-9, 1e-12, 5e-9], True),  # at roundoff everywhere, so not read for monotonicity
+        ([0.04, 0.03, 0.02, 0.01], True),
+        ([0.04, 0.01, 0.02], False),  # a rising tail
+        ([0.03, 0.02, 0.02 + CURVE_SLACK / 2], True),  # a rise within the slack
+        ([0.01, 0.04, 0.03, 0.02, 0.01], True),  # a rise before the last three points
+    ],
+    ids=["empty", "above-gate", "converged", "falling", "rising", "within-slack", "early-rise"],
+)
+def test_curve_rule(values, accepted):
+    curve = [(4 * (i + 1), v) for i, v in enumerate(values)]
+    assert _curve_accepts(curve, DEFAULT_GATE) is accepted
 
 
 class TestCounterexample:
