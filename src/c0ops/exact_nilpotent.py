@@ -12,18 +12,19 @@ only for a witness and reads the witness's compression models from its
 type in closed form, so it runs no elimination of this module and
 nothing here builds the commutant.
 
-A Jordan model is read from the ranks of images: rank (T|M)^k = dim T^k M,
-and the compression to M^perp, similar to T on Q^n / M, has
-rank = dim(T^k Q^n + M) - dim M.  Each basis vector is scaled to integers
-once, and one fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
-forms no fraction: it gives the ranks and the Krylov pivots.  The
-elimination works over any ring with exact division; the tests'
-commutant oracle runs it over Z[t_0, ...] for its determinant
-certificate, and keeps the reduced forms and the rational restriction
-matrices that are the tests' reference for these models.  The models
-cross-check the floating pipeline and the search's closed-form
-compression models.  ``exact_subspace_models`` alone takes
-and returns symbolic matrices, and it imports their package when it runs.
+A restriction model is read from the ranks of images: rank (T|M)^k =
+dim T^k M.  Each basis vector is scaled to integers once, and one
+fraction-free elimination (Bareiss, Math. Comp. 22, 1968) forms no
+fraction: it gives the ranks and the Krylov pivots.  On a uniform sum the
+compression model is the rectangle complement of the restriction model
+(Klein's rule, ``JordanModel.complement``), as in the floating
+``subspace_models``.  The elimination works over any ring with exact
+division; the tests' commutant oracle runs it over Z[t_0, ...] for its
+determinant certificate, and keeps the elimination read of the
+compression, the reduced forms and the rational restriction matrices that
+are the tests' reference for these models.  The models cross-check the
+floating pipeline.  ``exact_subspace_models`` alone takes and returns
+symbolic matrices, and it imports their package when it runs.
 """
 
 from __future__ import annotations
@@ -120,43 +121,26 @@ def orbit_closure(t_op: NilpotentSum, vectors: list[list]) -> list[list]:
     return [cols[j] for j in _echelon(krylov)[1]]
 
 
-def _image_model(t_op: NilpotentSum, vectors: list[list[int]], modulo: list | tuple = ()) -> JordanModel:
-    """Jordan model of T acting on the span of ``vectors`` modulo the span of ``modulo``.
+def restriction_model(t_op: NilpotentSum, basis: list[list]) -> JordanModel:
+    """Jordan model of T|M for an invariant M = span(basis).
 
-    The integer vectors of ``modulo`` are independent.  rank T^k =
-    rank(modulo + T^k vectors) - len(modulo) by Bareiss elimination, for
-    k = 0 up to the largest block degree or the first rank 0.
+    rank (T|M)^k = dim T^k M, the Bareiss rank of the images, for k = 0
+    up to the largest block degree or the first rank 0.
     """
-    ranks = []
+    vectors, ranks = [_integral(b) for b in basis], []
     for _ in range(max(t_op.block_degrees) + 1):
-        ranks.append(len(_echelon([*modulo, *vectors])[1]) - len(modulo))
+        ranks.append(len(_echelon(vectors)[1]))
         if not ranks[-1]:
             break
         vectors = [w for w in map(t_op.apply, vectors) if any(w)]
     return JordanModel(tuple(monomial(s) for s in chain_lengths(ranks)))
 
 
-def _units(n: int) -> list[list[int]]:
-    return [[int(i == j) for i in range(n)] for j in range(n)]
-
-
-def restriction_model(t_op: NilpotentSum, basis: list[list]) -> JordanModel:
-    """Jordan model of T|M for an invariant M = span(basis): rank (T|M)^k = dim T^k M."""
-    return _image_model(t_op, [_integral(b) for b in basis])
-
-
-def compression_model(t_op: NilpotentSum, basis: list[list]) -> JordanModel:
-    """Jordan model of P_{M^perp} T | M^perp for an invariant M spanned by the independent basis.
-
-    The compression is similar to T on Q^n / M, and T^k Q^n is spanned by
-    the images of the unit vectors, so rank = dim(T^k Q^n + M) - dim M.
-    """
-    modulo = [_integral(b) for b in basis]
-    return _image_model(t_op, _units(t_op.n), modulo)
-
-
 def exact_subspace_models(d: int, copies: int, vectors: list):
-    """Restriction and compression models of an orbit-closure subspace.
+    """Restriction and compression models of an orbit-closure subspace in ``copies`` copies of S(z^d).
+
+    The compression model is the rectangle complement of the restriction
+    model (Klein's rule).
 
     Each vector is a ``sympy.Matrix`` or a sequence whose entries are
     ``int``, ``Fraction`` or sympy ``Rational``; any other entry is refused
@@ -173,5 +157,5 @@ def exact_subspace_models(d: int, copies: int, vectors: list):
 
     t_op = NilpotentSum([d] * copies)
     basis = orbit_closure(t_op, [[exact(x) for x in v] for v in vectors])
-    rest, comp = restriction_model(t_op, basis), compression_model(t_op, basis)
-    return rest, comp, sp.Matrix(t_op.n, len(basis), lambda i, j: basis[j][i])
+    rest = restriction_model(t_op, basis)
+    return rest, rest.complement(monomial(d), copies), sp.Matrix(t_op.n, len(basis), lambda i, j: basis[j][i])

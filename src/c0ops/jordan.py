@@ -290,7 +290,13 @@ def subspace_models(
     the restriction of the Jordan ambient to (I (x) C^{-1}) M, which is
     read in its place. The compression model is the rectangle complement
     of the restriction model (JordanModel.complement, Klein's rule).
+    M's own ambient must have the same theta, copies and similarity.
     """
+    home = m_frame.ambient
+    if (home.theta, home.copies) != (ambient.theta, ambient.copies) or not np.array_equal(
+        home.similarity, ambient.similarity
+    ):
+        raise HypothesisViolated("the frame lives in another ambient")
     ok, residual = is_invariant(m_frame)
     if not ok:
         raise NotInvariant(f"invariance residual {residual:.3e}")

@@ -363,12 +363,8 @@ def _grouped_image(y: CopyBlocks, m_frame: SubspaceFrame) -> SubspaceFrame:
     if not work:
         return m_frame
     for order, m_parts, rows in _join(work, coupled):
-        weights = scale[list(order)]
-        if not rows and len(m_parts) == 1 and np.all(weights == weights[0]):
-            groups.append(m_parts[0])
-            continue
         frame = _stack(m_parts, order, d)
-        image = frame * np.repeat(weights, d)[:, None]
+        image = frame * np.repeat(scale[list(order)], d)[:, None]
         pos = {c: i for i, c in enumerate(order)}
         for copy_list, head in rows:
             first = d * pos[copy_list[0]]

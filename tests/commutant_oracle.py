@@ -8,8 +8,10 @@ integers and certifies invertibility by a determinant over Z[t_0, ...],
 on the one Bareiss elimination of ``exact_nilpotent._echelon``.  It also
 holds what only the tests read: the reduced row echelon form, the integer
 and rational nullspaces, the rational restriction and compression
-matrices, and the Jordan model of a nilpotent matrix from the ranks of its
-powers, the independent reference for the image-rank models.
+matrices, the Jordan model of a nilpotent matrix from the ranks of its
+powers, the independent reference for the image-rank models, and the
+compression model read by elimination modulo M, the reference for Klein's
+rule and the search's closed-form cotypes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from c0ops.exact_nilpotent import NilpotentSum, _echelon, _integral, _units
+from c0ops.exact_nilpotent import NilpotentSum, _echelon, _integral
 from c0ops.inner import monomial
 from c0ops.jordan import JordanModel, chain_lengths
 
@@ -99,6 +101,28 @@ def restriction_on_basis(t_op: NilpotentSum, basis: list[list]) -> list[list[Fra
 def compression_on_complement(t_op: NilpotentSum, basis: list[list]) -> list[list[Fraction]]:
     """Matrix of P_{M^perp} T | M^perp in an integer complement basis."""
     return restriction_on_basis(t_op, complement_basis(basis, t_op.n))
+
+
+def _units(n: int) -> list[list[int]]:
+    return [[int(i == j) for i in range(n)] for j in range(n)]
+
+
+def compression_model(t_op: NilpotentSum, basis: list[list]) -> JordanModel:
+    """Jordan model of P_{M^perp} T | M^perp for an invariant M spanned by the independent basis.
+
+    The elimination read that Klein's rule replaces in the package: the
+    compression is similar to T on Q^n / M, and T^k Q^n is spanned by the
+    images of the unit vectors, so rank = dim(T^k Q^n + M) - dim M by
+    Bareiss elimination, for k = 0 up to the largest block degree or the
+    first rank 0.
+    """
+    modulo, vectors, ranks = [_integral(b) for b in basis], _units(t_op.n), []
+    for _ in range(max(t_op.block_degrees) + 1):
+        ranks.append(len(_echelon([*modulo, *vectors])[1]) - len(modulo))
+        if not ranks[-1]:
+            break
+        vectors = [w for w in map(t_op.apply, vectors) if any(w)]
+    return JordanModel(tuple(monomial(s) for s in chain_lengths(ranks)))
 
 
 def nilpotent_jordan_model(a_mat: list[list], max_power: int) -> JordanModel:

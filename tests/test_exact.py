@@ -17,7 +17,6 @@ from c0ops.exact_nilpotent import (
     NilpotentSum,
     _echelon,
     _integral,
-    compression_model,
     exact_subspace_models,
     orbit_closure,
     restriction_model,
@@ -34,6 +33,7 @@ from commutant_oracle import (
     _rref_den,
     commutant_basis,
     complement_basis,
+    compression_model,
     compression_on_complement,
     decide_commutant_orbit,
     linear_forms,
@@ -187,7 +187,7 @@ def test_witness_compression_models_run_no_elimination(monkeypatch, blocks, step
         raise AssertionError("the search ran an elimination")
 
     monkeypatch.setattr(exact_nilpotent, "_echelon", refuse)
-    monkeypatch.setattr(exact_nilpotent, "compression_model", refuse)
+    monkeypatch.setattr(exact_nilpotent, "compression_model", refuse, raising=False)
     monkeypatch.setattr(verify, "compression_model", refuse, raising=False)
     rep = counterexample_search(blocks, step)
     assert rep.witness_compression_models == models
@@ -371,6 +371,19 @@ def test_exact_matches_float_on_random_integer_subspaces():
             m = SubspaceFrame(amb, orthonormalize(cols.astype(complex)))
             rest_f, comp_f = subspace_models(amb, m)
             assert rest_f == rest_e and comp_f == comp_e
+    # acceptance 9's inputs: the compression from Klein's rule against the elimination read
+    rng = np.random.default_rng(909)
+    done = 0
+    while done < 100:
+        d, copies = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        k = int(rng.integers(1, 3))
+        vecs = [[int(v) for v in rng.integers(-3, 4, size=d * copies)] for _ in range(k)]
+        if not any(map(any, vecs)):
+            continue
+        _, comp_e, basis = exact_subspace_models(d, copies, vecs)
+        columns = [[Fraction(int(x.p), int(x.q)) for x in basis.col(j)] for j in range(basis.cols)]
+        assert comp_e == compression_model(NilpotentSum([d] * copies), columns)
+        done += 1
 
 
 # (blocks, grid denominator) of searches whose subspaces check the image-rank models

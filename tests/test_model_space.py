@@ -192,6 +192,19 @@ def test_project_requires_divisor():
         project_onto_submodel(space, f, blaschke(0.5))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ModelVector(build_model_space(monomial(2)), np.zeros(3)), "^coordinate length does not match space dim$"),
+        (lambda: build_model_space(ONE), "^degree of theta must be >= 1$"),
+    ],
+    ids=["vector-length", "theta-one"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_norm_matches_coordinates():
     space = build_model_space(THETAS[1])
     v = np.array([3.0, 4.0], dtype=complex)

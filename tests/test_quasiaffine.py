@@ -195,6 +195,8 @@ class TestSchedule:
         ks = sched.condition_sequence()
         assert ks[29] > ks[9]
         assert sched.looks_divergent()
+        # fewer than 6 values of K(m) have no tail to judge
+        assert not WeightSchedule.custom(sched.values[:6]).looks_divergent()
 
     def test_positive_weights_required(self):
         for bad in (0.0, float("nan"), float("inf")):
@@ -564,3 +566,47 @@ class TestCompressionIntertwiner:
         x = np.zeros((amb.total_dim, amb.total_dim), dtype=complex)
         with pytest.raises(HypothesisViolated, match="^A does not have full row rank$"):
             compression_intertwiner(amb, zero, amb, zero, x)
+
+
+Z1, Z2, Z3 = monomial(1), monomial(2), monomial(3)
+S2 = build_model_space(Z2)
+ZERO = ModelVector(S2, np.zeros(2, dtype=complex))
+SCHED = WeightSchedule.factorial(3)
+
+
+def sweep(copies=2, phi_list=(Z1, Z1), psi1=Z2, psi2=Z1, targets=2):
+    return density_sweep(S2, copies, list(phi_list), psi1, psi2, ZERO, [ZERO] * targets, SCHED)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: solve_norm_preserving(S2, Z3, Z1, ZERO), "^phi must divide theta$"),
+        (lambda: solve_norm_preserving(S2, Z1, Z3, ZERO), "^psi must divide theta$"),
+        (lambda: build_X(S2, 0, [], SCHED), "^need at least one summand$"),
+        (lambda: build_X(S2, 2, [Z1], SCHED), "^omega list length must equal copies$"),
+        (lambda: build_X(S2, 1, [Z3], SCHED), r"^InnerFunction\(z\^3\) does not divide theta$"),
+        (lambda: build_X(S2, 3, [Z2] * 3, WeightSchedule.factorial(2)), "^schedule shorter than the truncation$"),
+        (lambda: sweep(copies=1, phi_list=[Z1], targets=1), "^need copies >= 2 for a sweep$"),
+        (lambda: sweep(targets=1), "^phi list and targets must match copies$"),
+        (lambda: sweep(psi1=Z3), "^psi1 must divide theta$"),
+        (lambda: sweep(phi_list=[Z1, Z2]), r"^phi_\{n\+1\} must divide phi_n$"),
+        (lambda: sweep(phi_list=[Z3, Z3]), "^each phi_n must divide theta$"),
+        (
+            lambda: build_Y_main(AmbientSpace.build(Z2, 2), JordanModel((Z3,)), JordanModel(), JordanModel(), SCHED),
+            "^leading model part must divide theta$",
+        ),
+        (
+            lambda: build_Y_main(AmbientSpace.build(Z2, 1), JordanModel(), JordanModel(), JordanModel(), SCHED),
+            "^need at least two copies$",
+        ),
+    ],
+    ids=[
+        "solve-phi", "solve-psi", "x-no-copies", "x-omega-count", "x-omega", "x-short-schedule",
+        "sweep-one-copy", "sweep-targets", "sweep-psi1", "sweep-phi-chain", "sweep-phi",
+        "y-leading-part", "y-one-copy",
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(HypothesisViolated, match=message):
+        call()

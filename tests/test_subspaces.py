@@ -253,3 +253,31 @@ class TestSerialization:
         data["frame"][0][0] = 1.5
         _, adjust = load_subspace(data)
         assert adjust > 0.1
+
+
+def _nan_subspace():
+    return {"ambient": {"theta": monomial(2).to_dict(), "copies": 1}, "frame": [[float("nan"), 0.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: AmbientSpace.build(monomial(2), 0), ValueError, "^copies must be >= 1$"),
+        (lambda: AmbientSpace.build(monomial(2), 2).apply(np.zeros(3)), ValueError, "^columns do not live in the ambient space$"),
+        (lambda: load_subspace(_nan_subspace()), ValueError, "^frame has non-finite entries$"),
+        (
+            lambda: invariant_subspace_of_block(build_model_space(monomial(2)), monomial(3)),
+            HypothesisViolated,
+            r"^InnerFunction\(z\^3\) does not divide theta$",
+        ),
+        (
+            lambda: image_closure(np.eye(3), SubspaceFrame(AmbientSpace.build(monomial(2), 2), np.eye(4, 1))),
+            ValueError,
+            "^operator does not act on the ambient space$",
+        ),
+    ],
+    ids=["no-copies", "apply-wrong-rows", "nan-frame", "block-phi", "image-wrong-width"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

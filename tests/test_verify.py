@@ -13,7 +13,7 @@ import sympy as sp
 from c0ops.errors import HypothesisViolated, IllConditioned
 from c0ops.exact_nilpotent import NilpotentSum
 from c0ops.inner import blaschke, monomial
-from c0ops.jordan import JordanModel, canonical_subspace, random_invariant_subspace
+from c0ops.jordan import JordanModel, canonical_subspace, random_invariant_subspace, subspace_models
 from c0ops.model_space import build_model_space
 from c0ops.quasiaffine import build_Y_main
 from c0ops.subspaces import AmbientSpace, SubspaceFrame, image_closure, principal_distance
@@ -130,6 +130,20 @@ class TestVerifyOrbit:
         assert rep.verdict == "no-orbit"
         assert not rep.restriction_models_equal
         assert not rep.orbit_constructed
+
+    def test_a_frame_read_with_another_ambient_is_refused(self):
+        # models are read with the ambient's kernels and similarity, so they must be the frame's own
+        rng = np.random.default_rng(36)
+        a_z2 = AmbientSpace.build(monomial(2), 2)
+        conj = AmbientSpace(a_z2.model, 2, np.array([[1.0, 0.35], [0.15, 1.4]]))
+        homes = [AmbientSpace.build(blaschke(0.5, 2), 2), AmbientSpace.build(blaschke(0.3) * blaschke(-0.4), 2)]
+        for home, reader in [(home, a_z2) for home in homes] + [(a_z2, conj), (conj, a_z2)]:
+            m = random_invariant_subspace(home, rng)
+            assert subspace_models(home, m)[0] == JordanModel((home.theta,))
+            with pytest.raises(HypothesisViolated, match="the frame lives in another ambient"):
+                subspace_models(reader, m)
+            with pytest.raises(HypothesisViolated, match="the frame lives in another ambient"):
+                verify_orbit(reader, m, m)
 
     def test_verdict_consistency_with_flags(self):
         amb = AmbientSpace.build(monomial(2), 4)
@@ -335,17 +349,18 @@ class TestCounterexample:
         }
 
     @pytest.mark.parametrize(
-        "blocks, step, error",
+        "blocks, step, error, message",
         [
-            ([2, 1], Fraction(0), ValueError),
-            ([2, 1], Fraction(-1, 4), ValueError),
-            ([2, 1], 0.25, TypeError),
-            ([2, 0], Fraction(1, 4), ValueError),
+            ([2, 1], Fraction(0), ValueError, "grid_step must be positive"),
+            ([2, 1], Fraction(-1, 4), ValueError, "grid_step must be positive"),
+            ([2, 1], 0.25, TypeError, "grid_step must be an int or a Fraction"),
+            ([2, 0], Fraction(1, 4), ValueError, "block degrees must be at least 1"),
+            ([2.0, 1], Fraction(1, 4), TypeError, "block degrees must be integers, not 2.0"),
         ],
-        ids=["zero-step", "negative-step", "float-step", "zero-degree"],
+        ids=["zero-step", "negative-step", "float-step", "zero-degree", "float-degree"],
     )
-    def test_search_refuses_bad_input(self, blocks, step, error):
-        with pytest.raises(error):
+    def test_search_refuses_bad_input(self, blocks, step, error, message):
+        with pytest.raises(error, match=message):
             counterexample_search(blocks, step)
 
     def test_uniform_negative_control(self):
