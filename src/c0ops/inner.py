@@ -2,9 +2,17 @@
 
 An inner function here is always a finite Blaschke product normalized to
 carry no unimodular constant.  Equality is structural: the zero list is
-kept sorted and deduplicated, so two products built from the same zeros
-compare equal bit-for-bit.
-"""
+kept sorted and merged, so two products built from the same zeros
+compare equal bit-for-bit.  Normalisation merges a zero into any kept
+zero within MATCH_TOL of it and refuses any two kept zeros closer than
+AMBIGUITY_TOL, so every pair of zeros of one product is at least
+AMBIGUITY_TOL apart.  A zero of one product therefore lies within
+MATCH_TOL of at most one zero of another, which is what ``_match``
+pairs them by.
+
+``divides``, ``quotient``, ``gcd`` and ``lcm`` answer equal operands and
+the operand 1 from structure, with one of their operands or ONE and no
+new product; every other pair of operands is paired by ``_match``."""
 
 from __future__ import annotations
 
@@ -42,17 +50,26 @@ class InnerFunction:
                 raise ValueError(f"multiplicity {k} < 1")
             norm.append((a, k))
         norm.sort(key=lambda zm: _zero_key(zm[0]))
+        # Each zero is compared with every kept zero whose real part lies
+        # within AMBIGUITY_TOL of its own, not only with the last one kept: a
+        # zero sorted in between can hide a close pair. Kept zeros stay in
+        # sorted order, so the scan stops at the first one left of the window.
         merged: list[tuple[complex, int]] = []
         for a, m in norm:
-            if merged and abs(a - merged[-1][0]) <= MATCH_TOL:
-                merged[-1] = (merged[-1][0], merged[-1][1] + m)
-            else:
+            i, close = len(merged) - 1, None
+            while i >= 0 and a.real - merged[i][0].real < AMBIGUITY_TOL:
+                gap = abs(a - merged[i][0])
+                if gap <= MATCH_TOL:
+                    break
+                if gap < AMBIGUITY_TOL:
+                    close = merged[i][0]
+                i -= 1
+            else:  # no kept zero within MATCH_TOL: a is a new zero
+                if close is not None:
+                    raise ValueError(f"distinct zeros {close} and {a} closer than {AMBIGUITY_TOL}")
                 merged.append((a, m))
-        for (a, _), (b, _) in zip(merged, merged[1:]):
-            if abs(a - b) < AMBIGUITY_TOL:
-                raise ValueError(
-                    f"distinct zeros {a} and {b} closer than {AMBIGUITY_TOL}"
-                )
+                continue
+            merged[i] = (merged[i][0], merged[i][1] + m)
         if sum(m for _, m in merged) > MAX_DEGREE:
             raise ValueError(f"degree exceeds cap {MAX_DEGREE}")
         object.__setattr__(self, "zeros", tuple(merged))
@@ -131,10 +148,16 @@ def _match(u: InnerFunction, v: InnerFunction):
 
 def divides(u: InnerFunction, v: InnerFunction) -> bool:
     """True iff the zero multiset of u is contained in that of v."""
+    if not u.zeros or u == v:
+        return True
     return all(mu <= mv for _, mu, mv in _match(u, v))
 
 
 def gcd(u: InnerFunction, v: InnerFunction) -> InnerFunction:
+    if u == v:
+        return u
+    if not u.zeros or not v.zeros:
+        return ONE
     zeros = tuple(
         (a, min(mu, mv)) for a, mu, mv in _match(u, v) if min(mu, mv) > 0
     )
@@ -142,15 +165,24 @@ def gcd(u: InnerFunction, v: InnerFunction) -> InnerFunction:
 
 
 def lcm(u: InnerFunction, v: InnerFunction) -> InnerFunction:
+    if not u.zeros or u == v:
+        return v
+    if not v.zeros:
+        return u
     zeros = tuple((a, max(mu, mv)) for a, mu, mv in _match(u, v))
     return InnerFunction(zeros)
 
 
 def quotient(v: InnerFunction, u: InnerFunction) -> InnerFunction:
     """v/u as a multiset difference; requires u | v."""
-    if not divides(u, v):
+    if not u.zeros:
+        return v
+    if u == v:
+        return ONE
+    pairs = _match(u, v)
+    if any(mu > mv for _, mu, mv in pairs):
         raise HypothesisViolated(f"{u!r} does not divide {v!r}")
-    zeros = tuple((a, mv - mu) for a, mu, mv in _match(u, v) if mv - mu > 0)
+    zeros = tuple((a, mv - mu) for a, mu, mv in pairs if mv - mu > 0)
     return InnerFunction(zeros)
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import inner_reference
 from c0ops.errors import HypothesisViolated
 from c0ops.inner import (
+    MATCH_TOL,
     ONE,
     InnerFunction,
     all_divisors,
@@ -23,15 +25,37 @@ from c0ops.inner import (
 POOL = [0.0, 0.3, -0.45, 0.2 + 0.5j, -0.1 - 0.6j]
 
 
-def from_mults(mults):
+def from_mults(mults, offsets=(0,) * len(POOL)):
     f = ONE
-    for a, m in zip(POOL, mults):
+    for a, d, m in zip(POOL, offsets, mults):
         if m:
-            f = f * blaschke(a, m)
+            f = f * blaschke(a + d, m)
     return f
 
 
 mult_vectors = st.lists(st.integers(min_value=0, max_value=3), min_size=5, max_size=5)
+# moves of at most 0.35 * sqrt(2) * MATCH_TOL < MATCH_TOL / 2 per pool point
+offset_vectors = st.lists(
+    st.builds(lambda x, y: MATCH_TOL * complex(x, y), st.floats(-0.35, 0.35), st.floats(-0.35, 0.35)),
+    min_size=5,
+    max_size=5,
+)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Equal operands, an operand 1, shared zeros, or zeros moved below MATCH_TOL / 2."""
+    m1 = draw(mult_vectors)
+    u = from_mults(m1)
+    kind = draw(st.sampled_from(["equal", "one", "shared", "moved"]))
+    if kind == "equal":
+        v = from_mults(m1)
+    elif kind == "one":
+        v = ONE
+    else:
+        offsets = draw(offset_vectors) if kind == "moved" else (0,) * len(POOL)
+        v = from_mults(draw(st.one_of(st.just(m1), mult_vectors)), offsets)
+    return (v, u) if draw(st.booleans()) else (u, v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -60,6 +84,27 @@ def test_quotient_inverts_product(m1, m2):
     assert quotient(u * v, v) == u
 
 
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except HypothesisViolated as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs())
+def test_arithmetic_matches_the_zero_matching_reference(pair):
+    u, v = pair
+    ops = [(divides, inner_reference.divides), (gcd, inner_reference.gcd), (lcm, inner_reference.lcm),
+           (quotient, inner_reference.quotient)]
+    for op, reference in ops:
+        for a, b in ((u, v), (v, u)):
+            assert _outcome(op, a, b) == _outcome(reference, a, b)
+    assert quotient(v, ONE) is v and quotient(v, v) is ONE
+    assert gcd(v, v) is v and lcm(v, v) is v
+    assert gcd(ONE, v) is ONE and lcm(ONE, v) is v
+
+
 def test_quotient_requires_divisor():
     with pytest.raises(HypothesisViolated, match=r"^InnerFunction\(.*\) does not divide InnerFunction\("):
         quotient(blaschke(0.3), blaschke(0.4))
@@ -75,11 +120,18 @@ def test_zero_merge_within_tolerance():
     u = blaschke(0.5) * blaschke(0.5 + 5e-10)
     assert len(u.zeros) == 1
     assert u.zeros[0][1] == 2
+    # a zero sorted between the two does not hide their pair
+    v = InnerFunction(((0.5, 1), (0.5 + 2e-10 + 0.3j, 1), (0.5 + 5e-10, 1)))
+    assert v.zeros == ((0.5, 2), (0.5 + 2e-10 + 0.3j, 1))
+    assert divides(blaschke(0.5, 2), v)
 
 
 def test_ambiguous_separation_rejected():
     with pytest.raises(ValueError):
         blaschke(0.5) * blaschke(0.5 + 1e-8)
+    # nor here, where 0.5 + 5e-9 + 0.3j sorts between 0.5 and 0.5 + 1e-8
+    with pytest.raises(ValueError, match=r"^distinct zeros \(0\.5\+0j\) and \(0\.50000001\+0j\) closer than 1e-07$"):
+        InnerFunction(((0.5 + 1e-8, 1), (0.5 + 5e-9 + 0.3j, 1), (0.5, 1)))
 
 
 def test_degree_cap():

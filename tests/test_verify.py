@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from c0ops import inner
 from c0ops.errors import HypothesisViolated, IllConditioned
 from c0ops.exact_nilpotent import NilpotentSum
 from c0ops.inner import blaschke, monomial
@@ -144,6 +145,21 @@ class TestVerifyOrbit:
                 subspace_models(reader, m)
             with pytest.raises(HypothesisViolated, match="the frame lives in another ambient"):
                 verify_orbit(reader, m, m)
+
+    def test_theta_models_match_no_zeros(self, monkeypatch):
+        # every model of a one-generator frame has parts theta and 1, so its
+        # divisibility checks and quotients are answered without _match
+        theta = blaschke(0.3, 2) * blaschke(-0.25, 2)
+        amb = AmbientSpace.build(theta, 4)
+        rng = np.random.default_rng(37)
+        m1, m2 = random_invariant_subspace(amb, rng), random_invariant_subspace(amb, rng)
+        calls = []
+        match = inner._match
+        monkeypatch.setattr(inner, "_match", lambda u, v: calls.append((u, v)) or match(u, v))
+        rep = verify_orbit(amb, m1, m2)
+        assert rep.verdict == "orbit"
+        assert JordanModel((theta,)).complement(theta, 4) == JordanModel((theta,) * 3)
+        assert calls == []
 
     def test_verdict_consistency_with_flags(self):
         amb = AmbientSpace.build(monomial(2), 4)
